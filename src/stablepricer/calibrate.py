@@ -38,7 +38,7 @@ from .core import (
     mu_fmls,
     theta_to_beta,
 )
-from .pricer import price_call, price_call_strikes
+from .pricer import price_call_strikes
 
 _SIDES = ("call", "put")
 _MODEL_NAMES = {"bs": "BS", "carrwu": "CarrWu", "stable": "AlphaBetaStable"}
@@ -229,7 +229,8 @@ def aggregated_error(
     Quotes are grouped by (spot, rate, maturity) and priced in one
     vectorized series evaluation per group; puts are priced through
     put = call - (spot - strike * exp(-rate * maturity)).  On
-    non-convergence the error message identifies the offending quote.
+    non-convergence the error message names the offending quote, taken from
+    the strike the batch reports as failed; nothing is re-priced.
     """
     per_quote = [0.0] * len(chain.quotes)
     groups: dict[tuple[float, float, float], list[int]] = {}
@@ -248,7 +249,12 @@ def aggregated_error(
                 max_column=max_column,
             )
         except ConvergenceError as exc:
-            raise _locate_failure(params, chain, indices, tolerance, max_column, exc)
+            i = indices[exc.strike_index]
+            quote = chain.quotes[i]
+            raise ConvergenceError(
+                f"quote {i + 1} (strike={quote.strike}, maturity={quote.maturity}, "
+                f"side={quote.side}) failed to price: {exc}"
+            ) from exc
         disc = math.exp(-rate * maturity)
         for j, i in enumerate(indices):
             quote = chain.quotes[i]
@@ -257,34 +263,6 @@ def aggregated_error(
                 model -= spot - quote.strike * disc
             per_quote[i] = abs(model - quote.market_price)
     return math.fsum(per_quote)
-
-
-def _locate_failure(
-    params: StableModelParams,
-    chain: OptionChain,
-    indices: list[int],
-    tolerance: float,
-    max_column: int,
-    original: ConvergenceError,
-) -> ConvergenceError:
-    """Re-price a failed group one quote at a time to name the offender."""
-    for i in indices:
-        quote = chain.quotes[i]
-        contract = OptionContract(
-            spot=quote.spot,
-            strike=quote.strike,
-            rate=quote.rate,
-            maturity=quote.maturity,
-            side="call",
-        )
-        try:
-            price_call(params, contract, tolerance=tolerance, max_column=max_column)
-        except ConvergenceError as exc:
-            return ConvergenceError(
-                f"quote {i + 1} (strike={quote.strike}, maturity={quote.maturity}, "
-                f"side={quote.side}) failed to price: {exc}"
-            )
-    return original
 
 
 # ---------------------------------------------------------------------------

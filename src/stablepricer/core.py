@@ -21,6 +21,8 @@ class DomainError(ValueError):
 class ConvergenceError(RuntimeError):
     """A series or quadrature failed to reach the requested tolerance."""
 
+    strike_index: int | None = None  # the failing strike, from price_call_strikes
+
 
 def _check_alpha(alpha: float) -> None:
     if not (1.0 < alpha <= 2.0):

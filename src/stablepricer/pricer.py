@@ -7,15 +7,18 @@ whose poles become exact zeros of the sine), powers of the log-moneyness
 and of (-mu*tau), and factorials.  The isolated (n, m) = (-1, 0) "forward"
 term has the analytic value (alpha-theta)/(2*alpha) * (S - K*exp(-r*tau)).
 
-Summation proceeds column by column in n (inner loop over m), mirroring the
-cumulative layout used by the term-table export, and stops once two
-consecutive column contributions are below tolerance in absolute value.
+price_call sums column by column in n (inner loop over m) and stops once
+two consecutive column contributions are below tolerance in absolute value.
+price_call_strikes builds every column up to the cap at once in variables
+normalised to the convergence envelope, u = L * po**(-1/alpha) and
+w = po**(1-1/alpha) (L the log-moneyness, po = -mu*tau), then stops alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -302,6 +305,30 @@ def term_table_csv(table: TermTable, precision: int = 6) -> str:
     return "\n".join(lines) + "\n"
 
 
+@lru_cache(maxsize=8)
+def _triangle(max_column: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables over columns n = 0..max_column, indexed [n, p] with
+    m = n+1-p: m (0 outside T), -lgamma(m+1)-lgamma(p+1) (-inf outside T, so
+    the coefficient there is exactly 0) and the mask of even m inside T."""
+    p = np.arange(max_column + 2)
+    m = np.arange(1, max_column + 2)[:, None] - p
+    inside = m >= 0
+    m = np.where(inside, m, 0).astype(float)
+    log_fact = np.where(inside, -gammaln(m + 1.0) - gammaln(p + 1.0), -np.inf)
+    even = inside & (m % 2 == 0)
+    for table in (m, log_fact, even):
+        table.setflags(write=False)
+    return m, log_fact, even
+
+
+def _strike_failure(message: str, strike_index: int) -> ConvergenceError:
+    # built here, not in the kernel's frame: an exception held in a local of
+    # the frame its traceback holds is a cycle that keeps the arrays alive
+    exc = ConvergenceError(message)
+    exc.strike_index = int(strike_index)
+    return exc
+
+
 def price_call_strikes(
     params: StableModelParams,
     spot: float,
@@ -313,9 +340,12 @@ def price_call_strikes(
 ) -> np.ndarray:
     """Vectorized call prices for one (spot, rate, maturity) across strikes.
 
-    Identical series and stop rule as price_call, with the quiet-column test
-    taken over the worst strike, so every returned price is at least as
-    refined as its scalar counterpart.
+    price_call's series with all columns n = 0..max_column at once: each
+    parity of m gives its columns as one matrix product of the coefficient
+    triangle with the powers of u (see the module docstring).  price_call's
+    stop rule (over n >= 0) is taken over the worst strike, so no price is
+    less refined than price_call's.  On ConvergenceError, strike_index names
+    the failing strike.
     """
     _require_priceable(params)
     strikes = np.asarray(strikes, dtype=float)
@@ -325,50 +355,40 @@ def price_call_strikes(
         raise DomainError("spot, strikes and maturity must be positive")
     alpha, theta = params.alpha, params.theta
     kd = strikes * math.exp(-rate * maturity)
-    lm = np.log(spot / strikes) + rate * maturity
     po = -params.mu * maturity
-    log_po = math.log(po)
-
-    totals = (alpha - theta) / (2.0 * alpha) * (spot - kd)
-    prev_quiet = False
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(0, max_column + 1):
-            s = _sinpi((alpha - theta) * (n + 1) / (2.0 * alpha))
-            if s != 0.0:
-                base = (
-                    math.lgamma((n + 1) / alpha)
-                    + math.log(abs(s))
-                    - math.log(alpha * math.pi)
-                )
-                m = np.arange(n + 2, dtype=float)
-                p = (n + 1) - m
-                mag = (
-                    base
-                    + (m - (n + 1) / alpha) * log_po
-                    - gammaln(m + 1.0)
-                    - gammaln(p + 1.0)
-                )
-                coeff = math.copysign(1.0, s) * np.exp(mag)
-                sign_m = 1.0 - 2.0 * (np.arange(n + 2) % 2)
-                payoff = spot - sign_m[:, None] * kd[None, :]
-                col = (coeff[:, None] * payoff * lm[None, :] ** p[:, None]).sum(0)
-                if not np.all(np.isfinite(col)):
-                    raise ConvergenceError(
-                        f"series terms overflowed at column {n} "
-                        f"(parameters too far into the slow-convergence regime)"
-                    )
-            else:
-                col = np.zeros_like(totals)
-            totals += col
-            worst = float(np.max(np.abs(col)))
-            quiet = worst <= tolerance
-            if quiet and prev_quiet:
-                break
-            prev_quiet = quiet
-        else:
-            if worst > tolerance:
-                raise ConvergenceError(
-                    f"series did not stabilize within {max_column} columns "
-                    f"(last column norm {worst:.3e} > tolerance {tolerance:.3e})"
-                )
-    return totals
+    u = (np.log(spot / strikes) + rate * maturity) * po ** (-1.0 / alpha)
+    m, log_fact, even = _triangle(max_column)
+    n1 = np.arange(1, max_column + 2)
+    # _sinpi per column, with its exact-zero rule
+    x = (alpha - theta) * n1 / (2.0 * alpha)
+    k = np.round(x)
+    s = np.sin(np.pi * (x - k)) * (1.0 - 2.0 * (k % 2))
+    s[np.abs(x - k) <= _INTEGER_SLACK * np.maximum(1.0, np.abs(x))] = 0.0
+    # Columns past the stop may overflow; only the summed ones are checked.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        head = gammaln(n1 / alpha) + np.log(np.abs(s)) - math.log(alpha * math.pi)
+        log_w = (1.0 - 1.0 / alpha) * math.log(po)
+        coeff = np.sign(s)[:, None] * np.exp(head[:, None] + m * log_w + log_fact)
+        powers = np.vander(u, max_column + 2, increasing=True).T
+        cols = (np.where(even, coeff, 0.0) @ powers) * (spot - kd)
+        cols += (np.where(even, 0.0, coeff) @ powers) * (spot + kd)
+        worst = np.abs(cols).max(axis=1)
+        quiet = worst <= tolerance
+    stops = np.flatnonzero(quiet[1:] & quiet[:-1])
+    used = cols[: stops[0] + 2] if stops.size else cols
+    bad = np.argwhere(~np.isfinite(used))
+    if bad.size:
+        n, failed = bad[0]
+        raise _strike_failure(
+            f"series terms overflowed at column {n} "
+            f"(parameters too far into the slow-convergence regime)",
+            failed,
+        )
+    if not stops.size and worst[-1] > tolerance:
+        raise _strike_failure(
+            f"series did not stabilize within {max_column} columns "
+            f"(last column norm {worst[-1]:.3e} > tolerance {tolerance:.3e})",
+            np.argmax(np.abs(cols[-1])),
+        )
+    forward = (alpha - theta) / (2.0 * alpha) * (spot - kd)
+    return forward + used.sum(axis=0)

@@ -5,6 +5,7 @@ starts to stay fast; the full-size recovery check lives in the acceptance
 suite.
 """
 
+import importlib
 import io
 import json
 import math
@@ -171,6 +172,38 @@ class TestAggregatedError:
         chain = OptionChain(as_of="d", quotes=quotes)
         with pytest.raises(ConvergenceError, match=r"strike=300\.0"):
             aggregated_error(params, chain)
+
+    def test_failure_named_without_repricing(self, monkeypatch):
+        # the package attribute stablepricer.calibrate is the function
+        calibrate_module = importlib.import_module("stablepricer.calibrate")
+        pricer_module = importlib.import_module("stablepricer.pricer")
+
+        def no_scalar(*args, **kwargs):
+            raise AssertionError("scalar re-pricing")
+
+        batch = calibrate_module.price_call_strikes
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(pricer_module, "price_call", no_scalar)
+        monkeypatch.setattr(calibrate_module, "price_call", no_scalar, raising=False)
+        monkeypatch.setattr(calibrate_module, "price_call_strikes", counting)
+        params = StableModelParams(alpha=1.5, theta=-0.4, sigma=0.1, mu=-0.02)
+        quotes = tuple(
+            OptionQuote(spot=100.0, rate=0.01, maturity=maturity, strike=strike,
+                        side="call", market_price=1.0)
+            for maturity, strike in [(0.5, 100.0), (0.5, 110.0),
+                                     (1.0, 100.0), (1.0, 300.0)]
+        )
+        chain = OptionChain(as_of="d", quotes=quotes)
+        with pytest.raises(
+            ConvergenceError, match=r"quote 4 \(strike=300\.0, maturity=1\.0"
+        ):
+            aggregated_error(params, chain)
+        assert calls == [0.5, 1.0]
 
 
 class TestConfigAndReport:

@@ -12,6 +12,7 @@ from stablepricer.core import (
     OptionContract,
     StableModelParams,
 )
+from stablepricer.reference import black_scholes_call, bs_equivalent_vol
 from stablepricer.pricer import (
     TermIndex,
     price_call,
@@ -316,6 +317,104 @@ class TestBatch:
                 tolerance=1e-9,
                 max_column=4,
             )
+
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        alpha=ALPHAS,
+        beta=BETAS,
+        sigma=SIGMAS,
+        spot=SPOTS,
+        moneyness=st.lists(MONEYNESS, min_size=1, max_size=6),
+        rate=RATES,
+        maturity=MATURITIES,
+    )
+    def test_matches_scalar_property(
+        self, alpha, beta, sigma, spot, moneyness, rate, maturity
+    ):
+        tolerance = 1e-8
+        setups = [
+            _draw_setup(alpha, beta, sigma, spot, mny, rate, maturity)
+            for mny in moneyness
+        ]
+        params = setups[0][0]
+        strikes = np.array([contract.strike for _, contract in setups])
+        batch = price_call_strikes(
+            params, spot, rate, maturity, strikes, tolerance=tolerance
+        )
+        for value, (_, contract) in zip(batch, setups):
+            scalar = price_call(params, contract, tolerance=tolerance).price
+            assert abs(value - scalar) <= 10 * tolerance
+
+    def _assert_matches_scalar(self, params, spot, rate, maturity, strikes,
+                               tolerance=1e-8, max_column=64):
+        batch = price_call_strikes(
+            params, spot, rate, maturity, np.array(strikes),
+            tolerance=tolerance, max_column=max_column,
+        )
+        for strike, value in zip(strikes, batch):
+            contract = OptionContract(
+                spot=spot, strike=strike, rate=rate, maturity=maturity
+            )
+            scalar = price_call(
+                params, contract, tolerance=tolerance, max_column=max_column
+            ).price
+            assert abs(value - scalar) <= 10 * tolerance
+        return batch
+
+    def test_gaussian_member_alternating_zero_columns(self):
+        # alpha=2 makes the sine vanish on every odd n; the batch must still
+        # reach the Black-Scholes price
+        sigma = 0.2
+        params = StableModelParams(alpha=2.0, theta=0.0, sigma=sigma, mu=-sigma**2)
+        strikes = [80.0, 95.0, 100.0, 110.0, 125.0]
+        batch = self._assert_matches_scalar(params, 100.0, 0.02, 0.75, strikes)
+        for strike, value in zip(strikes, batch):
+            contract = OptionContract(
+                spot=100.0, strike=strike, rate=0.02, maturity=0.75
+            )
+            closed = black_scholes_call(contract, bs_equivalent_vol(sigma))
+            assert value == pytest.approx(closed, abs=1e-6)
+
+    def test_at_the_money_forward(self):
+        # rate 0 and K = S give L = 0 exactly (u**0 = 1, every higher power
+        # 0) and S - K*exp(-r*tau) = 0, so every even-m term vanishes
+        params = StableModelParams.from_beta(alpha=1.7, beta=-0.3, sigma=0.2)
+        batch = self._assert_matches_scalar(
+            params, 100.0, 0.0, 0.5, [90.0, 100.0, 110.0]
+        )
+        assert 0.0 < batch[1] < 100.0
+
+    def test_zero_even_payoff_with_rate(self):
+        # K*exp(-r*tau) rounds to exactly S here while L is a rounding-level
+        # nonzero
+        spot, rate, maturity = 100.0, 0.01, 0.25
+        strike = spot * math.exp(rate * maturity)
+        assert spot - strike * math.exp(-rate * maturity) == 0.0
+        params = StableModelParams.from_beta(alpha=1.5, beta=0.4, sigma=0.15)
+        self._assert_matches_scalar(
+            params, spot, rate, maturity, [strike, 0.9 * strike]
+        )
+
+    def test_column_cap_above_64(self):
+        # near alpha = 1.2 this contract needs about 77 columns at 1e-8
+        params = StableModelParams.from_beta(alpha=1.2077, beta=0.4641, sigma=0.1268)
+        strikes = [83.9, 100.0]
+        with pytest.raises(ConvergenceError):
+            price_call_strikes(params, 100.0, 0.0, 0.5, np.array(strikes),
+                               tolerance=1e-8)
+        self._assert_matches_scalar(
+            params, 100.0, 0.0, 0.5, strikes, max_column=100
+        )
+
+    def test_small_cap_names_failing_strike(self):
+        strikes = np.array([4000.0, 4300.0, 12000.0])
+        with pytest.raises(ConvergenceError, match="did not stabilize") as err:
+            price_call_strikes(
+                golden_params(), 4300.0, 0.01, 1.0, strikes,
+                tolerance=1e-9, max_column=4,
+            )
+        assert err.value.strike_index == 2
 
 
 class TestTermTableCsv:
