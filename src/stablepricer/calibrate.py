@@ -14,6 +14,10 @@ Every family is priced through the same residue series, so the leaner
 model's optimum is a feasible point of each richer family.  The richer
 fits always evaluate that embedded point as a candidate, which guarantees
 the aggregated errors nest: AE(stable) <= AE(carrwu) <= AE(bs).
+
+Each family is one entry of the model-spec table ``_SPECS`` (start box,
+coordinate maps, warm start, embedded leaner optimum, report); the ladder
+fits its entries in order, so a new family is one more entry.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,7 +45,6 @@ from .core import (
 from .pricer import price_call_strikes
 
 _SIDES = ("call", "put")
-_MODEL_NAMES = {"bs": "BS", "carrwu": "CarrWu", "stable": "AlphaBetaStable"}
 _CSV_COLUMNS = ("as_of", "spot", "rate", "maturity", "strike", "side", "market_price")
 
 
@@ -288,12 +291,13 @@ def _implied_scale(alpha: float, mu: float) -> float:
 
 
 def _alpha_from_z(z: float) -> float:
-    return 1.0 + 1.0 / (1.0 + math.exp(-z))
+    # closed map: alpha = 2 sits at the finite z = pi/2 (alpha = 1 is
+    # rejected by StableModelParams, so the objective is inf there)
+    return 1.5 + 0.5 * math.sin(z)
 
 
 def _z_from_alpha(alpha: float) -> float:
-    alpha = min(max(alpha, 1.0 + 1e-9), 2.0 - 1e-9)
-    return math.log((alpha - 1.0) / (2.0 - alpha))
+    return math.asin(min(max(2.0 * alpha - 3.0, -1.0), 1.0))
 
 
 def _z_from_beta(beta: float) -> float:
@@ -302,77 +306,103 @@ def _z_from_beta(beta: float) -> float:
 
 @dataclass(frozen=True)
 class _ModelSpec:
-    """How one model family maps an unconstrained vector to parameters."""
+    """One model family of the ladder: all that _fit_rung needs to fit it.
 
-    kind: str
-    dimension: int
-    to_params: Callable[[np.ndarray], StableModelParams]
-    # natural-box bounds used to spread quasi-random starts
+    Its points x are natural parameters, except that sigma and mu enter as
+    log(sigma) and log(-mu), so that the quasi-random starts spread
+    log-uniformly over them.
+
+    name              -- model label of the report.
+    box_low, box_high -- corners of the box the quasi-random starts fill.
+    to_z, to_params   -- a point x to the unconstrained optimizer vector z,
+                         and z to StableModelParams.
+    warm              -- the warm start x from the leaner fit (None on the
+                         first rung) and the chain.
+    embed             -- the leaner optimum as a member of this family,
+                         always evaluated as a candidate; None on the first
+                         rung.
+    report            -- (sigma, beta) to report for fitted parameters.
+    """
+
+    name: str
     box_low: tuple[float, ...]
     box_high: tuple[float, ...]
-    to_z: Callable[[np.ndarray], np.ndarray]
+    to_z: Callable[[Sequence[float]], np.ndarray]
+    to_params: Callable[[np.ndarray], StableModelParams]
+    warm: Callable[[CalibrationReport | None, OptionChain], tuple[float, ...]]
+    embed: Callable[[CalibrationReport], StableModelParams] | None
+    report: Callable[[StableModelParams], tuple[float, float]]
 
 
-def _make_spec(kind: str, free_mu: bool) -> _ModelSpec:
-    if kind == "bs":
-        return _ModelSpec(
-            kind=kind,
-            dimension=1,
-            to_params=lambda z: _bs_member(math.exp(z[0])),
-            box_low=(math.log(0.05),),
-            box_high=(math.log(1.2),),
-            to_z=lambda x: np.array([math.log(x[0])]),
-        )
-    if kind == "carrwu":
-        return _ModelSpec(
-            kind=kind,
-            dimension=2,
-            to_params=lambda z: StableModelParams.fmls(
-                alpha=_alpha_from_z(z[1]), sigma=math.exp(z[0])
-            ),
-            box_low=(math.log(0.05), 1.15),
-            box_high=(math.log(0.8), 1.95),
-            to_z=lambda x: np.array([math.log(x[0]), _z_from_alpha(x[1])]),
-        )
-    if kind == "stable":
-        if free_mu:
-            # the series sees sigma only through mu, so the free-mu family
-            # optimizes (alpha, beta, mu) and derives sigma from the fit
-            def _free_params(z: np.ndarray) -> StableModelParams:
-                alpha = _alpha_from_z(z[0])
-                mu = -math.exp(z[2])
-                return StableModelParams.from_beta(
-                    alpha=alpha,
-                    beta=math.tanh(z[1]),
-                    sigma=_implied_scale(alpha, mu),
-                    mu=mu,
-                )
+def _free_mu_params(z: np.ndarray) -> StableModelParams:
+    alpha = _alpha_from_z(z[0])
+    mu = -math.exp(z[2])
+    return StableModelParams.from_beta(
+        alpha=alpha, beta=math.tanh(z[1]), sigma=_implied_scale(alpha, mu), mu=mu
+    )
 
-            return _ModelSpec(
-                kind=kind,
-                dimension=3,
-                to_params=_free_params,
-                box_low=(1.15, -0.95, math.log(0.005)),
-                box_high=(1.95, 0.95, math.log(0.5)),
-                to_z=lambda x: np.array(
-                    [_z_from_alpha(x[0]), _z_from_beta(x[1]), math.log(-x[2])]
-                ),
-            )
-        return _ModelSpec(
-            kind=kind,
-            dimension=3,
-            to_params=lambda z: StableModelParams.from_beta(
-                alpha=_alpha_from_z(z[1]),
-                beta=math.tanh(z[2]),
-                sigma=math.exp(z[0]),
-            ),
-            box_low=(math.log(0.05), 1.15, -0.95),
-            box_high=(math.log(0.8), 1.95, 0.95),
-            to_z=lambda x: np.array(
-                [math.log(x[0]), _z_from_alpha(x[1]), _z_from_beta(x[2])]
-            ),
-        )
-    raise DomainError(f"unknown model kind {kind!r}; expected bs, carrwu or stable")
+
+# The ladder, leanest family first; each rung is warm-started from the one
+# before it, and its embedded candidate makes the aggregated errors nest.
+_SPECS: dict[str, _ModelSpec] = {
+    "bs": _ModelSpec(
+        name="BS",
+        box_low=(math.log(0.05),),
+        box_high=(math.log(1.2),),
+        to_z=np.array,
+        to_params=lambda z: _bs_member(math.exp(z[0])),
+        warm=lambda leaner, chain: (math.log(_heuristic_vol(chain)),),
+        embed=None,
+        # report the lognormal vol
+        report=lambda p: (p.sigma * math.sqrt(2.0), 0.0),
+    ),
+    "carrwu": _ModelSpec(
+        name="CarrWu",
+        box_low=(math.log(0.05), 1.15),
+        box_high=(math.log(0.8), 1.95),
+        to_z=lambda x: np.array([x[0], _z_from_alpha(x[1])]),
+        to_params=lambda z: StableModelParams.fmls(
+            alpha=_alpha_from_z(z[1]), sigma=math.exp(z[0])
+        ),
+        warm=lambda leaner, chain: (math.log(leaner.sigma / math.sqrt(2.0)), 1.9),
+        embed=lambda leaner: StableModelParams.fmls(
+            alpha=2.0, sigma=leaner.sigma / math.sqrt(2.0)
+        ),
+        report=lambda p: (p.sigma, -1.0),
+    ),
+    "stable": _ModelSpec(
+        name="AlphaBetaStable",
+        box_low=(math.log(0.05), 1.15, -0.95),
+        box_high=(math.log(0.8), 1.95, 0.95),
+        to_z=lambda x: np.array([x[0], _z_from_alpha(x[1]), _z_from_beta(x[2])]),
+        to_params=lambda z: StableModelParams.from_beta(
+            alpha=_alpha_from_z(z[1]), beta=math.tanh(z[2]), sigma=math.exp(z[0])
+        ),
+        warm=lambda leaner, chain: (math.log(leaner.sigma), leaner.alpha, -0.9),
+        embed=lambda leaner: StableModelParams.fmls(
+            alpha=leaner.alpha, sigma=leaner.sigma
+        ),
+        report=lambda p: (p.sigma, theta_to_beta(p.alpha, p.theta)),
+    ),
+}
+
+# With free_mu the stable family optimizes (alpha, beta, mu): the series
+# sees sigma only through mu, so sigma is derived from the fit.
+_FREE_MU_SPECS = {
+    **_SPECS,
+    "stable": replace(
+        _SPECS["stable"],
+        box_low=(1.15, -0.95, math.log(0.005)),
+        box_high=(1.95, 0.95, math.log(0.5)),
+        to_z=lambda x: np.array([_z_from_alpha(x[0]), _z_from_beta(x[1]), x[2]]),
+        to_params=_free_mu_params,
+        warm=lambda leaner, chain: (
+            leaner.alpha,
+            -0.9,
+            math.log(-mu_fmls(leaner.alpha, leaner.sigma)),
+        ),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +441,8 @@ class CalibrateConfig:
             raise DomainError(f"maxiter must be >= 1, got {self.maxiter}")
         if not (self.tolerance > 0.0):
             raise DomainError(f"tolerance must be positive, got {self.tolerance}")
+        if self.max_column < 1:
+            raise DomainError(f"max_column must be >= 1, got {self.max_column}")
 
 
 @dataclass(frozen=True)
@@ -488,20 +520,19 @@ def objective_params(
 
 def _fit_rung(
     chain: OptionChain,
-    kind: str,
+    spec: _ModelSpec,
     config: CalibrateConfig,
     leaner: CalibrationReport | None,
 ) -> CalibrationReport:
     """Fit one model family, warm-started from the next-leaner family's fit.
 
-    Multi-start Nelder-Mead in an unconstrained reparameterization
-    (log sigma, logistic alpha in (1, 2), atanh beta).  Besides the
-    quasi-random starts, the leaner fit contributes a warm start and an
-    exactly-embedded candidate, which guarantees the aggregated errors
-    nest across bs -> carrwu -> stable.  The lowest aggregated error wins;
-    ties keep the earliest candidate.
+    Multi-start Nelder-Mead in the spec's unconstrained coordinates
+    (log sigma or log(-mu), alpha = 1.5 + 0.5 sin z, atanh beta), from the
+    spec's warm start and the quasi-random points of its box.  The leaner optimum,
+    embedded exactly by the spec, is a candidate too, which guarantees the
+    aggregated errors nest across the ladder.  The lowest aggregated error
+    wins; ties keep the earliest candidate.
     """
-    spec = _make_spec(kind, config.free_mu)
 
     def objective(z: np.ndarray) -> float:
         try:
@@ -509,62 +540,21 @@ def _fit_rung(
         except (DomainError, OverflowError):
             return math.inf
 
-    # quasi-random starts spread over a natural parameter box; the sigma/mu
-    # coordinates are sampled in log space already, while alpha and beta come
-    # out in natural units and get the unconstraining transform applied
-    sampler = qmc.Halton(d=spec.dimension, scramble=True, seed=config.seed)
-    unit = sampler.random(config.starts)
-    low = np.asarray(spec.box_low)
-    high = np.asarray(spec.box_high)
-    natural = low + unit * (high - low)
-    if kind == "bs":
-        z_starts = [np.array([row[0]]) for row in natural]
-    elif kind == "carrwu":
-        z_starts = [np.array([row[0], _z_from_alpha(row[1])]) for row in natural]
-    elif config.free_mu:
-        z_starts = [
-            np.array([_z_from_alpha(row[0]), _z_from_beta(row[1]), row[2]])
-            for row in natural
-        ]
-    else:
-        z_starts = [
-            np.array([row[0], _z_from_alpha(row[1]), _z_from_beta(row[2])])
-            for row in natural
-        ]
-
     candidates: list[_Candidate] = []
-
-    # warm start, plus the leaner optimum embedded exactly as a candidate
-    if kind == "bs":
-        z_starts.insert(0, spec.to_z([_heuristic_vol(chain)]))
-    elif kind == "carrwu":
-        scale = leaner.sigma / math.sqrt(2.0)
-        z_starts.insert(0, spec.to_z([scale, 1.9]))
-        embedded = StableModelParams.fmls(alpha=2.0, sigma=scale)
-        candidates.append(
-            _Candidate(
-                objective_params(embedded, chain, config), embedded, leaner.converged
-            )
-        )
-    else:
-        if config.free_mu:
-            z_starts.insert(
-                0,
-                spec.to_z(
-                    [leaner.alpha, -0.9, mu_fmls(leaner.alpha, leaner.sigma)]
-                ),
-            )
-        else:
-            z_starts.insert(0, spec.to_z([leaner.sigma, leaner.alpha, -0.9]))
-        embedded = StableModelParams.fmls(alpha=leaner.alpha, sigma=leaner.sigma)
+    if spec.embed is not None:
+        embedded = spec.embed(leaner)
         candidates.append(
             _Candidate(
                 objective_params(embedded, chain, config), embedded, leaner.converged
             )
         )
 
+    # warm start first, then quasi-random starts spread over the box
+    sampler = qmc.Halton(d=len(spec.box_low), scramble=True, seed=config.seed)
+    low, high = np.array(spec.box_low), np.array(spec.box_high)
+    box = low + sampler.random(config.starts) * (high - low)
     iterations = 0
-    for z0 in z_starts:
+    for z0 in [spec.to_z(x) for x in (spec.warm(leaner, chain), *box)]:
         if not math.isfinite(objective(z0)):
             continue  # start sits in the non-priceable region; skip it
         result = optimize.minimize(
@@ -588,29 +578,16 @@ def _fit_rung(
 
     if not candidates:
         raise ConvergenceError(
-            f"calibration of {kind!r} failed: no start produced a finite error"
+            f"calibration of {spec.name!r} failed: no start produced a finite error"
         )
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand.error < best.error:
-            best = cand
-
-    params = best.params
-    if kind == "bs":
-        sigma_out = params.sigma * math.sqrt(2.0)  # report the lognormal vol
-        beta_out = 0.0
-    elif kind == "carrwu":
-        sigma_out = params.sigma
-        beta_out = -1.0
-    else:
-        sigma_out = params.sigma
-        beta_out = theta_to_beta(params.alpha, params.theta)
+    best = min(candidates, key=lambda cand: cand.error)
+    sigma, beta = spec.report(best.params)
     return CalibrationReport(
-        model=_MODEL_NAMES[kind],
-        sigma=sigma_out,
-        alpha=params.alpha,
-        beta=beta_out,
-        mu=params.mu,
+        model=spec.name,
+        sigma=sigma,
+        alpha=best.params.alpha,
+        beta=beta,
+        mu=best.params.mu,
         aggregated_error=best.error,
         iterations=iterations,
         converged=best.converged,
@@ -618,7 +595,20 @@ def _fit_rung(
     )
 
 
-_LADDER = ("bs", "carrwu", "stable")
+def _ladder(
+    chain: OptionChain, config: CalibrateConfig | None, last: str | None
+) -> dict[str, CalibrationReport]:
+    """Fit the families of _SPECS in order, up to and including `last`."""
+    if config is None:
+        config = CalibrateConfig()
+    specs = _FREE_MU_SPECS if config.free_mu else _SPECS
+    reports: dict[str, CalibrationReport] = {}
+    leaner: CalibrationReport | None = None
+    for kind, spec in specs.items():
+        leaner = reports[kind] = _fit_rung(chain, spec, config, leaner)
+        if kind == last:
+            break
+    return reports
 
 
 def calibrate_all(
@@ -629,14 +619,7 @@ def calibrate_all(
     Returns {"bs": ..., "carrwu": ..., "stable": ...}.  Each report's
     iteration count covers its own family's optimization only.
     """
-    if config is None:
-        config = CalibrateConfig()
-    reports: dict[str, CalibrationReport] = {}
-    leaner: CalibrationReport | None = None
-    for kind in _LADDER:
-        leaner = _fit_rung(chain, kind, config, leaner)
-        reports[kind] = leaner
-    return reports
+    return _ladder(chain, config, None)
 
 
 def calibrate(
@@ -650,15 +633,8 @@ def calibrate(
     'carrwu' or 'stable' runs the ladder up to that rung.  Use
     calibrate_all to retrieve every rung of one ladder run.
     """
-    if config is None:
-        config = CalibrateConfig()
-    if model not in _MODEL_NAMES:
+    if model not in _SPECS:
         raise DomainError(
-            f"unknown model kind {model!r}; expected one of {sorted(_MODEL_NAMES)}"
+            f"unknown model kind {model!r}; expected one of {list(_SPECS)}"
         )
-    leaner: CalibrationReport | None = None
-    for kind in _LADDER:
-        leaner = _fit_rung(chain, kind, config, leaner)
-        if kind == model:
-            return leaner
-    raise AssertionError("unreachable")
+    return _ladder(chain, config, model)[model]

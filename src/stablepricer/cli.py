@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .calibrate import (
+    _SPECS,
     CalibrateConfig,
     calibrate,
     filter_quotes,
@@ -365,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="fit model parameters to chain CSVs")
     p.add_argument("--chain", nargs="+", required=True, help="chain CSV path(s)")
-    p.add_argument("--model", choices=("bs", "carrwu", "stable"), required=True)
+    p.add_argument("--model", choices=tuple(_SPECS), required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--calls-only", action="store_true")
     group.add_argument("--puts-only", action="store_true")

@@ -351,6 +351,8 @@ def price_call_strikes(
     strikes = np.asarray(strikes, dtype=float)
     if strikes.ndim != 1 or strikes.size == 0:
         raise DomainError("strikes must be a non-empty 1-d array")
+    if max_column < 1:
+        raise DomainError(f"max_column must be >= 1, got {max_column}")
     if np.any(strikes <= 0.0) or spot <= 0.0 or maturity <= 0.0:
         raise DomainError("spot, strikes and maturity must be positive")
     alpha, theta = params.alpha, params.theta

@@ -10,6 +10,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from stablepricer import (
@@ -30,6 +31,15 @@ from stablepricer import (
     report_payload,
     report_to_json,
     synthetic_chain,
+)
+from stablepricer.calibrate import (
+    _FREE_MU_SPECS,
+    _SPECS,
+    CalibrationReport,
+    _alpha_from_z,
+    _bs_member,
+    _heuristic_vol,
+    _z_from_alpha,
 )
 
 STRIKES = [85.0, 90.0, 95.0, 100.0, 105.0, 110.0, 115.0]
@@ -214,6 +224,8 @@ class TestConfigAndReport:
             CalibrateConfig(maxiter=0)
         with pytest.raises(DomainError):
             CalibrateConfig(tolerance=0.0)
+        with pytest.raises(DomainError):
+            CalibrateConfig(max_column=0)
 
     def test_payload_keys_and_json_round_trip(self):
         chain = small_chain(StableModelParams.fmls(1.6, 0.2))
@@ -278,5 +290,46 @@ class TestRecovery:
 
     def test_unknown_model_rejected(self):
         chain = small_chain(StableModelParams.fmls(1.6, 0.2))
-        with pytest.raises(DomainError, match="unknown model"):
+        with pytest.raises(
+            DomainError, match=r"expected one of \['bs', 'carrwu', 'stable'\]"
+        ):
             calibrate(chain, "heston", QUICK)
+
+
+class TestModelSpecs:
+    def test_alpha_map_round_trip(self):
+        for alpha in np.linspace(1.15, 2.0, 86):
+            assert _alpha_from_z(_z_from_alpha(alpha)) == pytest.approx(
+                alpha, abs=4e-16
+            )
+        # alpha = 2 lies at a finite coordinate and maps back exactly
+        assert _alpha_from_z(_z_from_alpha(2.0)) == 2.0
+
+    @pytest.mark.parametrize(
+        "specs, kind",
+        [(_SPECS, kind) for kind in _SPECS] + [(_FREE_MU_SPECS, "stable")],
+    )
+    @pytest.mark.parametrize("leaner_alpha", [1.7, 2.0])
+    def test_warm_start_round_trip(self, specs, kind, leaner_alpha):
+        chain = small_chain(StableModelParams.fmls(1.6, 0.2))
+        sigma = 0.2
+        mu = mu_fmls(leaner_alpha, sigma)
+        leaner = CalibrationReport(
+            model="leaner", sigma=sigma, alpha=leaner_alpha, beta=-1.0, mu=mu,
+            aggregated_error=1.0, iterations=1, converged=True, quotes=1,
+        )
+        expected = {
+            "BS": _bs_member(_heuristic_vol(chain)),
+            "CarrWu": StableModelParams.fmls(alpha=1.9, sigma=sigma / math.sqrt(2.0)),
+            "AlphaBetaStable": StableModelParams.from_beta(
+                alpha=leaner_alpha, beta=-0.9, sigma=sigma, mu=mu
+            ),
+        }[specs[kind].name]
+        spec = specs[kind]
+        params = spec.to_params(spec.to_z(spec.warm(leaner, chain)))
+        for field in ("alpha", "theta", "sigma", "mu"):
+            assert getattr(params, field) == pytest.approx(
+                getattr(expected, field), rel=1e-12, abs=1e-15
+            ), field
+        if expected.alpha == 2.0:
+            assert params.alpha == 2.0

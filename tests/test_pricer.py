@@ -305,6 +305,11 @@ class TestBatch:
             price_call_strikes(params, 100.0, 0.0, 1.0, np.array([]))
         with pytest.raises(DomainError):
             price_call_strikes(params, 100.0, 0.0, 1.0, np.array([-5.0]))
+        for max_column in (0, -1):
+            with pytest.raises(DomainError, match="max_column must be >= 1"):
+                price_call_strikes(
+                    params, 100.0, 0.0, 1.0, np.array([95.0]), max_column=max_column
+                )
 
     def test_non_convergence_raises(self):
         with pytest.raises(ConvergenceError):
