@@ -31,8 +31,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
-from scipy.stats import qmc
 
 from .core import (
     ConvergenceError,
@@ -533,6 +531,8 @@ def _fit_rung(
     aggregated errors nest across the ladder.  The lowest aggregated error
     wins; ties keep the earliest candidate.
     """
+    from scipy import optimize
+    from scipy.stats import qmc
 
     def objective(z: np.ndarray) -> float:
         try:

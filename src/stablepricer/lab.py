@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .core import (
     ConvergenceError,
@@ -89,6 +88,8 @@ def stable_density(alpha: float, theta: float, x: float) -> float:
     dedicated cosine/sine rules.
     """
     _check_diamond(alpha, theta)
+    from scipy import integrate
+
     c = math.cos(theta * math.pi / 2.0)
     s = math.sin(theta * math.pi / 2.0)
     # exp(-c*k**alpha) < 1e-17 beyond this point

@@ -1,17 +1,24 @@
 """Residue-series pricing of European options under stable log-price dynamics.
 
-The call price is a double series over the lattice triangle
+The paper's call price is a double series over the lattice triangle
 T = {n >= -1, m >= 0, 1+n-m >= 0}.  Each term combines a gamma factor,
 a sine factor (the reciprocal of the reflection pair Gamma(x)Gamma(1-x),
 whose poles become exact zeros of the sine), powers of the log-moneyness
-and of (-mu*tau), and factorials.  The isolated (n, m) = (-1, 0) "forward"
-term has the analytic value (alpha-theta)/(2*alpha) * (S - K*exp(-r*tau)).
+L = ln(S/K) + r*tau and of po = -mu*tau, and factorials.  The isolated
+(n, m) = (-1, 0) "forward" term has the analytic value rho*(S - Kd), with
+rho = (alpha-theta)/(2*alpha) and Kd = K*exp(-r*tau).
 
-price_call sums column by column in n (inner loop over m) and stops once
-two consecutive column contributions are below tolerance in absolute value.
-price_call_strikes builds every column up to the cap at once in variables
-normalised to the convergence envelope, u = L * po**(-1/alpha) and
-w = po**(1-1/alpha) (L the log-moneyness, po = -mu*tau), then stops alike.
+Summed over m by the binomial theorem, column n = k-1 collapses to two
+power series, one per digital of the payoff:
+
+    g_k * (S*y+**k - Kd*y-**k),    y+- = (L +- po) * po**(-1/alpha),
+    g_k = Gamma(k/alpha) * sin(pi*k*rho) / (alpha*pi*k!).
+
+price_call and price_call_strikes both build these columns (_columns) and
+sum them under one stop rule (_sum_columns): stop after two consecutive
+columns whose worst-strike absolute value is below tolerance, counting
+from the forward column.  The (n, m) terms themselves are kept for
+residue_term and term_table, which reproduce the paper's table.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import (
     ConvergenceError,
@@ -38,14 +44,13 @@ from .core import (
 _INTEGER_SLACK = 1e-12
 
 
-def _sinpi(x: float) -> float:
-    """sin(pi*x) with argument reduction; exactly 0.0 at (near-)integer x."""
-    k = round(x)
+def _sinpi(x: float | np.ndarray) -> np.ndarray:
+    """sin(pi*x) with argument reduction, elementwise; exactly 0.0 at
+    (near-)integer x."""
+    k = np.round(x)
     d = x - k
-    if abs(d) <= _INTEGER_SLACK * max(1.0, abs(x)):
-        return 0.0
-    s = math.sin(math.pi * d)
-    return -s if k % 2 else s
+    s = np.sin(np.pi * d) * (1.0 - 2.0 * (k % 2))
+    return np.where(np.abs(d) <= _INTEGER_SLACK * np.maximum(1.0, np.abs(x)), 0.0, s)
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,6 @@ class PriceResult:
         price: option value.
         columns_used: number of n-columns summed (for the lattice series
             including the forward column n=-1); always >= 1.
-        last_column_norm: max |term| within the final column.
         truncation_estimate: |contribution of the final column|.
         diamond_flag: True when theta sits inside the Feller-Takayasu
             diamond; False marks an analytic continuation.
@@ -81,7 +85,6 @@ class PriceResult:
 
     price: float
     columns_used: int
-    last_column_norm: float
     truncation_estimate: float
     diamond_flag: bool
     via_parity: bool = False
@@ -123,7 +126,7 @@ def _term_value(
         # Analytic limit of the isolated singularity; the generic formula is
         # 0/0 here (Gamma(0) against its own reflection pole).
         return (alpha - theta) / (2.0 * alpha) * (contract.spot - kd)
-    s = _sinpi((alpha - theta) * (n + 1) / (2.0 * alpha))
+    s = float(_sinpi((alpha - theta) * (n + 1) / (2.0 * alpha)))
     if s == 0.0:
         return 0.0
     payoff = contract.spot - (-1) ** m * kd
@@ -166,17 +169,87 @@ def residue_term(
     return _term_value(params, contract, idx.n, idx.m)
 
 
-def _column(
-    params: StableModelParams, contract: OptionContract, n: int
-) -> tuple[float, float]:
-    """Sum of column n's terms and the max |term| within it."""
-    total = 0.0
-    worst = 0.0
-    for m in range(0, n + 2):
-        t = _term_value(params, contract, n, m)
-        total += t
-        worst = max(worst, abs(t))
-    return total, worst
+@lru_cache(maxsize=8)
+def _log_factorials(max_column: int) -> np.ndarray:
+    """Read-only lgamma(k+1) for k = 1..max_column+1."""
+    table = np.array([math.lgamma(k + 1.0) for k in range(1, max_column + 2)])
+    table.setflags(write=False)
+    return table
+
+
+def _columns(
+    params: StableModelParams,
+    spot: float,
+    rate: float,
+    maturity: float,
+    strikes: np.ndarray,
+    max_column: int,
+) -> np.ndarray:
+    """Columns n = -1..max_column of the series (rows), one per strike.
+
+    Row 0 is the forward term rho*(S - Kd); row k, column n = k-1, is
+    g_k*(S*y+**k - Kd*y-**k) (see the module docstring).  Rows past the stop
+    may overflow; _sum_columns checks only the rows it sums.
+    """
+    alpha, theta = params.alpha, params.theta
+    kd = strikes * math.exp(-rate * maturity)
+    po = -params.mu * maturity
+    lm = np.log(spot / strikes) + rate * maturity
+    k = np.arange(1, max_column + 2)
+    sines = _sinpi((alpha - theta) * k / (2.0 * alpha))
+    log_gamma = np.array([math.lgamma(n1 / alpha) for n1 in k.tolist()])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # log|sin| is -inf at the sine's exact zeros, so g_k is exactly 0 there
+        g = np.sign(sines) * np.exp(
+            log_gamma
+            + np.log(np.abs(sines))
+            - _log_factorials(max_column)
+            - math.log(alpha * math.pi)
+        )
+        scale = po ** (-1.0 / alpha)
+        up = np.vander((lm + po) * scale, max_column + 2, increasing=True).T[1:]
+        down = np.vander((lm - po) * scale, max_column + 2, increasing=True).T[1:]
+        digitals = g[:, None] * (spot * up - kd * down)
+    forward = (alpha - theta) / (2.0 * alpha) * (spot - kd)
+    return np.vstack([forward, digitals])
+
+
+def _strike_failure(message: str, strike_index: int) -> ConvergenceError:
+    # built here, not in the kernel's frame: an exception held in a local of
+    # the frame its traceback holds is a cycle that keeps the arrays alive
+    exc = ConvergenceError(message)
+    exc.strike_index = int(strike_index)
+    return exc
+
+
+def _sum_columns(columns: np.ndarray, tolerance: float) -> np.ndarray:
+    """The rows of columns the stop rule sums.
+
+    Summation stops after two consecutive columns whose worst-strike
+    absolute value is below tolerance, counting from the forward column.
+    Only the summed columns are checked for overflow.  Raises
+    ConvergenceError, with strike_index naming the failing strike, on
+    overflow or when the final column is still above tolerance.
+    """
+    worst = np.abs(columns).max(axis=1)
+    quiet = worst <= tolerance
+    stops = np.flatnonzero(quiet[1:] & quiet[:-1])
+    used = columns[: stops[0] + 2] if stops.size else columns
+    finite = np.isfinite(used)
+    if not finite.all():
+        row, failed = np.argwhere(~finite)[0]
+        raise _strike_failure(
+            f"series terms overflowed at column {row - 1} "
+            f"(parameters too far into the slow-convergence regime)",
+            failed,
+        )
+    if not stops.size and worst[-1] > tolerance:
+        raise _strike_failure(
+            f"series did not stabilize within {len(columns) - 2} columns "
+            f"(last column {worst[-1]:.3e} > tolerance {tolerance:.3e})",
+            np.argmax(np.abs(columns[-1])),
+        )
+    return used
 
 
 def price_call(
@@ -185,14 +258,14 @@ def price_call(
     tolerance: float = 1e-4,
     max_column: int = 64,
 ) -> PriceResult:
-    """Price a European call by column-wise summation of the series.
+    """Price a European call by summing the series' columns.
 
     Columns n = -1, 0, 1, ... are added until two consecutive column
     contributions are each below tolerance in absolute value (currency
     units), or n reaches max_column.
 
     Raises ConvergenceError if max_column is reached while the final
-    column's max |term| still exceeds tolerance.
+    column still exceeds tolerance, or if a summed column overflows.
     """
     _require_priceable(params)
     if contract.side != "call":
@@ -201,37 +274,19 @@ def price_call(
         raise DomainError(f"tolerance must be positive, got {tolerance}")
     if max_column < 1:
         raise DomainError(f"max_column must be >= 1, got {max_column}")
-
-    # Kahan-compensated running total; cheap insurance against the large
-    # oscillating early columns.
-    total = 0.0
-    comp = 0.0
-    prev_quiet = False
-    col_sum = 0.0
-    col_norm = 0.0
-    n_last = -1
-    for n in range(-1, max_column + 1):
-        col_sum, col_norm = _column(params, contract, n)
-        y = col_sum - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        n_last = n
-        quiet = abs(col_sum) <= tolerance
-        if quiet and prev_quiet:
-            break
-        prev_quiet = quiet
-    else:
-        if col_norm > tolerance:
-            raise ConvergenceError(
-                f"series did not stabilize within {max_column} columns "
-                f"(last column norm {col_norm:.3e} > tolerance {tolerance:.3e})"
-            )
+    columns = _columns(
+        params,
+        contract.spot,
+        contract.rate,
+        contract.maturity,
+        np.array([contract.strike]),
+        max_column,
+    )
+    used = _sum_columns(columns, tolerance)[:, 0]
     return PriceResult(
-        price=total,
-        columns_used=n_last + 2,
-        last_column_norm=col_norm,
-        truncation_estimate=abs(col_sum),
+        price=float(used.sum()),
+        columns_used=len(used),
+        truncation_estimate=float(abs(used[-1])),
         diamond_flag=params.in_diamond,
     )
 
@@ -257,7 +312,6 @@ def price_put(
     return PriceResult(
         price=call.price - forward,
         columns_used=call.columns_used,
-        last_column_norm=call.last_column_norm,
         truncation_estimate=call.truncation_estimate,
         diamond_flag=call.diamond_flag,
         via_parity=True,
@@ -305,30 +359,6 @@ def term_table_csv(table: TermTable, precision: int = 6) -> str:
     return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=8)
-def _triangle(max_column: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only tables over columns n = 0..max_column, indexed [n, p] with
-    m = n+1-p: m (0 outside T), -lgamma(m+1)-lgamma(p+1) (-inf outside T, so
-    the coefficient there is exactly 0) and the mask of even m inside T."""
-    p = np.arange(max_column + 2)
-    m = np.arange(1, max_column + 2)[:, None] - p
-    inside = m >= 0
-    m = np.where(inside, m, 0).astype(float)
-    log_fact = np.where(inside, -gammaln(m + 1.0) - gammaln(p + 1.0), -np.inf)
-    even = inside & (m % 2 == 0)
-    for table in (m, log_fact, even):
-        table.setflags(write=False)
-    return m, log_fact, even
-
-
-def _strike_failure(message: str, strike_index: int) -> ConvergenceError:
-    # built here, not in the kernel's frame: an exception held in a local of
-    # the frame its traceback holds is a cycle that keeps the arrays alive
-    exc = ConvergenceError(message)
-    exc.strike_index = int(strike_index)
-    return exc
-
-
 def price_call_strikes(
     params: StableModelParams,
     spot: float,
@@ -340,12 +370,10 @@ def price_call_strikes(
 ) -> np.ndarray:
     """Vectorized call prices for one (spot, rate, maturity) across strikes.
 
-    price_call's series with all columns n = 0..max_column at once: each
-    parity of m gives its columns as one matrix product of the coefficient
-    triangle with the powers of u (see the module docstring).  price_call's
-    stop rule (over n >= 0) is taken over the worst strike, so no price is
-    less refined than price_call's.  On ConvergenceError, strike_index names
-    the failing strike.
+    price_call's columns and stop rule over the whole ladder: the stop is
+    taken over the worst strike, so no price is less refined than
+    price_call's.  On ConvergenceError, strike_index names the failing
+    strike.
     """
     _require_priceable(params)
     strikes = np.asarray(strikes, dtype=float)
@@ -355,42 +383,5 @@ def price_call_strikes(
         raise DomainError(f"max_column must be >= 1, got {max_column}")
     if np.any(strikes <= 0.0) or spot <= 0.0 or maturity <= 0.0:
         raise DomainError("spot, strikes and maturity must be positive")
-    alpha, theta = params.alpha, params.theta
-    kd = strikes * math.exp(-rate * maturity)
-    po = -params.mu * maturity
-    u = (np.log(spot / strikes) + rate * maturity) * po ** (-1.0 / alpha)
-    m, log_fact, even = _triangle(max_column)
-    n1 = np.arange(1, max_column + 2)
-    # _sinpi per column, with its exact-zero rule
-    x = (alpha - theta) * n1 / (2.0 * alpha)
-    k = np.round(x)
-    s = np.sin(np.pi * (x - k)) * (1.0 - 2.0 * (k % 2))
-    s[np.abs(x - k) <= _INTEGER_SLACK * np.maximum(1.0, np.abs(x))] = 0.0
-    # Columns past the stop may overflow; only the summed ones are checked.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        head = gammaln(n1 / alpha) + np.log(np.abs(s)) - math.log(alpha * math.pi)
-        log_w = (1.0 - 1.0 / alpha) * math.log(po)
-        coeff = np.sign(s)[:, None] * np.exp(head[:, None] + m * log_w + log_fact)
-        powers = np.vander(u, max_column + 2, increasing=True).T
-        cols = (np.where(even, coeff, 0.0) @ powers) * (spot - kd)
-        cols += (np.where(even, 0.0, coeff) @ powers) * (spot + kd)
-        worst = np.abs(cols).max(axis=1)
-        quiet = worst <= tolerance
-    stops = np.flatnonzero(quiet[1:] & quiet[:-1])
-    used = cols[: stops[0] + 2] if stops.size else cols
-    bad = np.argwhere(~np.isfinite(used))
-    if bad.size:
-        n, failed = bad[0]
-        raise _strike_failure(
-            f"series terms overflowed at column {n} "
-            f"(parameters too far into the slow-convergence regime)",
-            failed,
-        )
-    if not stops.size and worst[-1] > tolerance:
-        raise _strike_failure(
-            f"series did not stabilize within {max_column} columns "
-            f"(last column norm {worst[-1]:.3e} > tolerance {tolerance:.3e})",
-            np.argmax(np.abs(cols[-1])),
-        )
-    forward = (alpha - theta) / (2.0 * alpha) * (spot - kd)
-    return forward + used.sum(axis=0)
+    columns = _columns(params, spot, rate, maturity, strikes, max_column)
+    return _sum_columns(columns, tolerance).sum(axis=0)

@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from scipy.special import rgamma
-
 from .core import (
     ConvergenceError,
     DomainError,
@@ -73,6 +71,13 @@ def black_scholes_put(contract: OptionContract, vol: float) -> float:
     return call - (contract.spot - contract.discounted_strike())
 
 
+def _rgamma(x: float) -> float:
+    """1/Gamma(x), exactly 0 at the poles x = 0, -1, -2, ..."""
+    if x <= 0.0 and x == math.floor(x):
+        return 0.0
+    return 1.0 / math.gamma(x)
+
+
 def _fmls_series(
     params: StableModelParams,
     contract: OptionContract,
@@ -95,7 +100,6 @@ def _fmls_series(
     # sum_{j>=1} a_j: the terms fall once j/alpha exceeds po, then
     # factorially; stop when they no longer move the sum in float64.
     c = 0.0
-    a_max = 0.0
     j = 1
     while True:
         try:
@@ -105,7 +109,6 @@ def _fmls_series(
                 f"FMLS series overflowed (-mu*tau = {po:.3g} too large)"
             ) from None
         c += a
-        a_max = max(a_max, a)
         if j / alpha > po and a <= 1e-17 * c:
             break
         j += 1
@@ -116,11 +119,10 @@ def _fmls_series(
     for n in range(0, max_column + 1):
         if n > 0:
             try:
-                a = po ** ((1 - n) / alpha) * float(rgamma(1.0 + (1 - n) / alpha))
-            except OverflowError:
+                a = po ** ((1 - n) / alpha) * _rgamma(1.0 + (1 - n) / alpha)
+            except (OverflowError, ZeroDivisionError):
                 a = math.inf  # reported by the finiteness check below
             c += a
-            a_max = max(a_max, abs(a))
             power *= x / n
         col = scale * c * power
         if not math.isfinite(col):
@@ -141,7 +143,6 @@ def _fmls_series(
     return PriceResult(
         price=math.fsum(columns),
         columns_used=len(columns),
-        last_column_norm=scale * a_max * abs(power),
         truncation_estimate=abs(col),
         diamond_flag=params.in_diamond,
     )

@@ -7,10 +7,15 @@ the calibrate JSON schema.
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stablepricer
 from stablepricer import (
     StableModelParams,
     price_call,
@@ -30,6 +35,33 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestImports:
+    def test_pricing_path_loads_no_scipy(self):
+        # scipy is imported by calibration and the density lab on first use,
+        # never by importing the package or pricing an option
+        script = (
+            "import sys, stablepricer, stablepricer.cli\n"
+            "def scipy_modules():\n"
+            "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+            "code = stablepricer.cli.main(['price', '--spot', '100', '--strike',"
+            " '95', '--rate', '0.02', '--maturity', '1', '--alpha', '2',"
+            " '--theta', '0', '--sigma', '0.2', '--mu', '-0.04'])\n"
+            "assert code == 0, code\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+        )
+        src = str(Path(stablepricer.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("price=")
 
 
 class TestPrice:

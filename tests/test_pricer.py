@@ -15,6 +15,7 @@ from stablepricer.core import (
 from stablepricer.reference import black_scholes_call, bs_equivalent_vol
 from stablepricer.pricer import (
     TermIndex,
+    _columns,
     price_call,
     price_call_strikes,
     price_put,
@@ -188,6 +189,40 @@ class TestColumnConsistency:
             assert value == pytest.approx(direct, rel=1e-12)
 
 
+class TestKernelMatchesTable:
+    """The two-digital columns against the (n, m) terms they sum."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        alpha=ALPHAS,
+        beta=BETAS,
+        sigma=SIGMAS,
+        spot=SPOTS,
+        moneyness=MONEYNESS,
+        rate=RATES,
+        maturity=MATURITIES,
+    )
+    def test_columns_and_price(
+        self, alpha, beta, sigma, spot, moneyness, rate, maturity
+    ):
+        params, contract = _draw_setup(
+            alpha, beta, sigma, spot, moneyness, rate, maturity
+        )
+        result = price_call(params, contract, tolerance=1e-8)
+        n_max = result.columns_used - 2
+        table = term_table(params, contract, n_max)
+        columns = _columns(
+            params, spot, rate, maturity, np.array([contract.strike]), n_max
+        )[:, 0]
+        for n in range(-1, n_max + 1):
+            terms = [table.entries[(n, m)] for m in range(0, n + 2)]
+            assert abs(columns[n + 1] - math.fsum(terms)) <= 1e-9 * math.fsum(
+                abs(t) for t in terms
+            )
+        scale = math.fsum(abs(t) for t in table.entries.values())
+        assert abs(result.price - table.column_sums[-1]) <= 1e-12 * scale
+
+
 class TestPriceCall:
     def test_tolerance_refines(self):
         params, contract = golden_params(), golden_contract()
@@ -200,6 +235,25 @@ class TestPriceCall:
         with pytest.raises(ConvergenceError):
             price_call(
                 golden_params(), golden_contract(), tolerance=1e-8, max_column=4
+            )
+
+    def test_cap_failure_agrees_with_batch(self):
+        # the final column at the cap is 1.28e-4 > tolerance: the scalar
+        # and the batch share one stop rule, so both raise
+        params = StableModelParams.from_beta(
+            1.2726168208538218, -0.7644155238432633, 0.2813613680764508
+        )
+        spot, strike, rate, maturity = (
+            100.0, 76.18334274661548, 0.028560219570589615, 0.25
+        )
+        contract = OptionContract(
+            spot=spot, strike=strike, rate=rate, maturity=maturity
+        )
+        with pytest.raises(ConvergenceError, match="did not stabilize"):
+            price_call(params, contract, tolerance=1e-4)
+        with pytest.raises(ConvergenceError, match="did not stabilize"):
+            price_call_strikes(
+                params, spot, rate, maturity, np.array([strike]), tolerance=1e-4
             )
 
     def test_out_of_diamond_continuation_flagged(self):
