@@ -1,24 +1,27 @@
 """Residue-series pricing of European options under stable log-price dynamics.
 
-The paper's call price is a double series over the lattice triangle
-T = {n >= -1, m >= 0, 1+n-m >= 0}.  Each term combines a gamma factor,
-a sine factor (the reciprocal of the reflection pair Gamma(x)Gamma(1-x),
-whose poles become exact zeros of the sine), powers of the log-moneyness
-L = ln(S/K) + r*tau and of po = -mu*tau, and factorials.  The isolated
-(n, m) = (-1, 0) "forward" term has the analytic value rho*(S - Kd), with
-rho = (alpha-theta)/(2*alpha) and Kd = K*exp(-r*tau).
+Every series here is built from one residue weight (_weights),
 
-Summed over m by the binomial theorem, column n = k-1 collapses to two
-power series, one per digital of the payoff:
+    h_k = Gamma(k/alpha) * sin(pi*k*rho) / (alpha*pi),   rho = (alpha-theta)/(2*alpha),
 
-    g_k * (S*y+**k - Kd*y-**k),    y+- = (L +- po) * po**(-1/alpha),
-    g_k = Gamma(k/alpha) * sin(pi*k*rho) / (alpha*pi*k!).
+whose sine is exactly 0 at the poles of the reflection pair Gamma(x)Gamma(1-x).
+With L = ln(S/K) + r*tau, po = -mu*tau and Kd = K*exp(-r*tau):
 
-price_call and price_call_strikes both build these columns (_columns) and
-sum them under one stop rule (_sum_columns): stop after two consecutive
-columns whose worst-strike absolute value is below tolerance, counting
-from the forward column.  The (n, m) terms themselves are kept for
-residue_term and term_table, which reproduce the paper's table.
+- The paper's call price sums the lattice triangle T = {n >= -1, m >= 0,
+  1+n-m >= 0}.  Term (n, m), with k = n+1 and p = k-m, is
+  h_k * (S - (-1)**m * Kd) * L**p * po**(m - k/alpha) / (m! * p!); the
+  forward term (-1, 0) is rho*(S - Kd) (term_table, residue_term).
+- Summed over m, lattice column n = k-1 is two power series, one per digital
+  of the payoff (_columns): h_k/k! * (S*y+**k - Kd*y-**k) with
+  y+- = (L +- po) * po**(-1/alpha).
+- On the finite-moment log-stable (FMLS) line theta = alpha-2, rho = 1/alpha
+  and the reflection formula turns the coefficients of Carr & Wu's
+  drift-shifted series into the same weights (_fmls_columns):
+  po**(-k/alpha) / Gamma(1 - k/alpha) = alpha * h_k * po**(-k/alpha).
+
+Every price sums its columns under one strict stop rule (_sum_columns): stop
+after two consecutive columns whose worst-strike absolute value is at most
+the tolerance; without such a pair by column max_column, ConvergenceError.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from itertools import accumulate
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -39,18 +43,9 @@ from .core import (
 )
 
 # Relative slack under which the sine argument counts as an exact integer;
-# wide enough to absorb rounding in (alpha-theta)*(n+1)/(2*alpha), narrow
+# wide enough to absorb rounding in (alpha-theta)*k/(2*alpha), narrow
 # enough never to clip a genuinely non-integer argument.
 _INTEGER_SLACK = 1e-12
-
-
-def _sinpi(x: float | np.ndarray) -> np.ndarray:
-    """sin(pi*x) with argument reduction, elementwise; exactly 0.0 at
-    (near-)integer x."""
-    k = np.round(x)
-    d = x - k
-    s = np.sin(np.pi * d) * (1.0 - 2.0 * (k % 2))
-    return np.where(np.abs(d) <= _INTEGER_SLACK * np.maximum(1.0, np.abs(x)), 0.0, s)
 
 
 @dataclass(frozen=True)
@@ -116,63 +111,37 @@ def _require_priceable(params: StableModelParams) -> None:
         )
 
 
-def _term_value(
-    params: StableModelParams, contract: OptionContract, n: int, m: int
-) -> float:
-    """Value of the (n, m) series term; assumes (n, m) in T and mu < 0."""
-    alpha, theta = params.alpha, params.theta
-    kd = contract.discounted_strike()
-    if n == -1:
-        # Analytic limit of the isolated singularity; the generic formula is
-        # 0/0 here (Gamma(0) against its own reflection pole).
-        return (alpha - theta) / (2.0 * alpha) * (contract.spot - kd)
-    s = float(_sinpi((alpha - theta) * (n + 1) / (2.0 * alpha)))
-    if s == 0.0:
-        return 0.0
-    payoff = contract.spot - (-1) ** m * kd
-    if payoff == 0.0:
-        return 0.0
-    p = 1 + n - m
-    lm = log_moneyness(contract)
-    if p > 0 and lm == 0.0:
-        return 0.0
-    # Log-space magnitude with separate sign: the gamma factor grows
-    # super-exponentially and both the payoff factor and lm may be negative.
-    sign = 1.0
-    mag = math.lgamma((n + 1) / alpha) - math.log(alpha * math.pi)
-    mag += math.log(abs(s))
-    if s < 0.0:
-        sign = -sign
-    mag += math.log(abs(payoff))
-    if payoff < 0.0:
-        sign = -sign
-    if p > 0:
-        mag += p * math.log(abs(lm))
-        if lm < 0.0 and p % 2:
-            sign = -sign
-    mag += (m - (n + 1) / alpha) * math.log(-params.mu * contract.maturity)
-    mag -= math.lgamma(m + 1) + math.lgamma(p + 1)
-    return sign * math.exp(mag)
+def _check_stop(tolerance: float, max_column: int) -> None:
+    if tolerance <= 0.0:
+        raise DomainError(f"tolerance must be positive, got {tolerance}")
+    if max_column < 1:
+        raise DomainError(f"max_column must be >= 1, got {max_column}")
 
 
-def residue_term(
-    params: StableModelParams, contract: OptionContract, idx: TermIndex
-) -> float:
-    """Evaluate one series term at lattice index idx.
+def _weights(alpha: float, theta: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sign and log-magnitude of h_k for k = 1..count.
 
-    Raises DomainError if mu >= 0 or the contract is not a call; TermIndex
-    construction already rejects indices outside the triangle.
+    The sine is taken as sin(pi*d) of the reduced argument d = x - round(x),
+    x = (alpha-theta)*k/(2*alpha), and is exactly 0 where |d| is within
+    _INTEGER_SLACK of zero; there the sign is 0 and the log-magnitude -inf.
     """
-    _require_priceable(params)
-    if contract.side != "call":
-        raise DomainError("series terms are defined for call contracts")
-    return _term_value(params, contract, idx.n, idx.m)
+    k = np.arange(1, count + 1)
+    x = (alpha - theta) * k / (2.0 * alpha)
+    nearest = np.rint(x)
+    d = x - nearest
+    sine = np.sin(np.pi * d) * (1.0 - 2.0 * (nearest % 2))
+    sine[np.abs(d) <= _INTEGER_SLACK * np.maximum(1.0, np.abs(x))] = 0.0
+    log_mag = np.fromiter(map(math.lgamma, (k / alpha).tolist()), float, count)
+    log_mag -= math.log(alpha * math.pi)
+    with np.errstate(divide="ignore"):
+        log_mag += np.log(np.abs(sine))
+    return np.sign(sine), log_mag
 
 
 @lru_cache(maxsize=8)
-def _log_factorials(max_column: int) -> np.ndarray:
-    """Read-only lgamma(k+1) for k = 1..max_column+1."""
-    table = np.array([math.lgamma(k + 1.0) for k in range(1, max_column + 2)])
+def _log_factorials(count: int) -> np.ndarray:
+    """Read-only lgamma(j+1) for j = 0..count-1."""
+    table = np.array([math.lgamma(j + 1.0) for j in range(count)])
     table.setflags(write=False)
     return table
 
@@ -185,33 +154,80 @@ def _columns(
     strikes: np.ndarray,
     max_column: int,
 ) -> np.ndarray:
-    """Columns n = -1..max_column of the series (rows), one per strike.
+    """Lattice columns n = -1..max_column (rows), one per strike.
 
     Row 0 is the forward term rho*(S - Kd); row k, column n = k-1, is
-    g_k*(S*y+**k - Kd*y-**k) (see the module docstring).  Rows past the stop
-    may overflow; _sum_columns checks only the rows it sums.
+    h_k/k! * (S*y+**k - Kd*y-**k) (see the module docstring).  Rows past the
+    stop may overflow; _sum_columns checks only the rows it sums.
     """
     alpha, theta = params.alpha, params.theta
     kd = strikes * math.exp(-rate * maturity)
     po = -params.mu * maturity
     lm = np.log(spot / strikes) + rate * maturity
-    k = np.arange(1, max_column + 2)
-    sines = _sinpi((alpha - theta) * k / (2.0 * alpha))
-    log_gamma = np.array([math.lgamma(n1 / alpha) for n1 in k.tolist()])
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # log|sin| is -inf at the sine's exact zeros, so g_k is exactly 0 there
-        g = np.sign(sines) * np.exp(
-            log_gamma
-            + np.log(np.abs(sines))
-            - _log_factorials(max_column)
-            - math.log(alpha * math.pi)
-        )
+    sign, log_h = _weights(alpha, theta, max_column + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = sign * np.exp(log_h - _log_factorials(max_column + 2)[1:])
         scale = po ** (-1.0 / alpha)
-        up = np.vander((lm + po) * scale, max_column + 2, increasing=True).T[1:]
-        down = np.vander((lm - po) * scale, max_column + 2, increasing=True).T[1:]
+        legs = np.vander(
+            np.concatenate([lm + po, lm - po]) * scale, max_column + 2, increasing=True
+        ).T[1:]
+        up, down = legs[:, : strikes.size], legs[:, strikes.size :]
         digitals = g[:, None] * (spot * up - kd * down)
     forward = (alpha - theta) / (2.0 * alpha) * (spot - kd)
     return np.vstack([forward, digitals])
+
+
+def _fmls_tail(alpha: float, po: float) -> float:
+    """sum_{j>=1} po**(j/alpha) / Gamma(1 + j/alpha), common to every FMLS column.
+
+    The terms fall once j/alpha exceeds po, then factorially; the sum stops
+    when they no longer move it in float64.
+    """
+    log_po = math.log(po)
+    total = 0.0
+    j = 1
+    while True:
+        try:
+            a = math.exp(j * log_po / alpha - math.lgamma(1.0 + j / alpha))
+        except OverflowError:
+            raise ConvergenceError(
+                f"FMLS series overflowed (-mu*tau = {po:.3g} too large)"
+            ) from None
+        total += a
+        if j / alpha > po and a <= 1e-17 * total:
+            return total
+        j += 1
+
+
+def _fmls_columns(
+    params: StableModelParams,
+    spot: float,
+    rate: float,
+    maturity: float,
+    strikes: np.ndarray,
+    max_column: int,
+) -> np.ndarray:
+    """FMLS columns n = 0..max_column (rows), one per strike; params on the
+    FMLS line (theta = alpha-2, mu = mu_fmls).
+
+    Carr & Wu's drift-shifted series, C = (Kd/alpha) * sum_n c_n * x**n/n!
+    with x = L + mu*tau.  c_0 is the tail sum_{j>=1} po**(j/alpha) /
+    Gamma(1 + j/alpha), c_1 = c_0 + 1, and each later column adds one
+    reflected coefficient, c_n = c_{n-1} + alpha * h_{n-1} * po**(-(n-1)/alpha).
+    """
+    alpha = params.alpha
+    po = -params.mu * maturity
+    sign, log_h = _weights(alpha, params.theta, max_column - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        reflected = alpha * sign * np.exp(
+            log_h - np.arange(1, max_column) / alpha * math.log(po)
+        )
+        c = np.cumsum(np.concatenate([(_fmls_tail(alpha, po), 1.0), reflected]))
+        x = np.log(spot / strikes) + rate * maturity + params.mu * maturity
+        powers = np.vander(x, max_column + 1, increasing=True).T * np.exp(
+            -_log_factorials(max_column + 2)[:-1, None]
+        )
+        return c[:, None] * powers * (strikes * math.exp(-rate * maturity) / alpha)
 
 
 def _strike_failure(message: str, strike_index: int) -> ConvergenceError:
@@ -222,34 +238,70 @@ def _strike_failure(message: str, strike_index: int) -> ConvergenceError:
     return exc
 
 
-def _sum_columns(columns: np.ndarray, tolerance: float) -> np.ndarray:
-    """The rows of columns the stop rule sums.
+def _sum_columns(columns: np.ndarray, tolerance: float, max_column: int) -> np.ndarray:
+    """The rows of columns the stop rule sums; the last row is column max_column.
 
     Summation stops after two consecutive columns whose worst-strike
-    absolute value is below tolerance, counting from the forward column.
-    Only the summed columns are checked for overflow.  Raises
-    ConvergenceError, with strike_index naming the failing strike, on
-    overflow or when the final column is still above tolerance.
+    absolute value is at most tolerance.  Only the summed columns are
+    checked for overflow.  Raises ConvergenceError, with strike_index naming
+    the failing strike, on overflow or when no two consecutive columns are
+    within tolerance.
     """
     worst = np.abs(columns).max(axis=1)
     quiet = worst <= tolerance
     stops = np.flatnonzero(quiet[1:] & quiet[:-1])
-    used = columns[: stops[0] + 2] if stops.size else columns
-    finite = np.isfinite(used)
-    if not finite.all():
-        row, failed = np.argwhere(~finite)[0]
+    end = stops[0] + 2 if stops.size else len(columns)
+    # max propagates nan, so a row's worst is finite exactly when the row is
+    if not np.isfinite(worst[:end]).all():
+        row, failed = np.argwhere(~np.isfinite(columns[:end]))[0]
         raise _strike_failure(
-            f"series terms overflowed at column {row - 1} "
+            f"series terms overflowed at column {row + max_column + 1 - len(columns)} "
             f"(parameters too far into the slow-convergence regime)",
             failed,
         )
-    if not stops.size and worst[-1] > tolerance:
+    if not stops.size:
+        # the final pair is not quiet: name the later of its loud columns
+        row = -1 if not quiet[-1] else -2
         raise _strike_failure(
-            f"series did not stabilize within {len(columns) - 2} columns "
-            f"(last column {worst[-1]:.3e} > tolerance {tolerance:.3e})",
-            np.argmax(np.abs(columns[-1])),
+            f"series did not stabilize within {max_column} columns "
+            f"(column {max_column + 1 + row} {worst[row]:.3e} "
+            f"> tolerance {tolerance:.3e})",
+            np.argmax(np.abs(columns[row])),
         )
-    return used
+    return columns[:end]
+
+
+def _price(
+    columns_of: Callable[..., np.ndarray],
+    params: StableModelParams,
+    contract: OptionContract,
+    tolerance: float,
+    max_column: int,
+) -> PriceResult:
+    """One contract's columns summed under the stop rule; a put is the call
+    through parity, P = C - (S - K*exp(-r*tau))."""
+    _require_priceable(params)
+    _check_stop(tolerance, max_column)
+    columns = columns_of(
+        params,
+        contract.spot,
+        contract.rate,
+        contract.maturity,
+        np.array([contract.strike]),
+        max_column,
+    )
+    used = _sum_columns(columns, tolerance, max_column)[:, 0]
+    price = float(used.sum())
+    put = contract.side == "put"
+    if put:
+        price -= contract.spot - contract.discounted_strike()
+    return PriceResult(
+        price=price,
+        columns_used=len(used),
+        truncation_estimate=float(abs(used[-1])),
+        diamond_flag=params.in_diamond,
+        via_parity=put,
+    )
 
 
 def price_call(
@@ -258,37 +310,19 @@ def price_call(
     tolerance: float = 1e-4,
     max_column: int = 64,
 ) -> PriceResult:
-    """Price a European call by summing the series' columns.
+    """Price a European call by summing the lattice series' columns.
 
     Columns n = -1, 0, 1, ... are added until two consecutive column
-    contributions are each below tolerance in absolute value (currency
-    units), or n reaches max_column.
+    contributions are each at most tolerance in absolute value (currency
+    units).
 
-    Raises ConvergenceError if max_column is reached while the final
-    column still exceeds tolerance, or if a summed column overflows.
+    Raises ConvergenceError, even when the final column alone is within
+    tolerance, if no two consecutive columns up to n = max_column are, or if
+    a summed column overflows.
     """
-    _require_priceable(params)
     if contract.side != "call":
         raise DomainError("price_call requires a call contract")
-    if tolerance <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tolerance}")
-    if max_column < 1:
-        raise DomainError(f"max_column must be >= 1, got {max_column}")
-    columns = _columns(
-        params,
-        contract.spot,
-        contract.rate,
-        contract.maturity,
-        np.array([contract.strike]),
-        max_column,
-    )
-    used = _sum_columns(columns, tolerance)[:, 0]
-    return PriceResult(
-        price=float(used.sum()),
-        columns_used=len(used),
-        truncation_estimate=float(abs(used[-1])),
-        diamond_flag=params.in_diamond,
-    )
+    return _price(_columns, params, contract, tolerance, max_column)
 
 
 def price_put(
@@ -300,22 +334,7 @@ def price_put(
     """Price a European put as call minus forward, P = C - (S - K*exp(-r*tau))."""
     if contract.side != "put":
         raise DomainError("price_put requires a put contract")
-    mirrored = OptionContract(
-        spot=contract.spot,
-        strike=contract.strike,
-        rate=contract.rate,
-        maturity=contract.maturity,
-        side="call",
-    )
-    call = price_call(params, mirrored, tolerance, max_column)
-    forward = contract.spot - contract.discounted_strike()
-    return PriceResult(
-        price=call.price - forward,
-        columns_used=call.columns_used,
-        truncation_estimate=call.truncation_estimate,
-        diamond_flag=call.diamond_flag,
-        via_parity=True,
-    )
+    return _price(_columns, params, contract, tolerance, max_column)
 
 
 def term_table(
@@ -327,17 +346,53 @@ def term_table(
         raise DomainError("term_table requires a call contract")
     if n_max < -1:
         raise DomainError(f"n_max must be >= -1, got {n_max}")
-    entries: dict[tuple[int, int], float] = {}
-    sums: list[float] = []
-    running = 0.0
-    for n in range(-1, n_max + 1):
-        for m in range(0, n + 2):
-            entries[(n, m)] = _term_value(params, contract, n, m)
-            running += entries[(n, m)]
-        sums.append(running)
+    alpha, theta = params.alpha, params.theta
+    spot, kd = contract.spot, contract.discounted_strike()
+    # the triangle row by row, k = n+1 = 1..n_max+1, m = 0..k, p = k-m,
+    # after the forward term at k = 0
+    k, m = (index[1:] for index in np.tril_indices(n_max + 2))
+    p = k - m
+    sign, log_h = _weights(alpha, theta, n_max + 1)
+    log_fact = _log_factorials(n_max + 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (
+            sign[k - 1]
+            * np.where(m % 2, spot + kd, spot - kd)
+            * log_moneyness(contract) ** p
+            * np.exp(
+                log_h[k - 1]
+                + (m - k / alpha) * math.log(-params.mu * contract.maturity)
+                - log_fact[m]
+                - log_fact[p]
+            )
+        )
+    if not np.isfinite(terms).all():
+        raise ConvergenceError(
+            f"series terms overflowed at column {k[~np.isfinite(terms)][0] - 1}"
+        )
+    # the forward term is the analytic limit of an isolated singularity: the
+    # generic formula is 0/0 there (Gamma(0) against its reflection pole);
+    # + 0.0 turns the -0.0 of a zero weight into 0.0
+    values = [(alpha - theta) / (2.0 * alpha) * (spot - kd)] + (terms + 0.0).tolist()
+    running = list(accumulate(values))
+    ends = np.arange(1, n_max + 3) * np.arange(2, n_max + 4) // 2 - 1
     return TermTable(
-        entries=entries, column_sums=tuple(sums), params=params, contract=contract
+        entries=dict(zip([(-1, 0)] + list(zip((k - 1).tolist(), m.tolist())), values)),
+        column_sums=tuple(running[i] for i in ends.tolist()),
+        params=params,
+        contract=contract,
     )
+
+
+def residue_term(
+    params: StableModelParams, contract: OptionContract, idx: TermIndex
+) -> float:
+    """Evaluate one series term at lattice index idx, as term_table does.
+
+    Raises DomainError if mu >= 0 or the contract is not a call; TermIndex
+    construction already rejects indices outside the triangle.
+    """
+    return term_table(params, contract, idx.n).entries[(idx.n, idx.m)]
 
 
 def term_table_csv(table: TermTable, precision: int = 6) -> str:
@@ -376,12 +431,11 @@ def price_call_strikes(
     strike.
     """
     _require_priceable(params)
+    _check_stop(tolerance, max_column)
     strikes = np.asarray(strikes, dtype=float)
     if strikes.ndim != 1 or strikes.size == 0:
         raise DomainError("strikes must be a non-empty 1-d array")
-    if max_column < 1:
-        raise DomainError(f"max_column must be >= 1, got {max_column}")
     if np.any(strikes <= 0.0) or spot <= 0.0 or maturity <= 0.0:
         raise DomainError("spot, strikes and maturity must be positive")
     columns = _columns(params, spot, rate, maturity, strikes, max_column)
-    return _sum_columns(columns, tolerance).sum(axis=0)
+    return _sum_columns(columns, tolerance, max_column).sum(axis=0)

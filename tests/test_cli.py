@@ -130,6 +130,18 @@ class TestPrice:
         assert code == 3
         assert err.startswith("error: non-convergence:")
 
+    def test_odd_cap_at_alpha_two_exit_code(self, capsys):
+        # at alpha = 2 the column after an odd cap is exactly 0; a quiet
+        # final column alone does not make the series stable
+        flags = [
+            "--spot", "4300", "--strike", "4000", "--rate", "0.01",
+            "--maturity", "1", "--alpha", "2", "--theta", "0",
+            "--sigma", "0.25", "--mu", "-0.0625", "--tol", "1e-8",
+        ]
+        code, _, err = run(capsys, "price", *flags, "--max-column", "3")
+        assert code == 3
+        assert "did not stabilize within 3 columns" in err
+
     def test_outside_diamond_warning(self, capsys):
         flags = list(GOLDEN_FLAGS)
         flags[flags.index("-0.4")] = "-0.7"

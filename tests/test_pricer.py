@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stablepricer.core import (
     ConvergenceError,
     DomainError,
     OptionContract,
     StableModelParams,
+    log_moneyness,
 )
 from stablepricer.reference import black_scholes_call, bs_equivalent_vol
 from stablepricer.pricer import (
@@ -160,6 +161,53 @@ class TestTermValues:
             assert residue_term(params, contract, TermIndex(3, m)) == 0.0
         assert residue_term(params, contract, TermIndex(0, 0)) != 0.0
 
+    @pytest.mark.parametrize(
+        "params, contract",
+        [
+            (golden_params(), golden_contract()),
+            # exact zeros: the sine vanishes on every odd n
+            (
+                StableModelParams(alpha=2.0, theta=0.0, sigma=0.2, mu=-0.04),
+                OptionContract(spot=110.0, strike=100.0, rate=0.02, maturity=1.0),
+            ),
+            # the FMLS line, rho = 1/alpha: zeros where k/alpha is an integer
+            (
+                StableModelParams.fmls(alpha=1.5, sigma=0.2),
+                OptionContract(spot=100.0, strike=92.0, rate=0.03, maturity=0.5),
+            ),
+        ],
+    )
+    def test_entries_match_log_space_formula(self, params, contract):
+        # each (n, m) term from its own gamma, sine, power and factorial
+        # logarithms, independently of the pricer's weight table
+        alpha, theta = params.alpha, params.theta
+        kd = contract.discounted_strike()
+        lm = log_moneyness(contract)
+        log_po = math.log(-params.mu * contract.maturity)
+        table = term_table(params, contract, 12)
+        for (n, m), value in table.entries.items():
+            if n == -1:
+                continue
+            k, p = n + 1, n + 1 - m
+            x = (alpha - theta) * k / (2.0 * alpha)
+            if abs(x - round(x)) <= 1e-12 * max(1.0, abs(x)):
+                assert value == 0.0, (n, m)
+                continue
+            sine = math.sin(math.pi * (x - round(x))) * (-1) ** round(x)
+            payoff = contract.spot - (-1) ** m * kd
+            log_mag = (
+                math.lgamma(k / alpha)
+                + math.log(abs(sine))
+                - math.log(alpha * math.pi)
+                + math.log(abs(payoff))
+                + (p * math.log(abs(lm)) if p else 0.0)
+                + (m - k / alpha) * log_po
+                - math.lgamma(m + 1)
+                - math.lgamma(p + 1)
+            )
+            sign = math.copysign(1.0, sine * payoff * lm**p)
+            assert value == pytest.approx(sign * math.exp(log_mag), rel=1e-12), (n, m)
+
     def test_positive_mu_rejected(self):
         params = StableModelParams(alpha=1.5, theta=0.0, sigma=0.2, mu=0.01)
         with pytest.raises(DomainError):
@@ -202,6 +250,12 @@ class TestKernelMatchesTable:
         rate=RATES,
         maturity=MATURITIES,
     )
+    # at the money forward S*y+**k - Kd*y-**k cancels to rounding level,
+    # far below both legs and below the column's own term sum
+    @example(
+        alpha=1.5, beta=0.5, sigma=0.25, spot=50.0, moneyness=1.0,
+        rate=1e-17, maturity=1.0,
+    )
     def test_columns_and_price(
         self, alpha, beta, sigma, spot, moneyness, rate, maturity
     ):
@@ -214,11 +268,20 @@ class TestKernelMatchesTable:
         columns = _columns(
             params, spot, rate, maturity, np.array([contract.strike]), n_max
         )[:, 0]
+        po = -params.mu * maturity
+        lm = log_moneyness(contract)
+        y_up, y_down = (lm + po) * po ** (-1 / alpha), (lm - po) * po ** (-1 / alpha)
+        rho = (alpha - params.theta) / (2 * alpha)
         for n in range(-1, n_max + 1):
             terms = [table.entries[(n, m)] for m in range(0, n + 2)]
-            assert abs(columns[n + 1] - math.fsum(terms)) <= 1e-9 * math.fsum(
-                abs(t) for t in terms
+            # the kernel rounds at the scale of its two digital legs
+            k = n + 1
+            g = math.exp(math.lgamma(k / alpha) - math.lgamma(k + 1)) if k else 0.0
+            legs = g * abs(math.sin(math.pi * k * rho)) / (alpha * math.pi) * (
+                spot * abs(y_up) ** k + contract.discounted_strike() * abs(y_down) ** k
             )
+            scale = max(math.fsum(abs(t) for t in terms), legs)
+            assert abs(columns[n + 1] - math.fsum(terms)) <= 1e-9 * scale
         scale = math.fsum(abs(t) for t in table.entries.values())
         assert abs(result.price - table.column_sums[-1]) <= 1e-12 * scale
 
@@ -254,6 +317,21 @@ class TestPriceCall:
         with pytest.raises(ConvergenceError, match="did not stabilize"):
             price_call_strikes(
                 params, spot, rate, maturity, np.array([strike]), tolerance=1e-4
+            )
+
+    @pytest.mark.parametrize("max_column", [3, 5, 7])
+    def test_odd_cap_at_alpha_two(self, max_column):
+        # every even-k column is exactly 0 at alpha = 2, so with an odd cap
+        # the final column is always quiet; the column before it is not
+        params = StableModelParams(alpha=2.0, theta=0.0, sigma=0.25, mu=-0.0625)
+        contract = golden_contract()
+        message = f"did not stabilize within {max_column} columns"
+        with pytest.raises(ConvergenceError, match=message):
+            price_call(params, contract, tolerance=1e-8, max_column=max_column)
+        with pytest.raises(ConvergenceError, match=message):
+            price_call_strikes(
+                params, contract.spot, contract.rate, contract.maturity,
+                np.array([contract.strike]), tolerance=1e-8, max_column=max_column,
             )
 
     def test_out_of_diamond_continuation_flagged(self):
@@ -363,6 +441,11 @@ class TestBatch:
             with pytest.raises(DomainError, match="max_column must be >= 1"):
                 price_call_strikes(
                     params, 100.0, 0.0, 1.0, np.array([95.0]), max_column=max_column
+                )
+        for tolerance in (0.0, -1.0):
+            with pytest.raises(DomainError, match="tolerance must be positive"):
+                price_call_strikes(
+                    params, 100.0, 0.0, 1.0, np.array([95.0]), tolerance=tolerance
                 )
 
     def test_non_convergence_raises(self):

@@ -8,6 +8,7 @@ characteristic function.
 
 import cmath
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +141,20 @@ class TestFmlsCall:
         closed = black_scholes_call(contract, bs_equivalent_vol(sigma))
         assert result.price == pytest.approx(closed, rel=1e-10)
 
+    @pytest.mark.parametrize("alpha", [1.2, 1.45, 1.8])
+    @pytest.mark.parametrize("strike", [85.0, 115.0])
+    @pytest.mark.parametrize("side", ["call", "put"])
+    def test_matches_fourier_integral(self, alpha, strike, side):
+        # in and out of the money on both sides; puts through parity
+        call = OptionContract(spot=100.0, strike=strike, rate=0.02, maturity=0.75)
+        contract = replace(call, side=side)
+        expected = lewis_fmls_call(alpha, 0.2, call)
+        if side == "put":
+            expected -= contract.spot - contract.discounted_strike()
+        result = fmls_call(alpha, 0.2, contract, tolerance=1e-10)
+        assert result.via_parity == (side == "put")
+        assert result.price == pytest.approx(expected, rel=1e-8)
+
     def test_matches_direct_series(self):
         # fmls_call must price the FMLS model: the risk-neutral expectation,
         # here from the Lewis (2001) Fourier integral of the log-return
@@ -169,8 +184,8 @@ class TestFmlsCall:
         result = fmls_call(1.6, 0.2, contract, tolerance=1e-6)
         assert result.truncation_estimate <= 1e-6
         # the two quiet columns are the last two summed
-        with pytest.raises(ConvergenceError):
-            fmls_call(1.6, 0.2, contract, tolerance=1e-6,
-                      max_column=result.columns_used - 2)
+        cap = result.columns_used - 2
+        with pytest.raises(ConvergenceError, match=f"within {cap} columns"):
+            fmls_call(1.6, 0.2, contract, tolerance=1e-6, max_column=cap)
         with pytest.raises(DomainError):
             fmls_call(1.6, 0.2, contract, tolerance=0.0)
