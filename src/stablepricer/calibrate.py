@@ -10,10 +10,13 @@ pricing error over a chain:
 * ``stable``  -- full family with free skew (sigma, alpha, beta), mu tied
                  to mu_fmls(alpha, sigma) unless ``free_mu`` is set.
 
-Every family is priced through the same residue series, so the leaner
-model's optimum is a feasible point of each richer family.  The richer
-fits always evaluate that embedded point as a candidate, which guarantees
-the aggregated errors nest: AE(stable) <= AE(carrwu) <= AE(bs).
+Every family is priced by price_call_strikes, which picks the series from
+the model: the FMLS expectation on the carrwu line (beta = -1 with the
+martingale drift), the lattice elsewhere.  A point prices the same in every
+family that contains it, so the leaner model's optimum is a feasible point
+of each richer family.  The richer fits always evaluate that embedded point
+as a candidate, which guarantees the aggregated errors nest:
+AE(stable) <= AE(carrwu) <= AE(bs).
 
 Each family is one entry of the model-spec table ``_SPECS`` (start box,
 coordinate maps, warm start, embedded leaner optimum, report); the ladder
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import io
 import csv
-import json
 import math
 import os
 from dataclasses import dataclass, replace
@@ -44,6 +46,11 @@ from .pricer import price_call_strikes
 
 _SIDES = ("call", "put")
 _CSV_COLUMNS = ("as_of", "spot", "rate", "maturity", "strike", "side", "market_price")
+
+# Nelder-Mead iteration cap and termination tolerances, per start.
+_MAXITER = 400
+_XATOL = 1e-4
+_FATOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +195,8 @@ def synthetic_chain(
     as_of: str = "synthetic",
     tolerance: float = 1e-8,
 ) -> OptionChain:
-    """Generate a noiseless chain from the series: puts below spot, calls above."""
+    """Generate a noiseless chain from price_call_strikes: puts below spot,
+    calls above."""
     quotes: list[OptionQuote] = []
     strike_arr = np.asarray(strikes, dtype=float)
     for maturity in maturities:
@@ -415,9 +423,6 @@ class CalibrateConfig:
     starts      -- number of quasi-random Nelder-Mead starts (a warm start
                    derived from the next-leaner model is always added).
     seed        -- seed for the scrambled Halton start sequence.
-    tolerance   -- series tolerance used inside the objective.
-    max_column  -- series column cap used inside the objective.
-    maxiter     -- Nelder-Mead iteration cap per start.
     free_mu     -- for the stable model, fit mu freely instead of tying it
                    to mu_fmls(alpha, sigma); sigma is then reported as the
                    scale the tie would imply at the fitted (alpha, mu).
@@ -425,22 +430,11 @@ class CalibrateConfig:
 
     starts: int = 5
     seed: int = 0
-    tolerance: float = 1e-5
-    max_column: int = 64
-    maxiter: int = 400
-    xatol: float = 1e-4
-    fatol: float = 1e-6
     free_mu: bool = False
 
     def __post_init__(self) -> None:
         if self.starts < 1:
             raise DomainError(f"starts must be >= 1, got {self.starts}")
-        if self.maxiter < 1:
-            raise DomainError(f"maxiter must be >= 1, got {self.maxiter}")
-        if not (self.tolerance > 0.0):
-            raise DomainError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_column < 1:
-            raise DomainError(f"max_column must be >= 1, got {self.max_column}")
 
 
 @dataclass(frozen=True)
@@ -480,11 +474,6 @@ def report_payload(
     }
 
 
-def report_to_json(report: CalibrationReport, precision: int | None = None) -> str:
-    """Serialize a report to JSON."""
-    return json.dumps(report_payload(report, precision), indent=2)
-
-
 @dataclass(frozen=True)
 class _Candidate:
     error: float
@@ -504,14 +493,11 @@ def _heuristic_vol(chain: OptionChain) -> float:
     return min(max(vol, 0.02), 1.5)
 
 
-def objective_params(
-    params: StableModelParams, chain: OptionChain, config: CalibrateConfig
-) -> float:
-    """Aggregated error of explicit parameters, inf on failure to price."""
+def objective_params(params: StableModelParams, chain: OptionChain) -> float:
+    """Aggregated error of explicit parameters at aggregated_error's series
+    tolerance and column cap, inf on failure to price."""
     try:
-        return aggregated_error(
-            params, chain, tolerance=config.tolerance, max_column=config.max_column
-        )
+        return aggregated_error(params, chain)
     except (ConvergenceError, DomainError, OverflowError):
         return math.inf
 
@@ -536,7 +522,7 @@ def _fit_rung(
 
     def objective(z: np.ndarray) -> float:
         try:
-            return objective_params(spec.to_params(z), chain, config)
+            return objective_params(spec.to_params(z), chain)
         except (DomainError, OverflowError):
             return math.inf
 
@@ -544,9 +530,7 @@ def _fit_rung(
     if spec.embed is not None:
         embedded = spec.embed(leaner)
         candidates.append(
-            _Candidate(
-                objective_params(embedded, chain, config), embedded, leaner.converged
-            )
+            _Candidate(objective_params(embedded, chain), embedded, leaner.converged)
         )
 
     # warm start first, then quasi-random starts spread over the box
@@ -562,9 +546,9 @@ def _fit_rung(
             z0,
             method="Nelder-Mead",
             options={
-                "maxiter": config.maxiter,
-                "xatol": config.xatol,
-                "fatol": config.fatol,
+                "maxiter": _MAXITER,
+                "xatol": _XATOL,
+                "fatol": _FATOL,
                 "adaptive": True,
             },
         )

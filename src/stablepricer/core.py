@@ -50,10 +50,14 @@ def beta_to_theta(alpha: float, beta: float) -> float:
     _check_alpha(alpha)
     if not (-1.0 <= beta <= 1.0):
         raise DomainError(f"beta must lie in [-1, 1], got {beta}")
-    theta = -(2.0 / math.pi) * math.atan(beta * _tan_half(alpha))
-    # the arctan composition can overshoot the diamond edge by an ulp at
-    # beta = +/-1; clamp so the advertised invariant holds exactly
     bound = min(alpha, 2.0 - alpha)
+    if abs(beta) == 1.0:
+        # the diamond's edges exactly, so that beta = -1 lands on the FMLS
+        # line theta = alpha-2; the arctan composition misses them by an ulp
+        return beta * bound
+    theta = -(2.0 / math.pi) * math.atan(beta * _tan_half(alpha))
+    # near |beta| = 1 the composition can overshoot the edge by an ulp;
+    # clamp so the advertised invariant holds exactly
     return max(-bound, min(bound, theta))
 
 

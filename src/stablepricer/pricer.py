@@ -22,6 +22,10 @@ With L = ln(S/K) + r*tau, po = -mu*tau and Kd = K*exp(-r*tau):
 Every price sums its columns under one strict stop rule (_sum_columns): stop
 after two consecutive columns whose worst-strike absolute value is at most
 the tolerance; without such a pair by column max_column, ConvergenceError.
+The model picks the columns (_engine): the FMLS series on the FMLS line
+with the martingale drift, where the call is a risk-neutral expectation, and
+the lattice everywhere else, alpha = 2 included.  The term table is always
+the paper's lattice.
 """
 
 from __future__ import annotations
@@ -40,12 +44,18 @@ from .core import (
     OptionContract,
     StableModelParams,
     log_moneyness,
+    mu_fmls,
 )
 
 # Relative slack under which the sine argument counts as an exact integer;
 # wide enough to absorb rounding in (alpha-theta)*k/(2*alpha), narrow
 # enough never to clip a genuinely non-integer argument.
 _INTEGER_SLACK = 1e-12
+
+# Relative slack under which mu counts as the martingale drift mu_fmls; a
+# scale recovered from mu (calibrate's free-mu fit) gives back mu_fmls only
+# to a few ulps.
+_MU_SLACK = 1e-14
 
 
 @dataclass(frozen=True)
@@ -190,8 +200,9 @@ def _fmls_tail(alpha: float, po: float) -> float:
         try:
             a = math.exp(j * log_po / alpha - math.lgamma(1.0 + j / alpha))
         except OverflowError:
-            raise ConvergenceError(
-                f"FMLS series overflowed (-mu*tau = {po:.3g} too large)"
+            # every strike shares the tail; name the first
+            raise _strike_failure(
+                f"FMLS series overflowed (-mu*tau = {po:.3g} too large)", 0
             ) from None
         total += a
         if j / alpha > po and a <= 1e-17 * total:
@@ -271,8 +282,24 @@ def _sum_columns(columns: np.ndarray, tolerance: float, max_column: int) -> np.n
     return columns[:end]
 
 
+def _engine(params: StableModelParams) -> Callable[..., np.ndarray]:
+    """The columns that price params.
+
+    On the FMLS line with the martingale drift (alpha < 2, theta = alpha-2
+    exactly and mu = mu_fmls(alpha, sigma) within _MU_SLACK relative) the
+    call is a risk-neutral expectation and Carr & Wu's series sums it
+    (_fmls_columns); everywhere else, alpha = 2 included, the lattice does
+    (_columns).
+    """
+    alpha = params.alpha
+    if alpha < 2.0 and params.theta == alpha - 2.0:
+        drift = mu_fmls(alpha, params.sigma)
+        if abs(params.mu - drift) <= _MU_SLACK * abs(drift):
+            return _fmls_columns
+    return _columns
+
+
 def _price(
-    columns_of: Callable[..., np.ndarray],
     params: StableModelParams,
     contract: OptionContract,
     tolerance: float,
@@ -282,7 +309,7 @@ def _price(
     through parity, P = C - (S - K*exp(-r*tau))."""
     _require_priceable(params)
     _check_stop(tolerance, max_column)
-    columns = columns_of(
+    columns = _engine(params)(
         params,
         contract.spot,
         contract.rate,
@@ -310,11 +337,13 @@ def price_call(
     tolerance: float = 1e-4,
     max_column: int = 64,
 ) -> PriceResult:
-    """Price a European call by summing the lattice series' columns.
+    """Price a European call by summing the columns the model picks.
 
-    Columns n = -1, 0, 1, ... are added until two consecutive column
-    contributions are each at most tolerance in absolute value (currency
-    units).
+    On the FMLS line with the martingale drift the columns are Carr & Wu's
+    series n = 0, 1, ..., and the price is the risk-neutral expectation;
+    elsewhere they are the lattice columns n = -1, 0, 1, ...  Columns are
+    added until two consecutive column contributions are each at most
+    tolerance in absolute value (currency units).
 
     Raises ConvergenceError, even when the final column alone is within
     tolerance, if no two consecutive columns up to n = max_column are, or if
@@ -322,7 +351,7 @@ def price_call(
     """
     if contract.side != "call":
         raise DomainError("price_call requires a call contract")
-    return _price(_columns, params, contract, tolerance, max_column)
+    return _price(params, contract, tolerance, max_column)
 
 
 def price_put(
@@ -334,7 +363,7 @@ def price_put(
     """Price a European put as call minus forward, P = C - (S - K*exp(-r*tau))."""
     if contract.side != "put":
         raise DomainError("price_put requires a put contract")
-    return _price(_columns, params, contract, tolerance, max_column)
+    return _price(params, contract, tolerance, max_column)
 
 
 def term_table(
@@ -425,10 +454,10 @@ def price_call_strikes(
 ) -> np.ndarray:
     """Vectorized call prices for one (spot, rate, maturity) across strikes.
 
-    price_call's columns and stop rule over the whole ladder: the stop is
-    taken over the worst strike, so no price is less refined than
-    price_call's.  On ConvergenceError, strike_index names the failing
-    strike.
+    price_call's columns, picked by the model the same way, and its stop
+    rule over the whole ladder: the stop is taken over the worst strike, so
+    no price is less refined than price_call's.  On ConvergenceError,
+    strike_index names the failing strike.
     """
     _require_priceable(params)
     _check_stop(tolerance, max_column)
@@ -437,5 +466,5 @@ def price_call_strikes(
         raise DomainError("strikes must be a non-empty 1-d array")
     if np.any(strikes <= 0.0) or spot <= 0.0 or maturity <= 0.0:
         raise DomainError("spot, strikes and maturity must be positive")
-    columns = _columns(params, spot, rate, maturity, strikes, max_column)
+    columns = _engine(params)(params, spot, rate, maturity, strikes, max_column)
     return _sum_columns(columns, tolerance, max_column).sum(axis=0)

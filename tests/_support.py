@@ -8,12 +8,13 @@ print-level rounding, so the tests compare them at looser tolerances.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import integrate, stats
 
-from stablepricer.core import OptionContract, StableModelParams, beta_to_theta
+from stablepricer.core import OptionContract, StableModelParams, beta_to_theta, mu_fmls
 from stablepricer.lab import (
     SamplerConfig,
     effective_support,
@@ -187,3 +188,27 @@ def well_convergent(params: StableModelParams, contract: OptionContract) -> bool
     po = -params.mu * contract.maturity
     lm = math.log(contract.spot / contract.strike) + contract.rate * contract.maturity
     return (abs(lm) + po) * po ** (-1.0 / params.alpha) <= 2.0
+
+
+def lewis_fmls_call(alpha: float, sigma: float, contract: OptionContract) -> float:
+    """FMLS call price from the Lewis (2001) Fourier integral.
+
+    C = S - sqrt(S*K*exp(-r*tau))/pi
+        * int_0^inf Re[exp(i*u*k) * phi(u - i/2)] / (u**2 + 1/4) du,
+    with k = ln(S/K) + r*tau and phi(z) = exp(i*z*mu*tau - mu*tau*(i*z)**alpha)
+    the characteristic function of the log-return net of r*tau.
+    """
+    s, k, r, tau = contract.spot, contract.strike, contract.rate, contract.maturity
+    mu = mu_fmls(alpha, sigma)
+    lm = math.log(s / k) + r * tau
+
+    def integrand(u: float) -> float:
+        z = u - 0.5j
+        phi = cmath.exp(1j * z * mu * tau - mu * tau * (1j * z) ** alpha)
+        return (cmath.exp(1j * u * lm) * phi).real / (u * u + 0.25)
+
+    val, err = integrate.quad(
+        integrand, 0.0, math.inf, epsabs=1e-14, epsrel=1e-13, limit=500
+    )
+    assert err < 1e-10
+    return s - math.sqrt(s * k * math.exp(-r * tau)) / math.pi * val

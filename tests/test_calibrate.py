@@ -18,6 +18,7 @@ from stablepricer import (
     ConvergenceError,
     DomainError,
     OptionChain,
+    OptionContract,
     OptionQuote,
     StableModelParams,
     aggregated_error,
@@ -29,7 +30,6 @@ from stablepricer import (
     price_call,
     price_put,
     report_payload,
-    report_to_json,
     synthetic_chain,
 )
 from stablepricer.calibrate import (
@@ -41,6 +41,8 @@ from stablepricer.calibrate import (
     _heuristic_vol,
     _z_from_alpha,
 )
+
+from _support import lewis_fmls_call
 
 STRIKES = [85.0, 90.0, 95.0, 100.0, 105.0, 110.0, 115.0]
 MATURITIES = [0.5, 1.0]
@@ -183,6 +185,14 @@ class TestAggregatedError:
         with pytest.raises(ConvergenceError, match=r"strike=300\.0"):
             aggregated_error(params, chain)
 
+    def test_fmls_overflow_names_a_quote(self):
+        # every strike shares the overflowing FMLS tail; the first is named
+        chain = small_chain(StableModelParams.fmls(1.6, 0.2))
+        with pytest.raises(
+            ConvergenceError, match=r"quote 1 \(strike=85\.0.*FMLS series overflowed"
+        ):
+            aggregated_error(StableModelParams.fmls(1.6, 100.0), chain)
+
     def test_failure_named_without_repricing(self, monkeypatch):
         # the package attribute stablepricer.calibrate is the function
         calibrate_module = importlib.import_module("stablepricer.calibrate")
@@ -220,12 +230,6 @@ class TestConfigAndReport:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             CalibrateConfig(starts=0)
-        with pytest.raises(DomainError):
-            CalibrateConfig(maxiter=0)
-        with pytest.raises(DomainError):
-            CalibrateConfig(tolerance=0.0)
-        with pytest.raises(DomainError):
-            CalibrateConfig(max_column=0)
 
     def test_payload_keys_and_json_round_trip(self):
         chain = small_chain(StableModelParams.fmls(1.6, 0.2))
@@ -235,7 +239,7 @@ class TestConfigAndReport:
             "model", "sigma", "alpha", "beta", "mu",
             "aggregated_error", "iterations", "converged", "quotes",
         ]
-        parsed = json.loads(report_to_json(report, precision=17))
+        parsed = json.loads(json.dumps(report_payload(report, precision=17)))
         assert parsed["sigma"] == pytest.approx(report.sigma, rel=1e-15)
         assert parsed["quotes"] == len(chain.quotes)
         rounded = report_payload(report, precision=3)
@@ -255,11 +259,22 @@ class TestRecovery:
         assert report.converged
 
     def test_carrwu_chain_recovers_alpha_sigma(self):
-        truth = StableModelParams.fmls(1.6, 0.2)
-        report = calibrate(small_chain(truth), "carrwu", QUICK)
+        # the chain comes from the Lewis Fourier integral, not from the
+        # series the rung fits
+        quotes = []
+        for maturity in MATURITIES:
+            for strike in STRIKES:
+                call = OptionContract(100.0, strike, 0.01, maturity)
+                price = lewis_fmls_call(1.6, 0.2, call)
+                side = "put" if strike < 100.0 else "call"
+                if side == "put":
+                    price -= call.spot - call.discounted_strike()
+                quotes.append(OptionQuote(100.0, 0.01, maturity, strike, side, price))
+        chain = OptionChain(as_of="lewis", quotes=tuple(quotes))
+        report = calibrate(chain, "carrwu", QUICK)
         assert report.model == "CarrWu"
-        assert report.alpha == pytest.approx(1.6, abs=0.03)
-        assert report.sigma == pytest.approx(0.2, abs=0.01)
+        assert report.alpha == pytest.approx(1.6, abs=0.01)
+        assert report.sigma == pytest.approx(0.2, rel=0.01)
         assert report.beta == -1.0
         assert report.mu == mu_fmls(report.alpha, report.sigma)
         assert report.converged

@@ -92,6 +92,16 @@ class TestPrice:
         closed = float(lines[1].split()[1].split("=")[1])
         assert series == pytest.approx(closed, rel=1e-5)
 
+    def test_beta_minus_one_prices_the_fmls_expectation(self, capsys):
+        # the drift defaults to the martingale value, so the model is FMLS
+        code, out, _ = run(
+            capsys, "price",
+            "--spot", "4300", "--strike", "4000", "--rate", "0.01", "--maturity", "1",
+            "--alpha", "1.6", "--beta", "-1", "--sigma", "0.2",
+        )
+        assert code == 0
+        assert out.startswith("price=725.295 ")
+
     def test_check_skipped_without_closed_form(self, capsys):
         code, out, _ = run(capsys, "price", *GOLDEN_FLAGS, "--check")
         assert code == 0

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -53,6 +54,18 @@ class TestSkewConversion:
             assert theta_to_beta(alpha, alpha - 2.0) == pytest.approx(
                 -1.0, rel=1e-14
             )
+
+    def test_beta_minus_one_is_the_fmls_line(self):
+        # exactly, not to an ulp: the pricer picks the FMLS series only on
+        # theta = alpha - 2
+        rng = np.random.default_rng(12)
+        for alpha, sigma in zip(
+            rng.uniform(1.05, 2.0, 10_000), rng.uniform(0.05, 0.8, 10_000)
+        ):
+            alpha, sigma = float(alpha), float(sigma)
+            assert StableModelParams.from_beta(alpha, -1.0, sigma) == (
+                StableModelParams.fmls(alpha, sigma)
+            ), alpha
 
     def test_zero_maps_to_zero(self):
         assert beta_to_theta(1.6, 0.0) == 0.0

@@ -1,6 +1,8 @@
 """Series pricer: golden regression, reference table, and structural laws."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +14,14 @@ from stablepricer.core import (
     OptionContract,
     StableModelParams,
     log_moneyness,
+    mu_fmls,
 )
 from stablepricer.reference import black_scholes_call, bs_equivalent_vol
 from stablepricer.pricer import (
     TermIndex,
     _columns,
+    _engine,
+    _fmls_columns,
     price_call,
     price_call_strikes,
     price_put,
@@ -25,6 +30,7 @@ from stablepricer.pricer import (
     term_table_csv,
 )
 
+import stablepricer.pricer as pricer_module
 from hypothesis import assume
 
 from _support import (
@@ -557,6 +563,46 @@ class TestBatch:
                 tolerance=1e-9, max_column=4,
             )
         assert err.value.strike_index == 2
+
+
+class TestEngine:
+    @pytest.mark.parametrize(
+        "params, engine",
+        [
+            (StableModelParams.fmls(1.6, 0.2), _fmls_columns),
+            (StableModelParams.from_beta(1.6, -1.0, 0.2), _fmls_columns),
+            # mu recovered from a scale to a few ulps, as calibrate's free-mu
+            # fit does, is still the martingale drift
+            (
+                StableModelParams(1.6, 1.6 - 2.0, 0.2, mu_fmls(1.6, 0.2) * (1 + 4e-16)),
+                _fmls_columns,
+            ),
+            (
+                StableModelParams(1.6, 1.6 - 2.0, 0.2, mu_fmls(1.6, 0.2) * (1 + 1e-12)),
+                _columns,
+            ),
+            (StableModelParams.from_beta(1.6, -0.99, 0.2), _columns),
+            (StableModelParams.fmls(2.0, 0.2), _columns),
+            (golden_params(), _columns),
+        ],
+    )
+    def test_model_picks_the_series(self, params, engine):
+        assert _engine(params) is engine
+
+    def test_engine_choice_stays_in_pricer(self):
+        # no other module wires pricer's columns or summation by hand
+        package = Path(pricer_module.__file__).parent
+        imported = [
+            (path.name, alias.name)
+            for path in sorted(package.glob("*.py"))
+            if path.name != "pricer.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom)
+            and node.module in ("pricer", "stablepricer.pricer")
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert imported == []
 
 
 class TestTermTableCsv:

@@ -6,17 +6,16 @@ FMLS series is cross-checked against a Fourier integral of its
 characteristic function.
 """
 
-import cmath
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
 from stablepricer import (
-    BlackScholesParams,
     ConvergenceError,
     DomainError,
     OptionContract,
@@ -24,10 +23,13 @@ from stablepricer import (
     black_scholes_put,
     bs_equivalent_vol,
     fmls_call,
-    mu_fmls,
     price_call,
+    price_call_strikes,
+    price_put,
     StableModelParams,
 )
+
+from _support import lewis_fmls_call
 
 
 def lognormal_call_quadrature(contract: OptionContract, vol: float) -> float:
@@ -45,30 +47,6 @@ def lognormal_call_quadrature(contract: OptionContract, vol: float) -> float:
     val, err = integrate.quad(integrand, z_star, 40.0, epsabs=1e-12, epsrel=1e-12)
     assert err < 1e-8
     return math.exp(-r * tau) * val
-
-
-def lewis_fmls_call(alpha: float, sigma: float, contract: OptionContract) -> float:
-    """FMLS call price from the Lewis (2001) Fourier integral.
-
-    C = S - sqrt(S*K*exp(-r*tau))/pi
-        * int_0^inf Re[exp(i*u*k) * phi(u - i/2)] / (u**2 + 1/4) du,
-    with k = ln(S/K) + r*tau and phi(z) = exp(i*z*mu*tau - mu*tau*(i*z)**alpha)
-    the characteristic function of the log-return net of r*tau.
-    """
-    s, k, r, tau = contract.spot, contract.strike, contract.rate, contract.maturity
-    mu = mu_fmls(alpha, sigma)
-    lm = math.log(s / k) + r * tau
-
-    def integrand(u: float) -> float:
-        z = u - 0.5j
-        phi = cmath.exp(1j * z * mu * tau - mu * tau * (1j * z) ** alpha)
-        return (cmath.exp(1j * u * lm) * phi).real / (u * u + 0.25)
-
-    val, err = integrate.quad(
-        integrand, 0.0, math.inf, epsabs=1e-14, epsrel=1e-13, limit=500
-    )
-    assert err < 1e-10
-    return s - math.sqrt(s * k * math.exp(-r * tau)) / math.pi * val
 
 
 QUAD_CONTRACTS = [
@@ -125,8 +103,6 @@ class TestBlackScholes:
         contract = OptionContract(spot=100.0, strike=100.0, rate=0.0, maturity=1.0)
         with pytest.raises(DomainError):
             black_scholes_call(contract, 0.0)
-        with pytest.raises(DomainError):
-            BlackScholesParams(volatility=-0.2)
 
     def test_bs_equivalent_vol(self):
         assert bs_equivalent_vol(0.25) == 0.25 * math.sqrt(2.0)
@@ -167,6 +143,25 @@ class TestFmlsCall:
         gaussian = fmls_call(2.0, 0.2, contract, tolerance=1e-10)
         lattice = price_call(StableModelParams.fmls(2.0, 0.2), contract, tolerance=1e-10)
         assert gaussian.price == pytest.approx(lattice.price, rel=1e-10)
+
+    @pytest.mark.parametrize("side", ["call", "put"])
+    def test_pricer_prices_the_expectation(self, side):
+        # price_call, price_put and the batch pick the FMLS series from the
+        # model; the lattice gives 970.08 for the 4000 call
+        params = StableModelParams.fmls(1.6, 0.2)
+        strikes = np.array([3400.0, 3700.0, 4000.0, 4300.0, 4600.0, 5000.0, 5400.0])
+        tolerance = 1e-6
+        batch = price_call_strikes(params, 4300.0, 0.01, 1.0, strikes, tolerance)
+        pricer = price_put if side == "put" else price_call
+        for strike, call in zip(strikes, batch):
+            contract = OptionContract(4300.0, strike, 0.01, 1.0, side)
+            expected = fmls_call(1.6, 0.2, contract, tolerance).price
+            if strike == 4000.0 and side == "call":
+                assert expected == pytest.approx(725.2945184, rel=1e-9)
+            assert pricer(params, contract, tolerance).price == expected
+            if side == "put":
+                call -= contract.spot - contract.discounted_strike()
+            assert abs(call - expected) <= 10 * tolerance
 
     def test_put_side(self):
         call_contract = OptionContract(spot=100.0, strike=105.0, rate=0.02, maturity=1.0)
