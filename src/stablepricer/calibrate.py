@@ -30,6 +30,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,6 +52,10 @@ _CSV_COLUMNS = ("as_of", "spot", "rate", "maturity", "strike", "side", "market_p
 _MAXITER = 400
 _XATOL = 1e-4
 _FATOL = 1e-6
+
+# A fitted alpha this close to 2 leaves beta unidentified: the optimizer
+# stops a few ulps short of the closed map's alpha = 2.
+_ALPHA_TWO_SLACK = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +121,32 @@ class OptionChain:
     @property
     def spot(self) -> float:
         return self.quotes[0].spot
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        """Per-quote strikes, rates, maturities, forwards and market prices,
+        built once per chain.
+
+        A put's forward is spot - strike * exp(-rate * maturity), the amount
+        put-call parity takes off the call; a call's is 0.
+        """
+        q = self.quotes
+        forwards = [
+            self.spot - x.strike * math.exp(-x.rate * x.maturity)
+            if x.side == "put"
+            else 0.0
+            for x in q
+        ]
+        return tuple(
+            np.array(column)
+            for column in (
+                [x.strike for x in q],
+                [x.rate for x in q],
+                [x.maturity for x in q],
+                forwards,
+                [x.market_price for x in q],
+            )
+        )
 
 
 def filter_quotes(chain: OptionChain, side: str) -> OptionChain:
@@ -195,30 +226,38 @@ def synthetic_chain(
     as_of: str = "synthetic",
     tolerance: float = 1e-8,
 ) -> OptionChain:
-    """Generate a noiseless chain from price_call_strikes: puts below spot,
-    calls above."""
-    quotes: list[OptionQuote] = []
+    """Generate a noiseless chain from one price_call_strikes call: puts below
+    spot, calls above."""
     strike_arr = np.asarray(strikes, dtype=float)
-    for maturity in maturities:
-        calls = price_call_strikes(
-            params, spot, rate, maturity, strike_arr, tolerance=tolerance
-        )
-        disc = math.exp(-rate * maturity)
-        for strike, call in zip(strike_arr, calls):
-            if strike < spot:
-                side, price = "put", call - (spot - strike * disc)
-            else:
-                side, price = "call", call
-            quotes.append(
-                OptionQuote(
-                    spot=spot,
-                    rate=rate,
-                    maturity=float(maturity),
-                    strike=float(strike),
-                    side=side,
-                    market_price=float(price),
-                )
+    grid = [
+        (float(maturity), float(strike))
+        for maturity in maturities
+        for strike in strike_arr
+    ]
+    calls = price_call_strikes(
+        params,
+        spot,
+        rate,
+        np.array([maturity for maturity, _ in grid]),
+        np.array([strike for _, strike in grid]),
+        tolerance=tolerance,
+    )
+    quotes: list[OptionQuote] = []
+    for (maturity, strike), call in zip(grid, calls):
+        if strike < spot:
+            side, price = "put", call - (spot - strike * math.exp(-rate * maturity))
+        else:
+            side, price = "call", call
+        quotes.append(
+            OptionQuote(
+                spot=spot,
+                rate=rate,
+                maturity=maturity,
+                strike=strike,
+                side=side,
+                market_price=float(price),
             )
+        )
     return OptionChain(as_of=as_of, quotes=tuple(quotes))
 
 
@@ -235,43 +274,31 @@ def aggregated_error(
 ) -> float:
     """Sum of absolute pricing errors |model - market| over all quotes.
 
-    Quotes are grouped by (spot, rate, maturity) and priced in one
-    vectorized series evaluation per group; puts are priced through
+    The whole chain is priced in one price_call_strikes call, with per-quote
+    rates and maturities; puts are priced through
     put = call - (spot - strike * exp(-rate * maturity)).  On
     non-convergence the error message names the offending quote, taken from
-    the strike the batch reports as failed; nothing is re-priced.
+    the strike the call reports as failed; nothing is re-priced.
     """
-    per_quote = [0.0] * len(chain.quotes)
-    groups: dict[tuple[float, float, float], list[int]] = {}
-    for i, quote in enumerate(chain.quotes):
-        groups.setdefault((quote.spot, quote.rate, quote.maturity), []).append(i)
-    for (spot, rate, maturity), indices in groups.items():
-        strikes = np.array([chain.quotes[i].strike for i in indices])
-        try:
-            calls = price_call_strikes(
-                params,
-                spot,
-                rate,
-                maturity,
-                strikes,
-                tolerance=tolerance,
-                max_column=max_column,
-            )
-        except ConvergenceError as exc:
-            i = indices[exc.strike_index]
-            quote = chain.quotes[i]
-            raise ConvergenceError(
-                f"quote {i + 1} (strike={quote.strike}, maturity={quote.maturity}, "
-                f"side={quote.side}) failed to price: {exc}"
-            ) from exc
-        disc = math.exp(-rate * maturity)
-        for j, i in enumerate(indices):
-            quote = chain.quotes[i]
-            model = calls[j]
-            if quote.side == "put":
-                model -= spot - quote.strike * disc
-            per_quote[i] = abs(model - quote.market_price)
-    return math.fsum(per_quote)
+    strikes, rates, maturities, forwards, market = chain._arrays
+    try:
+        calls = price_call_strikes(
+            params,
+            chain.spot,
+            rates,
+            maturities,
+            strikes,
+            tolerance=tolerance,
+            max_column=max_column,
+        )
+    except ConvergenceError as exc:
+        i = exc.strike_index
+        quote = chain.quotes[i]
+        raise ConvergenceError(
+            f"quote {i + 1} (strike={quote.strike}, maturity={quote.maturity}, "
+            f"side={quote.side}) failed to price: {exc}"
+        ) from exc
+    return math.fsum(np.abs(calls - forwards - market).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +478,13 @@ class CalibrationReport:
     converged: bool
     quotes: int
 
+    @property
+    def beta_identified(self) -> bool:
+        """False when the fitted alpha is within 1e-9 of 2: there theta is 0
+        for every beta, so the chain carries no information on the skew and
+        the reported beta is arbitrary."""
+        return abs(self.alpha - 2.0) > _ALPHA_TWO_SLACK
+
 
 def report_payload(
     report: CalibrationReport, precision: int | None = None
@@ -466,6 +500,7 @@ def report_payload(
         "sigma": fmt(report.sigma),
         "alpha": fmt(report.alpha),
         "beta": fmt(report.beta),
+        "beta_identified": report.beta_identified,
         "mu": fmt(report.mu),
         "aggregated_error": fmt(report.aggregated_error),
         "iterations": report.iterations,

@@ -22,6 +22,9 @@ With L = ln(S/K) + r*tau, po = -mu*tau and Kd = K*exp(-r*tau):
 Every price sums its columns under one strict stop rule (_sum_columns): stop
 after two consecutive columns whose worst-strike absolute value is at most
 the tolerance; without such a pair by column max_column, ConvergenceError.
+A chain (price_call_strikes) builds the columns of all its strikes at once,
+with one weight table, and applies the rule to each (rate, maturity) pair;
+a single contract is a one-strike chain.
 The model picks the columns (_engine): the FMLS series on the FMLS line
 with the martingale drift, where the call is a risk-neutral expectation, and
 the lattice everywhere else, alpha = 2 included.  The term table is always
@@ -34,7 +37,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -156,42 +159,68 @@ def _log_factorials(count: int) -> np.ndarray:
     return table
 
 
+def _per_strike(
+    values: list[tuple[float, ...]], counts: Sequence[int]
+) -> tuple[float, ...] | np.ndarray:
+    """Per-group scalars (one tuple per group, for its counts[g] strikes) as
+    one row per scalar and one column per strike; a single group's floats
+    broadcast as they are.
+
+    The scalars are Python floats computed per group: numpy's array exp and
+    power can differ from math's in the last ulp.
+    """
+    return values[0] if len(counts) == 1 else np.repeat(values, counts, axis=0).T
+
+
 def _columns(
     params: StableModelParams,
     spot: float,
-    rate: float,
-    maturity: float,
+    pairs: Sequence[tuple[float, float]],
+    counts: Sequence[int],
     strikes: np.ndarray,
     max_column: int,
 ) -> np.ndarray:
-    """Lattice columns n = -1..max_column (rows), one per strike.
+    """Lattice columns n = -1..max_column (rows), one per strike; the first
+    counts[0] strikes have (rate, maturity) pairs[0], the next counts[1]
+    pairs[1], and so on.
 
     Row 0 is the forward term rho*(S - Kd); row k, column n = k-1, is
     h_k/k! * (S*y+**k - Kd*y-**k) (see the module docstring).  Rows past the
-    stop may overflow; _sum_columns checks only the rows it sums.
+    stop may overflow; _sum_columns checks only the rows it sums.  Like
+    vander(...).T, the block is strike-major (Fortran order): each strike's
+    sum is numpy's pairwise sum over its own contiguous column, whatever
+    the other strikes of the chain.
     """
-    alpha, theta = params.alpha, params.theta
-    kd = strikes * math.exp(-rate * maturity)
-    po = -params.mu * maturity
-    lm = np.log(spot / strikes) + rate * maturity
+    alpha, theta, mu = params.alpha, params.theta, params.mu
+    disc, rt, po, scale = _per_strike(
+        [
+            (math.exp(-r * t), r * t, -mu * t, (-mu * t) ** (-1.0 / alpha))
+            for r, t in pairs
+        ],
+        counts,
+    )
+    kd = strikes * disc
+    lm = np.log(spot / strikes) + rt
     sign, log_h = _weights(alpha, theta, max_column + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         g = sign * np.exp(log_h - _log_factorials(max_column + 2)[1:])
-        scale = po ** (-1.0 / alpha)
         legs = np.vander(
-            np.concatenate([lm + po, lm - po]) * scale, max_column + 2, increasing=True
+            np.concatenate([(lm + po) * scale, (lm - po) * scale]),
+            max_column + 2,
+            increasing=True,
         ).T[1:]
         up, down = legs[:, : strikes.size], legs[:, strikes.size :]
         digitals = g[:, None] * (spot * up - kd * down)
     forward = (alpha - theta) / (2.0 * alpha) * (spot - kd)
-    return np.vstack([forward, digitals])
+    return np.concatenate([forward[None], digitals])
 
 
-def _fmls_tail(alpha: float, po: float) -> float:
+def _fmls_tail(alpha: float, po: float, strike_index: int) -> float:
     """sum_{j>=1} po**(j/alpha) / Gamma(1 + j/alpha), common to every FMLS column.
 
     The terms fall once j/alpha exceeds po, then factorially; the sum stops
-    when they no longer move it in float64.
+    when they no longer move it in float64.  On overflow, ConvergenceError
+    names strike_index.
     """
     log_po = math.log(po)
     total = 0.0
@@ -200,9 +229,8 @@ def _fmls_tail(alpha: float, po: float) -> float:
         try:
             a = math.exp(j * log_po / alpha - math.lgamma(1.0 + j / alpha))
         except OverflowError:
-            # every strike shares the tail; name the first
             raise _strike_failure(
-                f"FMLS series overflowed (-mu*tau = {po:.3g} too large)", 0
+                f"FMLS series overflowed (-mu*tau = {po:.3g} too large)", strike_index
             ) from None
         total += a
         if j / alpha > po and a <= 1e-17 * total:
@@ -213,32 +241,42 @@ def _fmls_tail(alpha: float, po: float) -> float:
 def _fmls_columns(
     params: StableModelParams,
     spot: float,
-    rate: float,
-    maturity: float,
+    pairs: Sequence[tuple[float, float]],
+    counts: Sequence[int],
     strikes: np.ndarray,
     max_column: int,
 ) -> np.ndarray:
-    """FMLS columns n = 0..max_column (rows), one per strike; params on the
-    FMLS line (theta = alpha-2, mu = mu_fmls).
+    """FMLS columns n = 0..max_column (rows), one per strike, grouped as for
+    _columns; params on the FMLS line (theta = alpha-2, mu = mu_fmls).
 
     Carr & Wu's drift-shifted series, C = (Kd/alpha) * sum_n c_n * x**n/n!
     with x = L + mu*tau.  c_0 is the tail sum_{j>=1} po**(j/alpha) /
     Gamma(1 + j/alpha), c_1 = c_0 + 1, and each later column adds one
     reflected coefficient, c_n = c_{n-1} + alpha * h_{n-1} * po**(-(n-1)/alpha).
     """
-    alpha = params.alpha
-    po = -params.mu * maturity
+    alpha, mu = params.alpha, params.mu
+    disc, rt, mt = _per_strike(
+        [(math.exp(-r * t), r * t, mu * t) for r, t in pairs], counts
+    )
     sign, log_h = _weights(alpha, params.theta, max_column - 1)
+    exponents = np.arange(1, max_column) / alpha
+    cs = []
+    first = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        reflected = alpha * sign * np.exp(
-            log_h - np.arange(1, max_column) / alpha * math.log(po)
-        )
-        c = np.cumsum(np.concatenate([(_fmls_tail(alpha, po), 1.0), reflected]))
-        x = np.log(spot / strikes) + rate * maturity + params.mu * maturity
+        for (_, t), count in zip(pairs, counts):
+            po = -mu * t
+            # every strike of a group shares its tail; an overflow names the first
+            tail = _fmls_tail(alpha, po, first)
+            reflected = alpha * sign * np.exp(log_h - exponents * math.log(po))
+            cs.append(np.cumsum(np.concatenate([(tail, 1.0), reflected])))
+            first += count
+        # strike-major like powers, so that their product is too
+        c = cs[0][:, None] if len(cs) == 1 else np.repeat(cs, counts, axis=0).T
+        x = np.log(spot / strikes) + rt + mt
         powers = np.vander(x, max_column + 1, increasing=True).T * np.exp(
             -_log_factorials(max_column + 2)[:-1, None]
         )
-        return c[:, None] * powers * (strikes * math.exp(-rate * maturity) / alpha)
+        return c * powers * (strikes * disc / alpha)
 
 
 def _strike_failure(message: str, strike_index: int) -> ConvergenceError:
@@ -249,35 +287,39 @@ def _strike_failure(message: str, strike_index: int) -> ConvergenceError:
     return exc
 
 
-def _sum_columns(columns: np.ndarray, tolerance: float, max_column: int) -> np.ndarray:
+def _sum_columns(
+    columns: np.ndarray, tolerance: float, max_column: int, first: int
+) -> np.ndarray:
     """The rows of columns the stop rule sums; the last row is column max_column.
 
     Summation stops after two consecutive columns whose worst-strike
     absolute value is at most tolerance.  Only the summed columns are
     checked for overflow.  Raises ConvergenceError, with strike_index naming
-    the failing strike, on overflow or when no two consecutive columns are
-    within tolerance.
+    the failing strike (first + its column), on overflow or when no two
+    consecutive columns are within tolerance.
     """
     worst = np.abs(columns).max(axis=1)
     quiet = worst <= tolerance
-    stops = np.flatnonzero(quiet[1:] & quiet[:-1])
-    end = stops[0] + 2 if stops.size else len(columns)
+    quiet_pairs = quiet[1:] & quiet[:-1]
+    stop = quiet_pairs.argmax()
+    stopped = quiet_pairs[stop]
+    end = stop + 2 if stopped else len(columns)
     # max propagates nan, so a row's worst is finite exactly when the row is
     if not np.isfinite(worst[:end]).all():
         row, failed = np.argwhere(~np.isfinite(columns[:end]))[0]
         raise _strike_failure(
             f"series terms overflowed at column {row + max_column + 1 - len(columns)} "
             f"(parameters too far into the slow-convergence regime)",
-            failed,
+            first + failed,
         )
-    if not stops.size:
+    if not stopped:
         # the final pair is not quiet: name the later of its loud columns
         row = -1 if not quiet[-1] else -2
         raise _strike_failure(
             f"series did not stabilize within {max_column} columns "
             f"(column {max_column + 1 + row} {worst[row]:.3e} "
             f"> tolerance {tolerance:.3e})",
-            np.argmax(np.abs(columns[row])),
+            first + np.argmax(np.abs(columns[row])),
         )
     return columns[:end]
 
@@ -305,19 +347,19 @@ def _price(
     tolerance: float,
     max_column: int,
 ) -> PriceResult:
-    """One contract's columns summed under the stop rule; a put is the call
-    through parity, P = C - (S - K*exp(-r*tau))."""
+    """One contract priced as a one-strike chain (one pair, one group); a put
+    is the call through parity, P = C - (S - K*exp(-r*tau))."""
     _require_priceable(params)
     _check_stop(tolerance, max_column)
     columns = _engine(params)(
         params,
         contract.spot,
-        contract.rate,
-        contract.maturity,
+        [(contract.rate, contract.maturity)],
+        [1],
         np.array([contract.strike]),
         max_column,
     )
-    used = _sum_columns(columns, tolerance, max_column)[:, 0]
+    used = _sum_columns(columns, tolerance, max_column, 0)[:, 0]
     price = float(used.sum())
     put = contract.side == "put"
     if put:
@@ -446,25 +488,57 @@ def term_table_csv(table: TermTable, precision: int = 6) -> str:
 def price_call_strikes(
     params: StableModelParams,
     spot: float,
-    rate: float,
-    maturity: float,
+    rate: float | np.ndarray,
+    maturity: float | np.ndarray,
     strikes: np.ndarray,
     tolerance: float = 1e-4,
     max_column: int = 64,
 ) -> np.ndarray:
-    """Vectorized call prices for one (spot, rate, maturity) across strikes.
+    """Vectorized call prices for one spot across strikes, in one kernel call.
 
-    price_call's columns, picked by the model the same way, and its stop
-    rule over the whole ladder: the stop is taken over the worst strike, so
-    no price is less refined than price_call's.  On ConvergenceError,
-    strike_index names the failing strike.
+    rate and maturity are scalars or arrays aligned with strikes, so one call
+    prices a whole chain.  price_call's columns, picked by the model the same
+    way, built for all strikes at once, and its stop rule, applied to each
+    distinct (rate, maturity) pair over that pair's worst strike: no price
+    is less refined than price_call's, and each pair stops on the column a
+    call with its strikes alone stops on.  On ConvergenceError,
+    strike_index names the failing strike (its index in strikes); the pairs
+    are checked in order of first appearance, except that an FMLS tail
+    overflow is found before any stop rule runs.
     """
     _require_priceable(params)
     _check_stop(tolerance, max_column)
     strikes = np.asarray(strikes, dtype=float)
     if strikes.ndim != 1 or strikes.size == 0:
         raise DomainError("strikes must be a non-empty 1-d array")
-    if np.any(strikes <= 0.0) or spot <= 0.0 or maturity <= 0.0:
+    try:
+        rate, maturity = (
+            np.full(strikes.shape, v, dtype=float) for v in (rate, maturity)
+        )
+    except ValueError:
+        raise DomainError(
+            "rate and maturity must be scalars or arrays aligned with strikes"
+        ) from None
+    if strikes.min() <= 0.0 or spot <= 0.0 or maturity.min() <= 0.0:
         raise DomainError("spot, strikes and maturity must be positive")
-    columns = _engine(params)(params, spot, rate, maturity, strikes, max_column)
-    return _sum_columns(columns, tolerance, max_column).sum(axis=0)
+    groups: dict[tuple[float, float], list[int]] = {}
+    for i, pair in enumerate(zip(rate.tolist(), maturity.tolist())):
+        groups.setdefault(pair, []).append(i)
+    # the strikes ordered by pair (pairs in order of first appearance), so
+    # that each pair's strikes are consecutive columns
+    order = np.array([i for indices in groups.values() for i in indices])
+    counts = [len(indices) for indices in groups.values()]
+    try:
+        columns = _engine(params)(
+            params, spot, list(groups), counts, strikes[order], max_column
+        )
+        summed = [
+            _sum_columns(columns[:, first : first + n], tolerance, max_column, first)
+            for first, n in zip(accumulate(counts[:-1], initial=0), counts)
+        ]
+    except ConvergenceError as exc:
+        exc.strike_index = int(order[exc.strike_index])
+        raise
+    prices = np.empty(strikes.size)
+    prices[order] = np.concatenate([block.sum(axis=0) for block in summed])
+    return prices

@@ -14,7 +14,15 @@ import math
 import numpy as np
 from scipy import integrate, stats
 
-from stablepricer.core import OptionContract, StableModelParams, beta_to_theta, mu_fmls
+from stablepricer.calibrate import OptionChain
+from stablepricer.core import (
+    ConvergenceError,
+    DomainError,
+    OptionContract,
+    StableModelParams,
+    beta_to_theta,
+    mu_fmls,
+)
 from stablepricer.lab import (
     SamplerConfig,
     effective_support,
@@ -22,6 +30,7 @@ from stablepricer.lab import (
     sample_stable,
     stable_density,
 )
+from stablepricer.pricer import price_call_strikes
 
 # the locked golden pricing convention: alpha=1.5, theta=-0.4, sigma=0.25 on
 # the S=4300/K=4000/r=1%/tau=1 contract, with the drift correction
@@ -54,6 +63,25 @@ GOLDEN_COLUMN_SUMS = (
 )
 GOLDEN_PRICE = 989.541311710991  # price_call at tolerance 1e-4
 GOLDEN_COLUMNS_USED = 16
+
+# price_call_strikes of the golden params at spot 4300 (r = 1%, tau = 1) at
+# tolerance 1e-8, to the last bit: each strike's columns are summed in
+# numpy's pairwise order over its own contiguous column, so a change of
+# layout or of summation order shows here
+GOLDEN_LADDER_STRIKES = (
+    3600.0, 3800.0, 4000.0, 4200.0, 4300.0, 4400.0, 4600.0, 4800.0, 5000.0
+)
+GOLDEN_LADDER_CALLS = (
+    1067.407936114676,
+    1014.4259369712692,
+    989.5413150976899,
+    988.0502123060137,
+    993.6664382461692,
+    1001.8919182210202,
+    1020.6955044083472,
+    1033.526961637598,
+    1030.8825866893017,
+)
 
 # externally tabulated cumulative row (printed at 3 decimals)
 REFERENCE_CUMULATIVE = (
@@ -212,3 +240,70 @@ def lewis_fmls_call(alpha: float, sigma: float, contract: OptionContract) -> flo
     )
     assert err < 1e-10
     return s - math.sqrt(s * k * math.exp(-r * tau)) / math.pi * val
+
+
+def _by_pair(pairs) -> dict[tuple, list[int]]:
+    """Indices grouped by key, keys in order of first appearance."""
+    groups: dict[tuple, list[int]] = {}
+    for i, pair in enumerate(pairs):
+        groups.setdefault(pair, []).append(i)
+    return groups
+
+
+def price_by_pair(
+    params: StableModelParams,
+    spot: float,
+    rates: np.ndarray,
+    maturities: np.ndarray,
+    strikes: np.ndarray,
+    **kwargs,
+) -> np.ndarray:
+    """A chain priced one price_call_strikes call per (rate, maturity) pair.
+
+    Pairs go in order of first appearance; the prices come back in input
+    order, and a failure's strike_index is its index in strikes.
+    """
+    prices = np.empty(len(strikes))
+    for (rate, maturity), indices in _by_pair(zip(rates, maturities)).items():
+        try:
+            prices[indices] = price_call_strikes(
+                params, spot, rate, maturity, np.asarray(strikes)[indices], **kwargs
+            )
+        except ConvergenceError as exc:
+            exc.strike_index = indices[exc.strike_index]
+            raise
+    return prices
+
+
+def aggregated_error_by_group(
+    params: StableModelParams,
+    chain: OptionChain,
+    tolerance: float = 1e-5,
+    max_column: int = 64,
+) -> float:
+    """calibrate.objective_params restated one (spot, rate, maturity) group at
+    a time: one price_call_strikes call per group, puts through parity,
+    math.fsum of the absolute errors, and inf where a group fails to price."""
+    per_quote = [0.0] * len(chain.quotes)
+    quotes = chain.quotes
+    for (spot, rate, maturity), indices in _by_pair(
+        (q.spot, q.rate, q.maturity) for q in quotes
+    ).items():
+        try:
+            calls = price_call_strikes(
+                params,
+                spot,
+                rate,
+                maturity,
+                np.array([quotes[i].strike for i in indices]),
+                tolerance=tolerance,
+                max_column=max_column,
+            )
+        except (ConvergenceError, DomainError, OverflowError):
+            return math.inf
+        disc = math.exp(-rate * maturity)
+        for i, call in zip(indices, calls):
+            if quotes[i].side == "put":
+                call -= spot - quotes[i].strike * disc
+            per_quote[i] = abs(call - quotes[i].market_price)
+    return math.fsum(per_quote)

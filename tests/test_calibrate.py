@@ -9,6 +9,7 @@ import importlib
 import io
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -40,9 +41,10 @@ from stablepricer.calibrate import (
     _bs_member,
     _heuristic_vol,
     _z_from_alpha,
+    objective_params,
 )
 
-from _support import lewis_fmls_call
+from _support import aggregated_error_by_group, lewis_fmls_call
 
 STRIKES = [85.0, 90.0, 95.0, 100.0, 105.0, 110.0, 115.0]
 MATURITIES = [0.5, 1.0]
@@ -205,7 +207,7 @@ class TestAggregatedError:
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(args[3])
+            calls.append(list(args[3]))
             return batch(*args, **kwargs)
 
         monkeypatch.setattr(pricer_module, "price_call", no_scalar)
@@ -223,7 +225,43 @@ class TestAggregatedError:
             ConvergenceError, match=r"quote 4 \(strike=300\.0, maturity=1\.0"
         ):
             aggregated_error(params, chain)
-        assert calls == [0.5, 1.0]
+        # one call prices the whole chain, one maturity per quote
+        assert calls == [[0.5, 0.5, 1.0, 1.0]]
+
+    @pytest.mark.parametrize("kind", ["acceptance7", "interleaved"])
+    def test_one_call_equals_one_call_per_group(self, kind):
+        # the whole-chain call against the objective restated per
+        # (rate, maturity) group, exactly, inf outcomes included
+        if kind == "acceptance7":
+            chain = synthetic_chain(
+                StableModelParams.from_beta(1.5, -0.8, 0.2), 100.0, 0.01,
+                maturities=(0.5, 0.75, 1.0, 1.25),
+                strikes=np.linspace(80.0, 120.0, 10),
+            )
+        else:
+            rng = random.Random(4)
+            chain = OptionChain(as_of="mixed", quotes=tuple(
+                OptionQuote(100.0, rng.choice([0.0, 0.01, 0.03]),
+                            rng.choice([0.25, 0.5, 1.0]), rng.uniform(80.0, 120.0),
+                            rng.choice(["call", "put"]), rng.uniform(0.5, 15.0))
+                for _ in range(24)
+            ))
+        rng = random.Random(11)
+        outcomes = []
+        for _ in range(500):
+            alpha = _alpha_from_z(rng.uniform(-1.4, math.pi / 2))
+            sigma = math.exp(rng.uniform(math.log(0.03), math.log(1.0)))
+            params = rng.choice([
+                lambda: StableModelParams.from_beta(
+                    alpha, rng.uniform(-1.0, 1.0), sigma
+                ),
+                lambda: StableModelParams.fmls(alpha, sigma),
+                lambda: _bs_member(sigma),
+            ])()
+            error = objective_params(params, chain)
+            assert error == aggregated_error_by_group(params, chain)
+            outcomes.append(math.isfinite(error))
+        assert 0 < sum(outcomes) < len(outcomes)
 
 
 class TestConfigAndReport:
@@ -236,14 +274,29 @@ class TestConfigAndReport:
         report = calibrate(chain, "bs", QUICK)
         payload = report_payload(report)
         assert list(payload) == [
-            "model", "sigma", "alpha", "beta", "mu",
+            "model", "sigma", "alpha", "beta", "beta_identified", "mu",
             "aggregated_error", "iterations", "converged", "quotes",
         ]
+        assert payload["beta_identified"] is False  # the bs rung has alpha = 2
         parsed = json.loads(json.dumps(report_payload(report, precision=17)))
         assert parsed["sigma"] == pytest.approx(report.sigma, rel=1e-15)
         assert parsed["quotes"] == len(chain.quotes)
         rounded = report_payload(report, precision=3)
         assert rounded["sigma"] == float(f"{report.sigma:.3g}")
+
+    @pytest.mark.parametrize(
+        "alpha, identified",
+        # the first is the stable rung's alpha on a Black-Scholes chain
+        [(1.9999999999999938, False), (2.0, False), (2.0 - 2e-9, True), (1.7, True)],
+    )
+    def test_beta_identified_away_from_alpha_two(self, alpha, identified):
+        report = CalibrationReport(
+            model="AlphaBetaStable", sigma=0.2, alpha=alpha, beta=-0.904,
+            mu=mu_fmls(alpha, 0.2), aggregated_error=1.0, iterations=1,
+            converged=True, quotes=16,
+        )
+        assert report.beta_identified is identified
+        assert report_payload(report)["beta_identified"] is identified
 
 
 class TestRecovery:
@@ -256,6 +309,7 @@ class TestRecovery:
         assert report.sigma == pytest.approx(0.25, abs=0.005)
         assert report.alpha == 2.0
         assert report.beta == 0.0
+        assert not report.beta_identified
         assert report.converged
 
     def test_carrwu_chain_recovers_alpha_sigma(self):
@@ -290,6 +344,7 @@ class TestRecovery:
         assert cw.aggregated_error <= bs.aggregated_error * (1.0 + 1e-6) + 1e-9
         assert st.alpha == pytest.approx(1.5, abs=0.05)
         assert st.beta == pytest.approx(-0.8, abs=0.05)
+        assert st.beta_identified
         assert st.sigma == pytest.approx(0.2, abs=0.02)
 
     def test_free_mu_recovers_drift(self):

@@ -334,6 +334,7 @@ class TestCalibrate:
         assert payload["model"] == "BS"
         assert payload["quotes"] == 10
         assert payload["sigma"] == pytest.approx(0.25, abs=0.005)
+        assert payload["beta_identified"] is False
         assert payload["converged"] is True
 
     def test_carrwu_reports_beta_minus_one(self, capsys, chain_files):

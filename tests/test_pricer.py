@@ -36,11 +36,14 @@ from hypothesis import assume
 from _support import (
     GOLDEN_COLUMNS_USED,
     GOLDEN_COLUMN_SUMS,
+    GOLDEN_LADDER_CALLS,
+    GOLDEN_LADDER_STRIKES,
     GOLDEN_PRICE,
     REFERENCE_CELLS,
     REFERENCE_CUMULATIVE,
     golden_contract,
     golden_params,
+    price_by_pair,
     well_convergent,
 )
 
@@ -272,7 +275,7 @@ class TestKernelMatchesTable:
         n_max = result.columns_used - 2
         table = term_table(params, contract, n_max)
         columns = _columns(
-            params, spot, rate, maturity, np.array([contract.strike]), n_max
+            params, spot, [(rate, maturity)], [1], np.array([contract.strike]), n_max
         )[:, 0]
         po = -params.mu * maturity
         lm = log_moneyness(contract)
@@ -453,6 +456,11 @@ class TestBatch:
                 price_call_strikes(
                     params, 100.0, 0.0, 1.0, np.array([95.0]), tolerance=tolerance
                 )
+        strikes = np.array([95.0, 100.0, 105.0])
+        with pytest.raises(DomainError, match="aligned with strikes"):
+            price_call_strikes(params, 100.0, [0.0, 0.01], 1.0, strikes)
+        with pytest.raises(DomainError, match="maturity must be positive"):
+            price_call_strikes(params, 100.0, 0.0, [1.0, 0.0, 1.0], strikes)
 
     def test_non_convergence_raises(self):
         with pytest.raises(ConvergenceError):
@@ -554,6 +562,79 @@ class TestBatch:
         self._assert_matches_scalar(
             params, 100.0, 0.0, 0.5, strikes, max_column=100
         )
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            StableModelParams.from_beta(alpha=1.6, beta=-0.4, sigma=0.22),
+            StableModelParams.fmls(1.6, 0.2),
+            StableModelParams(alpha=2.0, theta=0.0, sigma=0.2, mu=-0.04),
+        ],
+        ids=["lattice", "fmls", "alpha2"],
+    )
+    def test_chain_equals_one_call_per_pair(self, params):
+        # interleaved per-strike maturities and rates: each pair's strikes
+        # stop on the column their own call stops on, bit for bit
+        rng = np.random.default_rng(7)
+        maturities = rng.choice([0.25, 0.5, 1.0], 30)
+        rates = rng.choice([0.0, 0.02], 30)
+        strikes = rng.uniform(85.0, 120.0, 30)
+        chain = price_call_strikes(
+            params, 100.0, rates, maturities, strikes, tolerance=1e-8
+        )
+        by_pair = price_by_pair(
+            params, 100.0, rates, maturities, strikes, tolerance=1e-8
+        )
+        assert np.array_equal(chain, by_pair)
+        scalar_rate = price_call_strikes(
+            params, 100.0, 0.02, maturities, strikes, tolerance=1e-8
+        )
+        assert np.array_equal(
+            scalar_rate,
+            price_by_pair(
+                params, 100.0, np.full(30, 0.02), maturities, strikes, tolerance=1e-8
+            ),
+        )
+
+    @pytest.mark.parametrize(
+        "params, maturities, strikes, failed",
+        [
+            # the far strike of the second pair to appear fails
+            (
+                StableModelParams(alpha=1.5, theta=-0.4, sigma=0.1, mu=-0.02),
+                [0.5, 1.0, 0.5, 1.0, 0.5],
+                [100.0, 110.0, 105.0, 300.0, 95.0],
+                3,
+            ),
+            # every pair overflows the shared FMLS tail: the first pair's
+            # first strike is named
+            (
+                StableModelParams.fmls(1.6, 100.0),
+                [1.0, 0.5, 1.0],
+                [90.0, 100.0, 110.0],
+                0,
+            ),
+        ],
+        ids=["lattice", "fmls"],
+    )
+    def test_chain_failure_names_strike_in_input_order(
+        self, params, maturities, strikes, failed
+    ):
+        args = (params, 100.0, np.full(len(strikes), 0.01), np.array(maturities),
+                np.array(strikes))
+        with pytest.raises(ConvergenceError) as chain:
+            price_call_strikes(*args, tolerance=1e-5)
+        with pytest.raises(ConvergenceError) as by_pair:
+            price_by_pair(*args, tolerance=1e-5)
+        assert chain.value.strike_index == by_pair.value.strike_index == failed
+        assert str(chain.value) == str(by_pair.value)
+
+    def test_golden_ladder_bits(self):
+        calls = price_call_strikes(
+            golden_params(), 4300.0, 0.01, 1.0, np.array(GOLDEN_LADDER_STRIKES),
+            tolerance=1e-8,
+        )
+        assert tuple(calls.tolist()) == GOLDEN_LADDER_CALLS
 
     def test_small_cap_names_failing_strike(self):
         strikes = np.array([4000.0, 4300.0, 12000.0])

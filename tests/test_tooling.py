@@ -1,0 +1,53 @@
+"""The benchmark's tracer (perfbench/tracing.py) still finds what it wraps.
+
+The tracer wraps package functions by module attribute and reads the strike
+count of each price_call_strikes call from its fifth positional argument or
+its ``strikes`` keyword; a renamed function or a moved parameter would leave
+its per-layer metrics empty.  These tests only read perfbench.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import numpy as np
+
+from stablepricer import StableModelParams, aggregated_error, synthetic_chain
+from stablepricer.pricer import price_call_strikes
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", PERFBENCH / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_wrapped_attributes_are_callable():
+    for module_name, attr, _, _ in _tracing().WRAPPED:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_strikes_is_the_fifth_parameter():
+    assert list(inspect.signature(price_call_strikes).parameters)[4] == "strikes"
+
+
+def test_aggregated_error_makes_one_traced_strike_call():
+    chain = synthetic_chain(
+        StableModelParams.from_beta(1.7, -0.3, 0.15), 100.0, 0.01,
+        maturities=(0.5, 1.0), strikes=np.linspace(80.0, 120.0, 8),
+    )
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        aggregated_error(StableModelParams.from_beta(1.8, 0.0, 0.2), chain)
+    finally:
+        tracer.uninstall()
+    spans = [s for s in tracer.spans if s.name == "pricer.price_call_strikes"]
+    assert [s.note for s in spans] == [len(chain.quotes)]
