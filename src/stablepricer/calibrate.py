@@ -65,7 +65,8 @@ _ALPHA_TWO_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class OptionQuote:
-    """One observed option price."""
+    """One observed option price: the contract it prices, checked as an
+    OptionContract, and a non-negative finite market price."""
 
     spot: float
     rate: float
@@ -75,19 +76,10 @@ class OptionQuote:
     market_price: float
 
     def __post_init__(self) -> None:
-        if not (self.spot > 0.0 and math.isfinite(self.spot)):
-            raise DomainError(f"spot must be positive, got {self.spot}")
-        if not math.isfinite(self.rate):
-            raise DomainError(f"rate must be finite, got {self.rate}")
-        if not (self.maturity > 0.0 and math.isfinite(self.maturity)):
-            raise DomainError(f"maturity must be positive, got {self.maturity}")
-        if not (self.strike > 0.0 and math.isfinite(self.strike)):
-            raise DomainError(f"strike must be positive, got {self.strike}")
-        if self.side not in _SIDES:
-            raise DomainError(f"side must be one of {_SIDES}, got {self.side!r}")
-        if not (self.market_price >= 0.0 and math.isfinite(self.market_price)):
+        self.contract()  # the contract's own checks
+        if not 0.0 <= self.market_price < math.inf:
             raise DomainError(
-                f"market_price must be non-negative, got {self.market_price}"
+                f"market_price must be non-negative and finite, got {self.market_price}"
             )
 
     def contract(self) -> OptionContract:
@@ -267,10 +259,7 @@ def synthetic_chain(
 
 
 def aggregated_error(
-    params: StableModelParams,
-    chain: OptionChain,
-    tolerance: float = 1e-5,
-    max_column: int = 64,
+    params: StableModelParams, chain: OptionChain, tolerance: float = 1e-5
 ) -> float:
     """Sum of absolute pricing errors |model - market| over all quotes.
 
@@ -283,13 +272,7 @@ def aggregated_error(
     strikes, rates, maturities, forwards, market = chain._arrays
     try:
         calls = price_call_strikes(
-            params,
-            chain.spot,
-            rates,
-            maturities,
-            strikes,
-            tolerance=tolerance,
-            max_column=max_column,
+            params, chain.spot, rates, maturities, strikes, tolerance=tolerance
         )
     except ConvergenceError as exc:
         i = exc.strike_index
@@ -518,13 +501,11 @@ class _Candidate:
 
 def _heuristic_vol(chain: OptionChain) -> float:
     """Rough at-the-money volatility read straight off the nearest strike."""
+    strikes, _, maturities, forwards, market = chain._arrays
     spot = chain.spot
-    best = min(chain.quotes, key=lambda q: abs(q.strike - spot))
-    call_value = best.market_price
-    if best.side == "put":
-        call_value += spot - best.strike * math.exp(-best.rate * best.maturity)
-    call_value = max(call_value, 1e-8 * spot)
-    vol = math.sqrt(2.0 * math.pi / best.maturity) * call_value / spot
+    i = int(np.argmin(np.abs(strikes - spot)))
+    call_value = max(float(market[i] + forwards[i]), 1e-8 * spot)
+    vol = math.sqrt(2.0 * math.pi / maturities[i]) * call_value / spot
     return min(max(vol, 0.02), 1.5)
 
 

@@ -33,7 +33,7 @@ from .core import (
 )
 from .lab import SamplerConfig, density_grid, mc_price_fmls, sample_stable
 from .pricer import price_call, price_put, term_table, term_table_csv
-from .reference import black_scholes_call, bs_equivalent_vol
+from .reference import black_scholes_call, black_scholes_put, bs_equivalent_vol
 from .reference import fmls_call
 
 
@@ -59,12 +59,11 @@ def _add_market_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_model_flags(
-    parser: argparse.ArgumentParser, require_skew: bool = True
-) -> None:
-    parser.add_argument("--alpha", type=float, required=True, help="stability index")
+def _add_model_flags(parser: argparse.ArgumentParser, sweep: bool = False) -> None:
+    """Model flags; for a sweep, alpha and the skew may be the swept axis."""
+    parser.add_argument("--alpha", type=float, required=not sweep, help="stability index")
     parser.add_argument("--sigma", type=float, required=True, help="scale parameter")
-    group = parser.add_mutually_exclusive_group(required=require_skew)
+    group = parser.add_mutually_exclusive_group(required=not sweep)
     group.add_argument("--theta", type=float, help="asymmetry (Feller form)")
     group.add_argument("--beta", type=float, help="skewness (common form)")
     parser.add_argument(
@@ -123,9 +122,8 @@ def cmd_price(args: argparse.Namespace) -> int:
     if args.check:
         if params.alpha == 2.0 and params.theta == 0.0:
             vol = bs_equivalent_vol(params.sigma)
-            reference = black_scholes_call(contract, vol)
-            if args.side == "put":
-                reference -= contract.spot - contract.discounted_strike()
+            closed_form = black_scholes_put if args.side == "put" else black_scholes_call
+            reference = closed_form(contract, vol)
             print(f"check: black_scholes={fmt(reference)} (vol={fmt(vol)})")
         else:
             print("check: no closed form for these parameters; skipped")
@@ -141,6 +139,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.start + args.stop + args.step):
+        raise DomainError("--start, --stop and --step must be finite")
     if args.step <= 0.0:
         raise DomainError(f"--step must be positive, got {args.step}")
     if args.stop < args.start:
@@ -156,33 +156,13 @@ def cmd_curve(args: argparse.Namespace) -> int:
     fmt = _fmt(args.precision)
     lines = [f"{args.sweep},price,in_diamond,status"]
     for x in grid:
+        point = argparse.Namespace(**{**vars(args), args.sweep: x})
         try:
-            if args.sweep == "theta":
-                mu = args.mu if args.mu is not None else mu_fmls(args.alpha, args.sigma)
-                params = StableModelParams(
-                    alpha=args.alpha, theta=x, sigma=args.sigma, mu=mu
-                )
-                contract = _contract_from_args(args, "call")
-            elif args.sweep == "alpha":
-                theta = args.theta if args.theta is not None else (
-                    beta_to_theta(x, args.beta)
-                )
-                mu = args.mu if args.mu is not None else mu_fmls(x, args.sigma)
-                params = StableModelParams(
-                    alpha=x, theta=theta, sigma=args.sigma, mu=mu
-                )
-                contract = _contract_from_args(args, "call")
-            else:  # spot
-                params = _params_from_args(args)
-                contract = OptionContract(
-                    spot=x,
-                    strike=args.strike,
-                    rate=args.rate,
-                    maturity=args.maturity,
-                    side="call",
-                )
             result = price_call(
-                params, contract, tolerance=args.tol, max_column=args.max_column
+                _params_from_args(point),
+                _contract_from_args(point, "call"),
+                tolerance=args.tol,
+                max_column=args.max_column,
             )
             lines.append(
                 f"{fmt(x)},{fmt(result.price)},"
@@ -311,12 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve", help="price along a sweep of theta, alpha or spot")
     _add_market_flags(p)
-    p.add_argument("--alpha", type=float, help="stability index (fixed axes)")
-    p.add_argument("--sigma", type=float, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--theta", type=float)
-    group.add_argument("--beta", type=float)
-    p.add_argument("--mu", type=float, default=None)
+    _add_model_flags(p, sweep=True)
     p.add_argument("--sweep", choices=("theta", "alpha", "spot"), required=True)
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)

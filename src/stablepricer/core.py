@@ -29,6 +29,11 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError(f"alpha must lie in (1, 2], got {alpha}")
 
 
+def _check_sigma(sigma: float) -> None:
+    if not 0.0 < sigma < math.inf:
+        raise DomainError(f"sigma must be positive and finite, got {sigma}")
+
+
 def validate_feller_takayasu(alpha: float, theta: float) -> bool:
     """Return True iff |theta| <= min(alpha, 2 - alpha)."""
     _check_alpha(alpha)
@@ -81,8 +86,7 @@ def mu_fmls(alpha: float, sigma: float) -> float:
     Negative for all alpha in (1, 2]; equals -sigma**2 exactly at alpha=2.
     """
     _check_alpha(alpha)
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    _check_sigma(sigma)
     # sec(pi*alpha/2) = -1/cos(pi*(alpha-2)/2); the shifted cosine is exact at
     # alpha=2 and stays positive on (1, 2].
     c = math.cos(math.pi * (alpha - 2.0) / 2.0)
@@ -97,10 +101,10 @@ class StableModelParams:
 
     Attributes:
         alpha: stability index, in (1, 2].
-        theta: Feller asymmetry.  Values outside the diamond are accepted
-            (the pricing series continues analytically) but flagged.
-        sigma: scale, > 0.
-        mu: characteristic exponent; must be < 0 when pricing (checked by
+        theta: Feller asymmetry, finite.  Values outside the diamond are
+            accepted (the pricing series continues analytically) but flagged.
+        sigma: scale, > 0 and finite.
+        mu: characteristic exponent, finite; must be < 0 when pricing (checked by
             the pricing routines, not at construction, so that the error
             path is reachable).
         in_diamond: whether |theta| <= min(alpha, 2-alpha).
@@ -114,8 +118,9 @@ class StableModelParams:
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
-        if self.sigma <= 0.0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
+        _check_sigma(self.sigma)
+        if not (math.isfinite(self.theta) and math.isfinite(self.mu)):
+            raise DomainError(f"theta={self.theta} and mu={self.mu} must be finite")
         object.__setattr__(
             self, "in_diamond", validate_feller_takayasu(self.alpha, self.theta)
         )
@@ -149,12 +154,12 @@ class OptionContract:
     side: str = "call"
 
     def __post_init__(self) -> None:
-        if self.spot <= 0.0:
-            raise DomainError(f"spot must be positive, got {self.spot}")
-        if self.strike <= 0.0:
-            raise DomainError(f"strike must be positive, got {self.strike}")
-        if self.maturity <= 0.0:
-            raise DomainError(f"maturity must be positive, got {self.maturity}")
+        for name in ("spot", "strike", "maturity"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"{name} must be positive and finite, got {value}")
+        if not math.isfinite(self.rate):
+            raise DomainError(f"rate must be finite, got {self.rate}")
         if self.side not in ("call", "put"):
             raise DomainError(f"side must be 'call' or 'put', got {self.side!r}")
 

@@ -198,7 +198,7 @@ def sample_stable(config: SamplerConfig) -> np.ndarray:
     alpha, beta = config.alpha, config.beta
     bt = beta * _tan_half(alpha)
     b = math.atan(bt) / alpha
-    scale = (1.0 + bt * bt) ** (1.0 / (2.0 * alpha))
+    scale = s1_scale_factor(alpha, beta)
     inv_alpha = 1.0 / alpha
     exp_w = (1.0 - alpha) / alpha
     out = np.empty(config.count)

@@ -519,8 +519,12 @@ def price_call_strikes(
         raise DomainError(
             "rate and maturity must be scalars or arrays aligned with strikes"
         ) from None
-    if strikes.min() <= 0.0 or spot <= 0.0 or maturity.min() <= 0.0:
-        raise DomainError("spot, strikes and maturity must be positive")
+    # min propagates nan, so nan fails the comparisons; inf fails isfinite
+    if not (
+        0.0 < spot < math.inf and strikes.min() > 0.0 < maturity.min()
+        and np.isfinite(np.concatenate((strikes, rate, maturity))).all()
+    ):
+        raise DomainError("spot, strikes and maturity must be positive, all finite")
     groups: dict[tuple[float, float], list[int]] = {}
     for i, pair in enumerate(zip(rate.tolist(), maturity.tolist())):
         groups.setdefault(pair, []).append(i)

@@ -65,6 +65,8 @@ class TestQuoteAndChain:
         for field, value in [
             ("spot", -1.0), ("maturity", 0.0), ("strike", 0.0),
             ("side", "straddle"), ("market_price", -0.5), ("rate", math.nan),
+            ("strike", math.inf), ("maturity", math.nan), ("spot", math.inf),
+            ("market_price", math.inf),
         ]:
             with pytest.raises(DomainError):
                 OptionQuote(**{**good, field: value})
@@ -116,6 +118,14 @@ class TestLoadChain:
         message = str(err.value)
         assert "row 3: invalid rate value 'xx'" in message
         assert "row 4: unknown side label 'swaption'" in message
+
+    def test_nan_strike_reported_under_its_row(self):
+        text = self.HEADER + (
+            "d,100,0.01,1.0,95,call,9.1\n"
+            "d,100,0.01,1.0,nan,call,9.1\n"
+        )
+        with pytest.raises(DomainError, match="row 3: strike must be positive"):
+            load_chain(io.StringIO(text))
 
     def test_missing_column(self):
         with pytest.raises(DomainError, match="missing column"):

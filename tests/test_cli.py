@@ -17,7 +17,12 @@ import pytest
 
 import stablepricer
 from stablepricer import (
+    ConvergenceError,
+    DomainError,
+    OptionContract,
     StableModelParams,
+    beta_to_theta,
+    mu_fmls,
     price_call,
     synthetic_chain,
 )
@@ -135,6 +140,18 @@ class TestPrice:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--theta", "nan"), ("--spot", "nan"), ("--strike", "inf"),
+         ("--sigma", "inf"), ("--mu", "inf"), ("--rate", "nan")],
+    )
+    def test_non_finite_input_is_domain_error(self, capsys, flag, value):
+        flags = list(GOLDEN_FLAGS)
+        flags[flags.index(flag) + 1] = value
+        code, out, err = run(capsys, "price", *flags)
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
     def test_non_convergence_exit_code(self, capsys):
         code, _, err = run(capsys, "price", *GOLDEN_FLAGS, "--max-column", "3")
         assert code == 3
@@ -230,6 +247,68 @@ class TestCurve:
         assert statuses[0] == "ok"
         assert "non-convergent" in statuses
 
+    @pytest.mark.parametrize(
+        "sweep, flags, build, statuses",
+        [
+            (
+                "theta",
+                ["--alpha", "1.5", "--mu", str(GOLDEN_MU), "--start", "-0.6",
+                 "--stop", "0.6", "--step", "0.048"],
+                lambda x: (StableModelParams(1.5, x, 0.25, GOLDEN_MU), 100.0),
+                {"ok"},
+            ),
+            (
+                "alpha",
+                ["--beta", "-0.5", "--start", "0.9", "--stop", "2.1",
+                 "--step", "0.05"],
+                lambda x: (
+                    StableModelParams(
+                        x, beta_to_theta(x, -0.5), 0.25, mu_fmls(x, 0.25)
+                    ),
+                    100.0,
+                ),
+                {"ok", "domain-error"},
+            ),
+            (
+                "spot",
+                ["--alpha", "1.5", "--theta", "-0.4", "--mu", "-0.02",
+                 "--start", "70", "--stop", "160", "--step", "10"],
+                lambda x: (StableModelParams(1.5, -0.4, 0.25, -0.02), x),
+                {"ok", "non-convergent"},
+            ),
+        ],
+        ids=["theta", "alpha", "spot"],
+    )
+    def test_rows_equal_explicit_prices(
+        self, capsys, sweep, flags, build, statuses
+    ):
+        # every row is price_call on the point's model and contract built
+        # by hand; a failed build or price marks the row's status
+        code, out, _ = run(
+            capsys, "curve", *self.BASE, *flags, "--sweep", sweep,
+            "--precision", "17",
+        )
+        assert code == 0
+        seen = set()
+        for line in out.splitlines()[1:]:
+            cells = line.split(",")
+            x = float(cells[0])
+            try:
+                params, spot = build(x)
+                result = price_call(
+                    params, OptionContract(spot, 100.0, 0.01, 1.0)
+                )
+            except DomainError:
+                expected = [cells[0], "", "", "domain-error"]
+            except ConvergenceError:
+                expected = [cells[0], "", "", "non-convergent"]
+            else:
+                flag = str(result.diamond_flag).lower()
+                expected = [cells[0], "%.17g" % result.price, flag, "ok"]
+            assert cells == expected
+            seen.add(cells[3])
+        assert seen == statuses
+
     def test_sweep_validation(self, capsys):
         code, _, err = run(
             capsys, "curve", *self.BASE, "--alpha", "1.5", "--theta", "-0.4",
@@ -242,6 +321,14 @@ class TestCurve:
             "--sweep", "theta", "--start", "0", "--stop", "0.4", "--step", "-0.2",
         )
         assert code == 2
+        for start, stop, step in [("0", "0.4", "nan"), ("0", "inf", "0.2"),
+                                  ("nan", "0.4", "0.2")]:
+            code, _, err = run(
+                capsys, "curve", *self.BASE, "--alpha", "1.5", "--sweep", "theta",
+                "--start", start, "--stop", stop, "--step", step,
+            )
+            assert code == 2
+            assert "must be finite" in err
 
 
 class TestDensityAndSample:

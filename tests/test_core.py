@@ -98,6 +98,11 @@ class TestMuFmls:
         for alpha in (1.1, 1.5, 1.9):
             assert mu_fmls(alpha, 0.25) < 0.0
 
+    def test_sigma_must_be_positive_and_finite(self):
+        for sigma in (0.0, -0.2, math.nan, math.inf):
+            with pytest.raises(DomainError, match="sigma must be positive"):
+                mu_fmls(1.5, sigma)
+
     def test_scale_power(self):
         alpha = 1.6
         base = mu_fmls(alpha, 0.2)
@@ -124,6 +129,13 @@ class TestStableModelParams:
     def test_sigma_validation(self):
         with pytest.raises(DomainError):
             StableModelParams(alpha=1.5, theta=0.0, sigma=0.0, mu=-0.1)
+
+    @pytest.mark.parametrize("field", ["theta", "sigma", "mu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        good = dict(alpha=1.5, theta=-0.4, sigma=0.25, mu=-0.1)
+        with pytest.raises(DomainError, match=f"{field}.* finite"):
+            StableModelParams(**{**good, field: value})
 
     def test_positive_mu_constructs_but_is_flag_for_pricing(self):
         # mu is validated at pricing time, not at construction
@@ -167,3 +179,11 @@ class TestOptionContract:
             OptionContract(
                 spot=100.0, strike=90.0, rate=0.0, maturity=1.0, side="straddle"
             )
+        good = dict(spot=100.0, strike=90.0, rate=0.02, maturity=1.0)
+        for field, value in [
+            ("strike", math.inf), ("maturity", math.nan), ("spot", math.inf),
+            ("spot", math.nan), ("strike", math.nan), ("maturity", math.inf),
+            ("rate", math.nan), ("rate", math.inf), ("rate", -math.inf),
+        ]:
+            with pytest.raises(DomainError, match=f"{field} must be .*finite"):
+                OptionContract(**{**good, field: value})

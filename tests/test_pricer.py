@@ -462,6 +462,27 @@ class TestBatch:
         with pytest.raises(DomainError, match="maturity must be positive"):
             price_call_strikes(params, 100.0, 0.0, [1.0, 0.0, 1.0], strikes)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name, entries",
+        [
+            ("spot", None), ("strikes", [90.0]), ("rate", None),
+            ("rate", [0.01]), ("maturity", None), ("maturity", [0.5]),
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, name, entries, bad):
+        # a non-finite scalar, or a non-finite entry after a good one
+        inputs = dict(spot=100.0, rate=0.01, maturity=0.5, strikes=[90.0, 110.0])
+        inputs[name] = bad if entries is None else entries + [bad]
+        with pytest.raises(DomainError, match="finite"):
+            price_call_strikes(
+                StableModelParams.from_beta(1.7, -0.3, 0.15),
+                inputs["spot"],
+                inputs["rate"],
+                inputs["maturity"],
+                np.array(inputs["strikes"]),
+            )
+
     def test_non_convergence_raises(self):
         with pytest.raises(ConvergenceError):
             price_call_strikes(

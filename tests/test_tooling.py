@@ -1,11 +1,15 @@
-"""The benchmark's tracer (perfbench/tracing.py) still finds what it wraps.
+"""Structural checks on the code.
 
+The benchmark's tracer (perfbench/tracing.py) still finds what it wraps.
 The tracer wraps package functions by module attribute and reads the strike
 count of each price_call_strikes call from its fifth positional argument or
 its ``strikes`` keyword; a renamed function or a moved parameter would leave
 its per-layer metrics empty.  These tests only read perfbench.
+
+The CLI builds every model and contract in one place each.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -13,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+import stablepricer.cli
 from stablepricer import StableModelParams, aggregated_error, synthetic_chain
 from stablepricer.pricer import price_call_strikes
 
@@ -51,3 +56,25 @@ def test_aggregated_error_makes_one_traced_strike_call():
         tracer.uninstall()
     spans = [s for s in tracer.spans if s.name == "pricer.price_call_strikes"]
     assert [s.note for s in spans] == [len(chain.quotes)]
+
+
+
+def _builds(node: ast.AST) -> list[str]:
+    """The StableModelParams( and OptionContract( calls under node."""
+    return [
+        call.func.id
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id in ("StableModelParams", "OptionContract")
+    ]
+
+
+def test_cli_builds_models_and_contracts_in_one_place():
+    # every command, curve's sweep points included, goes through the same
+    # two builders, so a flag's default or a skew conversion has one copy
+    tree = ast.parse(Path(stablepricer.cli.__file__).read_text())
+    functions = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+    assert _builds(functions["_params_from_args"]) == ["StableModelParams"]
+    assert _builds(functions["_contract_from_args"]) == ["OptionContract"]
+    assert len(_builds(tree)) == 2
