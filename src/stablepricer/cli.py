@@ -179,6 +179,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
 def cmd_density(args: argparse.Namespace) -> int:
     theta = _resolve_theta(args)
     xmin = -args.xmax if args.xmin is None else args.xmin
+    if not math.isfinite(xmin + args.xmax):
+        raise DomainError("--xmin and --xmax must be finite")
     grid = density_grid(
         args.alpha, theta, np.linspace(xmin, args.xmax, args.points)
     )

@@ -15,6 +15,7 @@ times s1_scale_factor(alpha, beta).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -79,73 +80,66 @@ def _check_diamond(alpha: float, theta: float) -> None:
         )
 
 
-def stable_density(alpha: float, theta: float, x: float) -> float:
-    """Density of the standardized stable law at x by Fourier inversion.
+def stable_density(alpha: float, theta: float, x: float | np.ndarray) -> float | np.ndarray:
+    """Density of the standardized stable law at x, a float or a 1-d array.
 
-    g(x) = (1/pi) * int_0^inf exp(-c*k**alpha) * cos(k*x + s*k**alpha) dk
-    with c = cos(theta*pi/2), s = sin(theta*pi/2).  Quadrature error is held
-    below 1e-9; far from the origin the oscillatory weight is handled by the
-    dedicated cosine/sine rules.
+    Fourier inversion on the ray k = r e^{i phi}, phi = pi (1 + theta)/(4 alpha),
+    where the integrand decays without oscillating (README, Density lab).  Each
+    point climbs Gauss-Legendre rules of 64, 128, ... nodes until two agree to
+    1e-9, and is summed on its own, so an array's values equal the float calls.
     """
     _check_diamond(alpha, theta)
-    from scipy import integrate
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 1 or not np.isfinite(x).all():
+        raise DomainError("density abscissae must be a finite float or 1-d array")
+    xs = np.atleast_1d(x)
+    out, todo = np.empty(xs.size), np.arange(xs.size)
+    coarse = _ray_rule(alpha, theta, xs, 64)
+    for nodes in (128, 256, 512, 1024):
+        fine = _ray_rule(alpha, theta, xs[todo], nodes)
+        settled = np.abs(fine - coarse) <= 1e-9
+        out[todo[settled]] = fine[settled]
+        todo, coarse = todo[~settled], fine[~settled]
+        if todo.size == 0:
+            return float(out[0]) if x.ndim == 0 else out
+    raise ConvergenceError(
+        f"density rules of 512 and 1024 nodes disagree at x={float(xs[todo[0]])!r}"
+    )
 
-    c = math.cos(theta * math.pi / 2.0)
-    s = math.sin(theta * math.pi / 2.0)
-    # exp(-c*k**alpha) < 1e-17 beyond this point
-    k_cut = (40.0 / c) ** (1.0 / alpha)
-    try:
-        if abs(x) * k_cut <= 50.0:
-            val, err = integrate.quad(
-                lambda k: math.exp(-c * k**alpha) * math.cos(k * x + s * k**alpha),
-                0.0,
-                k_cut,
-                epsabs=1e-12,
-                epsrel=1e-12,
-                limit=200,
-            )
-        else:
-            # cos(kx + s*k**alpha) = cos(kx)cos(s*k**alpha) - sin(kx)sin(s*k**alpha)
-            vc, ec = integrate.quad(
-                lambda k: math.exp(-c * k**alpha) * math.cos(s * k**alpha),
-                0.0,
-                k_cut,
-                weight="cos",
-                wvar=abs(x),
-                epsabs=1e-12,
-                epsrel=1e-12,
-                limit=400,
-            )
-            vs, es = integrate.quad(
-                lambda k: math.exp(-c * k**alpha) * math.sin(s * k**alpha),
-                0.0,
-                k_cut,
-                weight="sin",
-                wvar=abs(x),
-                epsabs=1e-12,
-                epsrel=1e-12,
-                limit=400,
-            )
-            if x < 0.0:
-                vs = -vs
-            val, err = vc - vs, ec + es
-    except integrate.IntegrationWarning:  # pragma: no cover - quad warns, not raises
-        raise ConvergenceError(f"density quadrature failed at x={x}")
-    if err > 1e-9:
-        raise ConvergenceError(
-            f"density quadrature error {err:.2e} above 1e-9 at x={x}"
-        )
-    return val / math.pi
+
+def _ray_rule(alpha: float, theta: float, xs: np.ndarray, nodes: int) -> np.ndarray:
+    """The rule in r = R u**3 on [0, R] at each point, x < 0 by g(x; theta) =
+    g(-x; -theta); each point's terms are summed in their own row."""
+    side = np.where(xs < 0.0, -theta, theta)
+    turn = np.exp(1j * np.pi * (1.0 + side) / (4.0 * alpha))  # e^{i phi}
+    tilt = np.exp(1j * np.pi * (1.0 - side) / 4.0)  # e^{i (alpha phi - side pi/2)}
+    grow = 1j * np.abs(xs) * turn  # the exponent is grow r - tilt r**alpha
+    # each term of its real part passes -40 at its own cut, so their sum by the nearer
+    cut = 40.0 / np.maximum(-grow.real, 40.0 * (tilt.real / 40.0) ** (1.0 / alpha))
+    u, w = _gauss_legendre(nodes)
+    sums = np.empty(xs.size, dtype=complex)
+    rows = max(1, (1 << 16) // nodes)  # points per block of at most 2**16 terms
+    for b in (slice(i, i + rows) for i in range(0, xs.size, rows)):
+        r = cut[b, None] * u
+        sums[b] = (np.exp(grow[b, None] * r - tilt[b, None] * r**alpha) * w).sum(axis=1)
+    return (turn * cut * sums).real / np.pi
+
+
+@functools.cache
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """u**3 at the rule's nodes on [0, 1], and its weights times dr/du / R."""
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    return ((u + 1.0) / 2.0) ** 3, 0.375 * (u + 1.0) ** 2 * w
 
 
 def density_grid(alpha: float, theta: float, abscissae: np.ndarray) -> DensityGrid:
-    """Evaluate stable_density on an ordered grid of points."""
+    """Evaluate stable_density on an ordered grid of points, in one call."""
     xs = np.asarray(abscissae, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise DomainError("abscissae must be a non-empty 1-d array")
     if np.any(np.diff(xs) <= 0.0):
         raise DomainError("abscissae must be strictly increasing")
-    vals = np.array([stable_density(alpha, theta, float(x)) for x in xs])
+    vals = stable_density(alpha, theta, xs)
     return DensityGrid(abscissae=xs, values=vals, alpha=alpha, theta=theta)
 
 
@@ -159,9 +153,13 @@ def effective_support(alpha: float, theta: float, tail_mass: float = 1e-7) -> fl
     _check_diamond(alpha, theta)
     if not (0.0 < tail_mass < 1.0):
         raise DomainError(f"tail_mass must lie in (0, 1), got {tail_mass}")
-    from scipy.special import erfcinv
-
-    gaussian_l = 2.0 * float(erfcinv(tail_mass))
+    # 2 erfcinv(tail_mass) by Newton's method on log(erfc(y)), concave, from
+    # sqrt(-log(tail_mass)), at or above the root as erfc(y) <= exp(-y*y)
+    y = math.sqrt(-math.log(tail_mass))
+    for _ in range(6):
+        log_erfc = math.log(math.erfc(y))
+        y += (log_erfc - math.log(tail_mass)) * math.exp(y * y + log_erfc) * math.sqrt(math.pi) / 2
+    gaussian_l = 2.0 * y
     coeff = (
         2.0
         * math.gamma(1.0 + alpha)

@@ -167,8 +167,7 @@ def normalization_mass(
     core = np.linspace(-half, half, int(2 * half / step) + 1)
     right = np.geomspace(half, support, tail_points)[1:]
     xs = np.concatenate([-right[::-1], core, right])
-    vals = np.array([stable_density(alpha, theta, float(x)) for x in xs])
-    return float(np.trapezoid(vals, xs))
+    return float(np.trapezoid(stable_density(alpha, theta, xs), xs))
 
 
 def density_cdf(alpha: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -177,11 +176,90 @@ def density_cdf(alpha: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
     core = np.linspace(-15.0, 15.0, 1501)
     right = np.geomspace(15.0, support, 250)[1:]
     xs = np.concatenate([-right[::-1], core, right])
-    pdf = np.array([stable_density(alpha, theta, float(x)) for x in xs])
+    pdf = stable_density(alpha, theta, xs)
     cdf = np.concatenate(
         [[0.0], np.cumsum(np.diff(xs) * (pdf[1:] + pdf[:-1]) / 2.0)]
     )
     return xs, cdf / cdf[-1]
+
+
+SERIES_DIGITS = 40
+POWER_TERMS = 2000
+
+
+def _power_plans(alpha: float, xs: list[float]) -> list[tuple[int, int] | None]:
+    """For each x: the terms of the power series until they stay below
+    1e-45, and the decimal digits of its largest term; None if that takes
+    more than POWER_TERMS terms.  The log term size is concave in n, so the
+    first small term after n = 0 ends the series."""
+    n = np.arange(POWER_TERMS + 1)
+    log_c = np.array([math.lgamma((k + 1) / alpha) - math.lgamma(k + 1) for k in n])
+    plans = []
+    for x in xs:
+        mag = log_c + n * math.log(abs(x)) if x else np.where(n == 0, log_c, -np.inf)
+        small = np.flatnonzero((n > 0) & (mag < -(SERIES_DIGITS + 5) * math.log(10.0)))
+        if small.size:
+            plans.append((int(small[0]), int(max(0.0, mag.max()) / math.log(10.0))))
+        else:
+            plans.append(None)
+    return plans
+
+
+def series_density(alpha: float, theta: float, xs) -> np.ndarray:
+    """Feller-standard stable density at each x from 40-digit mpmath series.
+
+    Power series (convergent, summed with guard digits for its largest term)
+    where it needs at most POWER_TERMS terms, else the asymptotic series
+    in |x|, summed to its smallest term, which must fall below 1e-20 of
+    the sum:
+
+        g(x) = 1/(alpha pi) sum_n Gamma((n+1)/alpha)/n!
+                                  cos(pi (theta (n+1)/(2 alpha) + n/2)) x^n
+        g(x) ~ 1/pi sum_j (-1)^(j+1) Gamma(alpha j + 1)/j!
+                                  sin(pi j (alpha - theta)/2) x^-(alpha j + 1),
+
+    the second for x > 0, with g(-x; theta) = g(x; -theta).
+    """
+    import mpmath as mp
+
+    xs = [float(x) for x in xs]
+    plans = _power_plans(alpha, xs)
+    used = [p for p in plans if p is not None]
+    terms = max((n for n, _ in used), default=0)
+    guard = max((d for _, d in used), default=0)
+    out = []
+    with mp.workdps(SERIES_DIGITS + guard + 5):
+        a, th = mp.mpf(alpha), mp.mpf(theta)
+        power = [
+            mp.gamma((n + 1) / a)
+            / mp.factorial(n)
+            * mp.cospi(th * (n + 1) / (2 * a) + mp.mpf(n) / 2)
+            for n in range(terms + 1)
+        ]
+        tail = []  # log(Gamma(alpha j + 1)/j!) for j = 1, 2, ...
+        for x, plan in zip(xs, plans):
+            if plan is not None:
+                n, digits = plan
+                with mp.workdps(SERIES_DIGITS + digits + 5):
+                    total = mp.mpf(0)
+                    for c in reversed(power[: n + 1]):
+                        total = total * x + c
+                    out.append(float(total / (a * mp.pi)))
+                continue
+            side, log_x = (th if x > 0.0 else -th), mp.log(abs(x))
+            total, smallest = mp.mpf(0), mp.inf
+            for j in range(1, 100_000):
+                if len(tail) < j:
+                    tail.append(mp.loggamma(a * j + 1) - mp.loggamma(j + 1))
+                size = mp.exp(tail[j - 1] - (a * j + 1) * log_x)
+                if size > smallest or size < mp.mpf(10) ** -SERIES_DIGITS * abs(total):
+                    break
+                smallest = size
+                total += (-1) ** (j + 1) * mp.sinpi(j * (a - side) / 2) * size
+            if smallest > mp.mpf(10) ** -20 * abs(total):
+                raise ArithmeticError(f"no density series settles at x={x}")
+            out.append(float(total / mp.pi))
+    return np.array(out)
 
 
 def sampler_ks_pvalue(

@@ -42,31 +42,53 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run a script in a new interpreter that imports this checkout's package."""
+    src = str(Path(stablepricer.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+
+
+SCIPY_MODULES = (
+    "def scipy_modules():\n"
+    "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+)
+
+
 class TestImports:
     def test_pricing_path_loads_no_scipy(self):
-        # scipy is imported by calibration and the density lab on first use,
-        # never by importing the package or pricing an option
+        # scipy is imported by calibration on first use, never by importing
+        # the package or pricing an option
         script = (
             "import sys, stablepricer, stablepricer.cli\n"
-            "def scipy_modules():\n"
-            "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-            "assert not scipy_modules(), scipy_modules()\n"
+            + SCIPY_MODULES
+            + "assert not scipy_modules(), scipy_modules()\n"
             "code = stablepricer.cli.main(['price', '--spot', '100', '--strike',"
             " '95', '--rate', '0.02', '--maturity', '1', '--alpha', '2',"
             " '--theta', '0', '--sigma', '0.2', '--mu', '-0.04'])\n"
             "assert code == 0, code\n"
             "assert not scipy_modules(), scipy_modules()\n"
         )
-        src = str(Path(stablepricer.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (src, env.get("PYTHONPATH")))
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True
-        )
+        done = run_fresh(script)
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("price=")
+
+    def test_density_lab_loads_no_scipy(self):
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from stablepricer import density_grid, effective_support\n"
+            + SCIPY_MODULES
+            + "half = effective_support(1.5, -0.4)\n"
+            "grid = density_grid(1.5, -0.4, np.linspace(-half, half, 41))\n"
+            "assert grid.values.max() > 0.1\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+        )
+        done = run_fresh(script)
+        assert done.returncode == 0, done.stderr
 
 
 class TestPrice:
@@ -344,6 +366,16 @@ class TestDensityAndSample:
         assert center[0] == "0"
         assert float(center[1]) == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)),
                                                  rel=1e-5)
+
+    def test_density_non_finite_bounds(self, capsys):
+        for bounds in (["--xmax", "inf"], ["--xmin", "nan", "--xmax", "2"]):
+            code, out, err = run(
+                capsys, "density", "--alpha", "1.5", "--theta", "0", *bounds,
+                "--points", "5",
+            )
+            assert code == 2
+            assert out == ""
+            assert "must be finite" in err
 
     def test_sample_deterministic(self, capsys):
         args = ["sample", "--alpha", "1.6", "--beta", "-0.5",

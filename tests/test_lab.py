@@ -6,6 +6,8 @@ Oracles used here:
   * the alpha=2 member is N(0, 2) exactly;
   * power-law tails decay like |x|**-(1+alpha), so g(2x)/g(x) ->
     2**-(1+alpha) on the heavy side;
+  * 40-digit mpmath power and asymptotic series of the density
+    (_support.series_density) out to |x| = 1e4;
   * the risk-neutral drift makes exp(mu*tau)*E[exp(y)] = 1, testable on the
     simulated paths directly.
 """
@@ -17,6 +19,7 @@ import pytest
 from scipy import stats
 
 from stablepricer import (
+    ConvergenceError,
     DomainError,
     OptionContract,
     SamplerConfig,
@@ -27,9 +30,10 @@ from stablepricer import (
     sample_stable,
     stable_density,
 )
+from stablepricer import lab
 from stablepricer.lab import s1_scale_factor
 
-from _support import gaussian_pdf_var2, sampler_ks_pvalue
+from _support import gaussian_pdf_var2, sampler_ks_pvalue, series_density
 
 
 class TestDensity:
@@ -81,8 +85,8 @@ class TestDensity:
         core = np.linspace(-12.0, 12.0, 2401)
         right = np.geomspace(12.0, support, 300)[1:]
         xs = np.concatenate([-right[::-1], core, right])
-        vals = np.array([stable_density(alpha, theta, float(x)) for x in xs])
-        assert float(np.trapezoid(vals, xs)) == pytest.approx(1.0, abs=1e-5)
+        mass = float(np.trapezoid(stable_density(alpha, theta, xs), xs))
+        assert mass == pytest.approx(1.0, abs=1e-5)
 
     def test_outside_diamond_rejected(self):
         with pytest.raises(DomainError):
@@ -94,6 +98,27 @@ class TestDensity:
         with pytest.raises(DomainError):
             density_grid(1.5, 0.0, np.array([]))
 
+    def test_non_finite_abscissae_rejected(self):
+        for x in (math.nan, math.inf, np.array([0.0, -math.inf])):
+            with pytest.raises(DomainError, match="finite"):
+                stable_density(1.5, 0.0, x)
+        for xs in ([0.0, 1.0, math.inf], [math.nan, 1.0]):
+            with pytest.raises(DomainError, match="finite"):
+                density_grid(1.5, 0.0, np.array(xs))
+
+    def test_grid_is_one_density_call(self, monkeypatch):
+        calls = []
+        real = lab.stable_density
+
+        def counting(alpha, theta, x):
+            calls.append(x)
+            return real(alpha, theta, x)
+
+        monkeypatch.setattr(lab, "stable_density", counting)
+        grid = density_grid(1.5, 0.0, np.linspace(-2.0, 2.0, 9))
+        assert len(calls) == 1
+        assert grid.values.tobytes() == real(1.5, 0.0, grid.abscissae).tobytes()
+
     def test_grid_csv(self):
         grid = density_grid(1.8, 0.1, np.array([-1.0, 0.0, 1.0]))
         lines = grid.to_csv(precision=8).splitlines()
@@ -102,7 +127,49 @@ class TestDensity:
         assert lines[2].startswith("0,")
 
 
+class TestContourRule:
+    @pytest.mark.parametrize(
+        "alpha,theta",
+        # all but (1.5, -0.4) lie 5% inside an edge of the diamond
+        [(1.05, 0.9025), (1.1, -0.855), (1.5, -0.4), (1.95, 0.0475)],
+    )
+    def test_matches_series(self, alpha, theta):
+        right = np.geomspace(1e-3, 1e4, 200)
+        xs = np.concatenate([-right[::-1], [0.0], right])
+        np.testing.assert_allclose(
+            stable_density(alpha, theta, xs),
+            series_density(alpha, theta, xs),
+            rtol=1e-8,
+            atol=1e-10,
+        )
+
+    def test_array_matches_scalar_bit_for_bit(self):
+        # near this edge some points settle on 128 nodes and others climb on
+        xs = np.linspace(-3.0, 3.0, 61)
+        grid = stable_density(1.05, 0.9025, xs)
+        scalar = np.array([stable_density(1.05, 0.9025, float(x)) for x in xs])
+        assert scalar.tobytes() == grid.tobytes()
+        assert stable_density(1.05, 0.9025, xs[::7]).tobytes() == grid[::7].tobytes()
+
+    def test_unsettled_ladder_raises(self):
+        # on the lower edge at alpha = 1.01 the ray's sector is 0.016 rad wide
+        with pytest.raises(ConvergenceError, match=r"x=0\.5$"):
+            stable_density(1.01, 1.01 - 2.0, 0.5)
+
+    def test_rejects_two_dimensional_input(self):
+        with pytest.raises(DomainError):
+            stable_density(1.5, 0.0, np.zeros((2, 2)))
+
+
 class TestEffectiveSupport:
+    def test_gaussian_width_matches_erfcinv(self):
+        from scipy.special import erfcinv
+
+        for mass in np.geomspace(1e-12, 0.5, 40):
+            assert effective_support(2.0, 0.0, mass) == pytest.approx(
+                2.0 * float(erfcinv(mass)), rel=1e-14
+            )
+
     def test_monotone_in_tail_mass(self):
         loose = effective_support(1.5, -0.4, 1e-4)
         tight = effective_support(1.5, -0.4, 1e-7)
