@@ -44,6 +44,7 @@ from .core import (
     theta_to_beta,
 )
 from .pricer import price_call_strikes
+from .reference import bs_equivalent_vol
 
 _SIDES = ("call", "put")
 _CSV_COLUMNS = ("as_of", "spot", "rate", "maturity", "strike", "side", "market_price")
@@ -370,7 +371,7 @@ _SPECS: dict[str, _ModelSpec] = {
         warm=lambda leaner, chain: (math.log(_heuristic_vol(chain)),),
         embed=None,
         # report the lognormal vol
-        report=lambda p: (p.sigma * math.sqrt(2.0), 0.0),
+        report=lambda p: (bs_equivalent_vol(p.sigma), 0.0),
     ),
     "carrwu": _ModelSpec(
         name="CarrWu",

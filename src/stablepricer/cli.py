@@ -32,7 +32,7 @@ from .core import (
     mu_fmls,
 )
 from .lab import SamplerConfig, density_grid, mc_price_fmls, sample_stable
-from .pricer import price_call, price_put, term_table, term_table_csv
+from .pricer import price, term_table, term_table_csv
 from .reference import black_scholes_call, black_scholes_put, bs_equivalent_vol
 from .reference import fmls_call
 
@@ -106,8 +106,7 @@ def _contract_from_args(args: argparse.Namespace, side: str) -> OptionContract:
 def cmd_price(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     contract = _contract_from_args(args, args.side)
-    pricer = price_put if args.side == "put" else price_call
-    result = pricer(params, contract, tolerance=args.tol, max_column=args.max_column)
+    result = price(params, contract, tolerance=args.tol, max_column=args.max_column)
     fmt = _fmt(args.precision)
     print(
         f"price={fmt(result.price)} columns_used={result.columns_used} "
@@ -158,7 +157,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     for x in grid:
         point = argparse.Namespace(**{**vars(args), args.sweep: x})
         try:
-            result = price_call(
+            result = price(
                 _params_from_args(point),
                 _contract_from_args(point, "call"),
                 tolerance=args.tol,
@@ -200,16 +199,16 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_mc(args: argparse.Namespace) -> int:
     contract = _contract_from_args(args, "call")
-    price, std_error = mc_price_fmls(
+    estimate, std_error = mc_price_fmls(
         args.alpha, args.sigma, contract, paths=args.paths, seed=args.seed
     )
     fmt = _fmt(args.precision)
-    print(f"price={fmt(price)} std_error={fmt(std_error)}")
+    print(f"price={fmt(estimate)} std_error={fmt(std_error)}")
     if args.check:
         series = fmls_call(
             args.alpha, args.sigma, contract, tolerance=args.tol
         ).price
-        gap = abs(price - series) / std_error
+        gap = abs(estimate - series) / std_error
         print(f"series={fmt(series)} abs_diff_over_se={fmt(gap)}")
     return 0
 

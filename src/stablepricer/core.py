@@ -34,6 +34,11 @@ def _check_sigma(sigma: float) -> None:
         raise DomainError(f"sigma must be positive and finite, got {sigma}")
 
 
+def _check_beta(beta: float) -> None:
+    if not (-1.0 <= beta <= 1.0):
+        raise DomainError(f"beta must lie in [-1, 1], got {beta}")
+
+
 def validate_feller_takayasu(alpha: float, theta: float) -> bool:
     """Return True iff |theta| <= min(alpha, 2 - alpha)."""
     _check_alpha(alpha)
@@ -53,8 +58,7 @@ def beta_to_theta(alpha: float, beta: float) -> float:
     -1 to alpha-2, +1 to 2-alpha, and always lands inside the diamond.
     """
     _check_alpha(alpha)
-    if not (-1.0 <= beta <= 1.0):
-        raise DomainError(f"beta must lie in [-1, 1], got {beta}")
+    _check_beta(beta)
     bound = min(alpha, 2.0 - alpha)
     if abs(beta) == 1.0:
         # the diamond's edges exactly, so that beta = -1 lands on the FMLS

@@ -27,6 +27,7 @@ from .core import (
     DomainError,
     OptionContract,
     _check_alpha,
+    _check_beta,
     _tan_half,
     mu_fmls,
     validate_feller_takayasu,
@@ -66,8 +67,7 @@ class SamplerConfig:
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
-        if not (-1.0 <= self.beta <= 1.0):
-            raise DomainError(f"beta must lie in [-1, 1], got {self.beta}")
+        _check_beta(self.beta)
         if self.count < 1:
             raise DomainError(f"count must be >= 1, got {self.count}")
 

@@ -22,13 +22,14 @@ With L = ln(S/K) + r*tau, po = -mu*tau and Kd = K*exp(-r*tau):
 Every price sums its columns under one strict stop rule (_sum_columns): stop
 after two consecutive columns whose worst-strike absolute value is at most
 the tolerance; without such a pair by column max_column, ConvergenceError.
-A chain (price_call_strikes) builds the columns of all its strikes at once,
-with one weight table, and applies the rule to each (rate, maturity) pair;
-a single contract is a one-strike chain.
+One driver (_summed) builds a chain's columns for all its strikes at once,
+with one weight table, and applies the rule to each (rate, maturity) pair:
+price_call_strikes's chain, or price's one strike (a put is C - (S - Kd)).
 The model picks the columns (_engine): the FMLS series on the FMLS line
 with the martingale drift, where the call is a risk-neutral expectation, and
-the lattice everywhere else, alpha = 2 included.  The term table is always
-the paper's lattice.
+the lattice everywhere else, alpha = 2 included.  Off the FMLS line with
+alpha < 2, E[S_T] is infinite and a call is the paper's lattice value, not
+an expectation.  The term table is always the paper's lattice.
 """
 
 from __future__ import annotations
@@ -341,31 +342,61 @@ def _engine(params: StableModelParams) -> Callable[..., np.ndarray]:
     return _columns
 
 
-def _price(
+def _summed(
     params: StableModelParams,
-    contract: OptionContract,
+    spot: float,
+    pairs: Sequence[tuple[float, float]],
+    counts: Sequence[int],
+    strikes: np.ndarray,
     tolerance: float,
     max_column: int,
-) -> PriceResult:
-    """One contract priced as a one-strike chain (one pair, one group); a put
-    is the call through parity, P = C - (S - K*exp(-r*tau))."""
+) -> list[np.ndarray]:
+    """Each pair's summed columns (strikes grouped as for _columns): the
+    columns the model picks, under the stop rule applied per pair."""
     _require_priceable(params)
     _check_stop(tolerance, max_column)
-    columns = _engine(params)(
-        params,
-        contract.spot,
-        [(contract.rate, contract.maturity)],
-        [1],
-        np.array([contract.strike]),
-        max_column,
-    )
-    used = _sum_columns(columns, tolerance, max_column, 0)[:, 0]
-    price = float(used.sum())
+    columns = _engine(params)(params, spot, pairs, counts, strikes, max_column)
+    if len(counts) == 1:  # every scalar price; the per-pair loop costs it ~3%
+        return [_sum_columns(columns, tolerance, max_column, 0)]
+    return [
+        _sum_columns(columns[:, first : first + n], tolerance, max_column, first)
+        for first, n in zip(accumulate(counts[:-1], initial=0), counts)
+    ]
+
+
+def price(
+    params: StableModelParams,
+    contract: OptionContract,
+    tolerance: float = 1e-4,
+    max_column: int = 64,
+) -> PriceResult:
+    """Price a European call or put, by contract.side, as a one-strike chain.
+
+    The call sums the columns the model picks.  On the FMLS line with the
+    martingale drift they are Carr & Wu's series n = 0, 1, ..., and the
+    price is the risk-neutral expectation; elsewhere they are the lattice
+    columns n = -1, 0, 1, ..., Black-Scholes at alpha = 2, theta = 0.  For
+    alpha < 2 off the FMLS line (theta != alpha - 2) E[S_T] is infinite, so
+    a call there is the paper's lattice value, not an expectation.  A put
+    is the call less the forward, P = C - (S - K*exp(-r*tau)), with
+    via_parity set; it is a lattice value wherever the call is.  Columns
+    are added until two consecutive column contributions are each at most
+    tolerance in absolute value (currency units).
+
+    Raises ConvergenceError, even when the final column alone is within
+    tolerance, if no two consecutive columns up to n = max_column are, or if
+    a summed column overflows.
+    """
+    used = _summed(
+        params, contract.spot, [(contract.rate, contract.maturity)], [1],
+        np.array([contract.strike]), tolerance, max_column,
+    )[0][:, 0]
+    value = float(used.sum())
     put = contract.side == "put"
     if put:
-        price -= contract.spot - contract.discounted_strike()
+        value -= contract.spot - contract.discounted_strike()
     return PriceResult(
-        price=price,
+        price=value,
         columns_used=len(used),
         truncation_estimate=float(abs(used[-1])),
         diamond_flag=params.in_diamond,
@@ -373,39 +404,8 @@ def _price(
     )
 
 
-def price_call(
-    params: StableModelParams,
-    contract: OptionContract,
-    tolerance: float = 1e-4,
-    max_column: int = 64,
-) -> PriceResult:
-    """Price a European call by summing the columns the model picks.
-
-    On the FMLS line with the martingale drift the columns are Carr & Wu's
-    series n = 0, 1, ..., and the price is the risk-neutral expectation;
-    elsewhere they are the lattice columns n = -1, 0, 1, ...  Columns are
-    added until two consecutive column contributions are each at most
-    tolerance in absolute value (currency units).
-
-    Raises ConvergenceError, even when the final column alone is within
-    tolerance, if no two consecutive columns up to n = max_column are, or if
-    a summed column overflows.
-    """
-    if contract.side != "call":
-        raise DomainError("price_call requires a call contract")
-    return _price(params, contract, tolerance, max_column)
-
-
-def price_put(
-    params: StableModelParams,
-    contract: OptionContract,
-    tolerance: float = 1e-4,
-    max_column: int = 64,
-) -> PriceResult:
-    """Price a European put as call minus forward, P = C - (S - K*exp(-r*tau))."""
-    if contract.side != "put":
-        raise DomainError("price_put requires a put contract")
-    return _price(params, contract, tolerance, max_column)
+# one function under the names callers use for either side
+price_call = price_put = price
 
 
 def term_table(
@@ -497,17 +497,15 @@ def price_call_strikes(
     """Vectorized call prices for one spot across strikes, in one kernel call.
 
     rate and maturity are scalars or arrays aligned with strikes, so one call
-    prices a whole chain.  price_call's columns, picked by the model the same
-    way, built for all strikes at once, and its stop rule, applied to each
-    distinct (rate, maturity) pair over that pair's worst strike: no price
-    is less refined than price_call's, and each pair stops on the column a
-    call with its strikes alone stops on.  On ConvergenceError,
+    prices a whole chain.  The columns and stop rule of price (_summed),
+    built for all strikes at once and applied to each distinct
+    (rate, maturity) pair over that pair's worst strike: no price is less
+    refined than price's for one of its strikes, and each pair stops on the
+    column a call with its strikes alone stops on.  On ConvergenceError,
     strike_index names the failing strike (its index in strikes); the pairs
     are checked in order of first appearance, except that an FMLS tail
     overflow is found before any stop rule runs.
     """
-    _require_priceable(params)
-    _check_stop(tolerance, max_column)
     strikes = np.asarray(strikes, dtype=float)
     if strikes.ndim != 1 or strikes.size == 0:
         raise DomainError("strikes must be a non-empty 1-d array")
@@ -533,13 +531,9 @@ def price_call_strikes(
     order = np.array([i for indices in groups.values() for i in indices])
     counts = [len(indices) for indices in groups.values()]
     try:
-        columns = _engine(params)(
-            params, spot, list(groups), counts, strikes[order], max_column
+        summed = _summed(
+            params, spot, list(groups), counts, strikes[order], tolerance, max_column
         )
-        summed = [
-            _sum_columns(columns[:, first : first + n], tolerance, max_column, first)
-            for first, n in zip(accumulate(counts[:-1], initial=0), counts)
-        ]
     except ConvergenceError as exc:
         exc.strike_index = int(order[exc.strike_index])
         raise

@@ -7,8 +7,8 @@ Black-Scholes formula at volatility sigma*sqrt(2).
 
 The finite-moment log-stable (FMLS) member (theta = alpha-2, mu = mu_fmls)
 is priced by the drift-shifted series of Carr & Wu (2003), the discounted
-payoff expectation that lab.mc_price_fmls simulates; pricer.py derives its
-coefficients from the residue weights and sums it.
+payoff expectation that lab.mc_price_fmls simulates; fmls_call is
+pricer.price on that member, which picks this series from the model.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .core import DomainError, OptionContract, StableModelParams, log_moneyness
-from .pricer import PriceResult, price_call, price_put
+from .pricer import PriceResult, price
 
 
 def _norm_cdf(x: float) -> float:
@@ -55,14 +55,13 @@ def fmls_call(
 ) -> PriceResult:
     """Price under maximal negative skewness (theta = alpha-2, mu = mu_fmls).
 
-    price_call or price_put, by the contract's side, on
-    StableModelParams.fmls(alpha, sigma): for alpha < 2 the risk-neutral
-    expectation from Carr & Wu's series, at alpha = 2 Black-Scholes.  Put
-    contracts are priced through parity, P = C - (S - K*exp(-r*tau)).
+    price on StableModelParams.fmls(alpha, sigma), for a call or a put by
+    the contract's side: for alpha < 2 the risk-neutral expectation from
+    Carr & Wu's series, at alpha = 2 Black-Scholes.  Put contracts are
+    priced through parity, P = C - (S - K*exp(-r*tau)).
 
     Raises ConvergenceError, even when the final column alone is within
     tolerance, if no two consecutive columns up to n = max_column are, or if
     the terms overflow.
     """
-    pricer = price_put if contract.side == "put" else price_call
-    return pricer(StableModelParams.fmls(alpha, sigma), contract, tolerance, max_column)
+    return price(StableModelParams.fmls(alpha, sigma), contract, tolerance, max_column)

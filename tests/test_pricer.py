@@ -2,12 +2,14 @@
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import stablepricer
 from stablepricer.core import (
     ConvergenceError,
     DomainError,
@@ -22,6 +24,7 @@ from stablepricer.pricer import (
     _columns,
     _engine,
     _fmls_columns,
+    price,
     price_call,
     price_call_strikes,
     price_put,
@@ -423,6 +426,50 @@ class TestPut:
         put = price_put(params, put_contract)
         forward = contract.spot - contract.discounted_strike()
         assert put.price == call.price - forward
+
+
+class TestOneEntryPoint:
+    def test_one_function_for_both_sides(self):
+        assert price_call is price_put is price
+        assert stablepricer.price is price
+        assert "price" in stablepricer.__all__
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        alpha=st.floats(1.15, 2.0, allow_nan=False),
+        beta=st.floats(-1.0, 1.0, allow_nan=False),
+        sigma=st.floats(0.05, 0.8, allow_nan=False),
+        moneyness=st.floats(0.8, 1.25, allow_nan=False),
+        rate=RATES,
+        maturity=st.sampled_from([0.25, 0.5, 1.0]),
+        side=st.sampled_from(["call", "put"]),
+        log_tolerance=st.floats(-8.0, -5.0, allow_nan=False),
+    )
+    @example(1.6, -1.0, 0.2, 1.0, 0.01, 0.5, "put", -8.0)  # FMLS series
+    @example(2.0, 0.0, 0.2, 0.9, 0.02, 1.0, "call", -6.0)  # Black-Scholes
+    def test_price_is_a_one_strike_chain(
+        self, alpha, beta, sigma, moneyness, rate, maturity, side, log_tolerance
+    ):
+        # across the diamond, both engines and both sides: the scalar price
+        # is the chain's price of its strike, less the forward for a put, bit
+        # for bit; where one raises, the other raises the same error
+        params = StableModelParams.from_beta(alpha, beta, sigma)
+        contract = OptionContract(100.0, 100.0 / moneyness, rate, maturity, side)
+        tolerance = 10.0**log_tolerance
+        try:
+            (call,) = price_call_strikes(
+                params, 100.0, rate, maturity, np.array([contract.strike]),
+                tolerance=tolerance,
+            )
+        except ConvergenceError as exc:
+            with pytest.raises(ConvergenceError, match=re.escape(str(exc))):
+                price(params, contract, tolerance=tolerance)
+            return
+        result = price(params, contract, tolerance=tolerance)
+        if side == "put":
+            call -= contract.spot - contract.discounted_strike()
+        assert result.price == call
+        assert result.via_parity == (side == "put")
 
 
 class TestBatch:

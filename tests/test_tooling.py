@@ -6,7 +6,8 @@ count of each price_call_strikes call from its fifth positional argument or
 its ``strikes`` keyword; a renamed function or a moved parameter would leave
 its per-layer metrics empty.  These tests only read perfbench.
 
-The CLI builds every model and contract in one place each.
+The CLI builds every model and contract in one place each, and no module
+picks a pricer by the option's side.
 """
 
 import ast
@@ -78,3 +79,29 @@ def test_cli_builds_models_and_contracts_in_one_place():
     assert _builds(functions["_params_from_args"]) == ["StableModelParams"]
     assert _builds(functions["_contract_from_args"]) == ["OptionContract"]
     assert len(_builds(tree)) == 2
+
+
+def _referenced(node: ast.AST) -> list[str]:
+    """The names node imports, reads or calls (not those it binds)."""
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+        return [node.id]
+    return []
+
+
+def test_no_module_picks_a_pricer_by_side():
+    # price handles both sides; price_call and price_put are its aliases for
+    # outside callers, so only __init__ re-exports them and pricer binds them
+    package = Path(stablepricer.cli.__file__).parent
+    used = [
+        (path.name, name)
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in _referenced(node)
+        if name in ("price_call", "price_put")
+    ]
+    assert used == []
