@@ -199,16 +199,16 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_mc(args: argparse.Namespace) -> int:
     contract = _contract_from_args(args, "call")
-    estimate, std_error = mc_price_fmls(
+    price, std_error = mc_price_fmls(
         args.alpha, args.sigma, contract, paths=args.paths, seed=args.seed
     )
     fmt = _fmt(args.precision)
-    print(f"price={fmt(estimate)} std_error={fmt(std_error)}")
+    print(f"price={fmt(price)} std_error={fmt(std_error)}")
     if args.check:
         series = fmls_call(
             args.alpha, args.sigma, contract, tolerance=args.tol
         ).price
-        gap = abs(estimate - series) / std_error
+        gap = abs(price - series) / std_error
         print(f"series={fmt(series)} abs_diff_over_se={fmt(gap)}")
     return 0
 

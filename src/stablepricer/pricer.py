@@ -356,8 +356,6 @@ def _summed(
     _require_priceable(params)
     _check_stop(tolerance, max_column)
     columns = _engine(params)(params, spot, pairs, counts, strikes, max_column)
-    if len(counts) == 1:  # every scalar price; the per-pair loop costs it ~3%
-        return [_sum_columns(columns, tolerance, max_column, 0)]
     return [
         _sum_columns(columns[:, first : first + n], tolerance, max_column, first)
         for first, n in zip(accumulate(counts[:-1], initial=0), counts)

@@ -508,6 +508,15 @@ class TestBatch:
             price_call_strikes(params, 100.0, [0.0, 0.01], 1.0, strikes)
         with pytest.raises(DomainError, match="maturity must be positive"):
             price_call_strikes(params, 100.0, 0.0, [1.0, 0.0, 1.0], strikes)
+        # with a bad chain and a bad model or stop rule, the chain is named:
+        # the one driver that price shares checks the model and stop rule
+        # only once the strikes have been grouped by (rate, maturity)
+        unpriceable = StableModelParams(alpha=1.5, theta=0.0, sigma=0.2, mu=0.01)
+        for model, tolerance in ((unpriceable, 1e-4), (params, 0.0)):
+            with pytest.raises(DomainError, match="strikes and maturity must be"):
+                price_call_strikes(
+                    model, 100.0, 0.0, 1.0, np.array([-5.0]), tolerance=tolerance
+                )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ its ``strikes`` keyword; a renamed function or a moved parameter would leave
 its per-layer metrics empty.  These tests only read perfbench.
 
 The CLI builds every model and contract in one place each, and no module
-picks a pricer by the option's side.
+calls price_call or price_put, the side-named aliases of price.
 """
 
 import ast
@@ -92,7 +92,7 @@ def _referenced(node: ast.AST) -> list[str]:
     return []
 
 
-def test_no_module_picks_a_pricer_by_side():
+def test_no_module_uses_the_side_aliases():
     # price handles both sides; price_call and price_put are its aliases for
     # outside callers, so only __init__ re-exports them and pricer binds them
     package = Path(stablepricer.cli.__file__).parent
