@@ -7,8 +7,9 @@ pricing error over a chain:
                  one free parameter, the lognormal volatility.
 * ``carrwu``  -- maximally left-skewed member (beta = -1, mu tied to
                  mu_fmls); free parameters (sigma, alpha).
-* ``stable``  -- full family with free skew (sigma, alpha, beta), mu tied
-                 to mu_fmls(alpha, sigma) unless ``free_mu`` is set.
+* ``stable``  -- full family with free skew; free parameters
+                 (alpha, beta, mu), sigma reported as the scale the
+                 martingale tie mu = mu_fmls(alpha, sigma) implies.
 
 Every family is priced by price_call_strikes, which picks the series from
 the model: the FMLS expectation on the carrwu line (beta = -1 with the
@@ -29,7 +30,7 @@ import io
 import csv
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -40,7 +41,6 @@ from .core import (
     DomainError,
     OptionContract,
     StableModelParams,
-    mu_fmls,
     theta_to_beta,
 )
 from .pricer import price_call_strikes
@@ -120,16 +120,11 @@ class OptionChain:
         """Per-quote strikes, rates, maturities, forwards and market prices,
         built once per chain.
 
-        A put's forward is spot - strike * exp(-rate * maturity), the amount
-        put-call parity takes off the call; a call's is 0.
+        A put's forward is OptionContract.forward, the amount put-call
+        parity takes off the call; a call's is 0.
         """
         q = self.quotes
-        forwards = [
-            self.spot - x.strike * math.exp(-x.rate * x.maturity)
-            if x.side == "put"
-            else 0.0
-            for x in q
-        ]
+        forwards = [x.contract().forward() if x.side == "put" else 0.0 for x in q]
         return tuple(
             np.array(column)
             for column in (
@@ -237,10 +232,9 @@ def synthetic_chain(
     )
     quotes: list[OptionQuote] = []
     for (maturity, strike), call in zip(grid, calls):
-        if strike < spot:
-            side, price = "put", call - (spot - strike * math.exp(-rate * maturity))
-        else:
-            side, price = "call", call
+        side = "put" if strike < spot else "call"
+        contract = OptionContract(spot, strike, rate, maturity, side)
+        price = call - contract.forward() if side == "put" else call
         quotes.append(
             OptionQuote(
                 spot=spot,
@@ -299,8 +293,8 @@ def _bs_member(vol: float) -> StableModelParams:
 def _implied_scale(alpha: float, mu: float) -> float:
     """Scale sigma with mu_fmls(alpha, sigma) == mu (inverse of the drift tie).
 
-    The pricing series depends on sigma only through mu, so when mu is fit
-    freely sigma is not identifiable; the reported scale is the one the
+    The pricing series depends on sigma only through mu, so the stable rung
+    fits mu and sigma is not identifiable; the reported scale is the one the
     martingale tie would imply.
     """
     c = math.cos(math.pi * (alpha - 2.0) / 2.0)
@@ -325,9 +319,9 @@ def _z_from_beta(beta: float) -> float:
 class _ModelSpec:
     """One model family of the ladder: all that _fit_rung needs to fit it.
 
-    Its points x are natural parameters, except that sigma and mu enter as
-    log(sigma) and log(-mu), so that the quasi-random starts spread
-    log-uniformly over them.
+    Its points x are natural parameters, except that a scale sigma or a
+    drift mu enters as log(sigma) or log(-mu), so that the quasi-random
+    starts spread log-uniformly over it.
 
     name              -- model label of the report.
     box_low, box_high -- corners of the box the quasi-random starts fill.
@@ -351,7 +345,7 @@ class _ModelSpec:
     report: Callable[[StableModelParams], tuple[float, float]]
 
 
-def _free_mu_params(z: np.ndarray) -> StableModelParams:
+def _stable_params(z: np.ndarray) -> StableModelParams:
     alpha = _alpha_from_z(z[0])
     mu = -math.exp(z[2])
     return StableModelParams.from_beta(
@@ -389,35 +383,15 @@ _SPECS: dict[str, _ModelSpec] = {
     ),
     "stable": _ModelSpec(
         name="AlphaBetaStable",
-        box_low=(math.log(0.05), 1.15, -0.95),
-        box_high=(math.log(0.8), 1.95, 0.95),
-        to_z=lambda x: np.array([x[0], _z_from_alpha(x[1]), _z_from_beta(x[2])]),
-        to_params=lambda z: StableModelParams.from_beta(
-            alpha=_alpha_from_z(z[1]), beta=math.tanh(z[2]), sigma=math.exp(z[0])
-        ),
-        warm=lambda leaner, chain: (math.log(leaner.sigma), leaner.alpha, -0.9),
+        box_low=(1.15, -0.95, math.log(0.005)),
+        box_high=(1.95, 0.95, math.log(0.5)),
+        to_z=lambda x: np.array([_z_from_alpha(x[0]), _z_from_beta(x[1]), x[2]]),
+        to_params=_stable_params,
+        warm=lambda leaner, chain: (leaner.alpha, -0.9, math.log(-leaner.mu)),
         embed=lambda leaner: StableModelParams.fmls(
             alpha=leaner.alpha, sigma=leaner.sigma
         ),
         report=lambda p: (p.sigma, theta_to_beta(p.alpha, p.theta)),
-    ),
-}
-
-# With free_mu the stable family optimizes (alpha, beta, mu): the series
-# sees sigma only through mu, so sigma is derived from the fit.
-_FREE_MU_SPECS = {
-    **_SPECS,
-    "stable": replace(
-        _SPECS["stable"],
-        box_low=(1.15, -0.95, math.log(0.005)),
-        box_high=(1.95, 0.95, math.log(0.5)),
-        to_z=lambda x: np.array([_z_from_alpha(x[0]), _z_from_beta(x[1]), x[2]]),
-        to_params=_free_mu_params,
-        warm=lambda leaner, chain: (
-            leaner.alpha,
-            -0.9,
-            math.log(-mu_fmls(leaner.alpha, leaner.sigma)),
-        ),
     ),
 }
 
@@ -434,14 +408,10 @@ class CalibrateConfig:
     starts      -- number of quasi-random Nelder-Mead starts (a warm start
                    derived from the next-leaner model is always added).
     seed        -- seed for the scrambled Halton start sequence.
-    free_mu     -- for the stable model, fit mu freely instead of tying it
-                   to mu_fmls(alpha, sigma); sigma is then reported as the
-                   scale the tie would imply at the fitted (alpha, mu).
     """
 
     starts: int = 5
     seed: int = 0
-    free_mu: bool = False
 
     def __post_init__(self) -> None:
         if self.starts < 1:
@@ -528,8 +498,9 @@ def _fit_rung(
     """Fit one model family, warm-started from the next-leaner family's fit.
 
     Multi-start Nelder-Mead in the spec's unconstrained coordinates
-    (log sigma or log(-mu), alpha = 1.5 + 0.5 sin z, atanh beta), from the
-    spec's warm start and the quasi-random points of its box.  The leaner optimum,
+    (log sigma for bs and carrwu, log(-mu) for stable; alpha = 1.5 +
+    0.5 sin z; atanh beta), from the spec's warm start and the quasi-random
+    points of its box.  The leaner optimum,
     embedded exactly by the spec, is a candidate too, which guarantees the
     aggregated errors nest across the ladder.  The lowest aggregated error
     wins; ties keep the earliest candidate.
@@ -602,10 +573,9 @@ def _ladder(
     """Fit the families of _SPECS in order, up to and including `last`."""
     if config is None:
         config = CalibrateConfig()
-    specs = _FREE_MU_SPECS if config.free_mu else _SPECS
     reports: dict[str, CalibrationReport] = {}
     leaner: CalibrationReport | None = None
-    for kind, spec in specs.items():
+    for kind, spec in _SPECS.items():
         leaner = reports[kind] = _fit_rung(chain, spec, config, leaner)
         if kind == last:
             break

@@ -33,8 +33,7 @@ from .core import (
 )
 from .lab import SamplerConfig, density_grid, mc_price_fmls, sample_stable
 from .pricer import price, term_table, term_table_csv
-from .reference import black_scholes_call, black_scholes_put, bs_equivalent_vol
-from .reference import fmls_call
+from .reference import black_scholes, bs_equivalent_vol, fmls_call
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -121,8 +120,7 @@ def cmd_price(args: argparse.Namespace) -> int:
     if args.check:
         if params.alpha == 2.0 and params.theta == 0.0:
             vol = bs_equivalent_vol(params.sigma)
-            closed_form = black_scholes_put if args.side == "put" else black_scholes_call
-            reference = closed_form(contract, vol)
+            reference = black_scholes(contract, vol)
             print(f"check: black_scholes={fmt(reference)} (vol={fmt(vol)})")
         else:
             print("check: no closed form for these parameters; skipped")
@@ -214,9 +212,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    config = CalibrateConfig(
-        starts=args.starts, seed=args.seed, free_mu=args.free_mu
-    )
+    config = CalibrateConfig(starts=args.starts, seed=args.seed)
     payloads = []
     for path in args.chain:
         chain = load_chain(path)
@@ -348,11 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--puts-only", action="store_true")
     p.add_argument("--starts", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--free-mu",
-        action="store_true",
-        help="fit mu freely for the stable model instead of tying it to mu_fmls",
-    )
     p.add_argument("--out", default=None)
     common(p)
     p.set_defaults(func=cmd_calibrate)

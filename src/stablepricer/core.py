@@ -170,6 +170,10 @@ class OptionContract:
     def discounted_strike(self) -> float:
         return self.strike * math.exp(-self.rate * self.maturity)
 
+    def forward(self) -> float:
+        """S - K*exp(-r*tau), what put-call parity takes off the call."""
+        return self.spot - self.discounted_strike()
+
 
 def log_moneyness(contract: OptionContract) -> float:
     """log(S/K) + r*tau; zero exactly at S = K*exp(-r*tau)."""

@@ -56,9 +56,9 @@ from .core import (
 # enough never to clip a genuinely non-integer argument.
 _INTEGER_SLACK = 1e-12
 
-# Relative slack under which mu counts as the martingale drift mu_fmls; a
-# scale recovered from mu (calibrate's free-mu fit) gives back mu_fmls only
-# to a few ulps.
+# Relative slack under which mu counts as the martingale drift mu_fmls;
+# calibrate's stable rung recovers every sigma from mu, and mu_fmls of that
+# scale gives back mu only to a few ulps.
 _MU_SLACK = 1e-14
 
 
@@ -392,7 +392,7 @@ def price(
     value = float(used.sum())
     put = contract.side == "put"
     if put:
-        value -= contract.spot - contract.discounted_strike()
+        value -= contract.forward()
     return PriceResult(
         price=value,
         columns_used=len(used),

@@ -29,21 +29,17 @@ def bs_equivalent_vol(sigma: float) -> float:
     return sigma * math.sqrt(2.0)
 
 
-def black_scholes_call(contract: OptionContract, vol: float) -> float:
-    """Standard lognormal call price S*N(d1) - K*exp(-r*tau)*N(d2)."""
+def black_scholes(contract: OptionContract, vol: float) -> float:
+    """Lognormal price by contract.side: the call S*N(d1) - K*exp(-r*tau)*N(d2),
+    and a put through parity, P = C - (S - K*exp(-r*tau))."""
     if vol <= 0.0:
         raise DomainError(f"volatility must be positive, got {vol}")
     lm = log_moneyness(contract)
     sq = vol * math.sqrt(contract.maturity)
     d1 = lm / sq + sq / 2.0
     d2 = d1 - sq
-    return contract.spot * _norm_cdf(d1) - contract.discounted_strike() * _norm_cdf(d2)
-
-
-def black_scholes_put(contract: OptionContract, vol: float) -> float:
-    """Lognormal put price via parity, P = C - (S - K*exp(-r*tau))."""
-    call = black_scholes_call(contract, vol)
-    return call - (contract.spot - contract.discounted_strike())
+    call = contract.spot * _norm_cdf(d1) - contract.discounted_strike() * _norm_cdf(d2)
+    return call - contract.forward() if contract.side == "put" else call
 
 
 def fmls_call(

@@ -28,7 +28,7 @@ from stablepricer import (
     OptionContract,
     StableModelParams,
     TermIndex,
-    black_scholes_call,
+    black_scholes,
     bs_equivalent_vol,
     calibrate_all,
     fmls_call,
@@ -114,7 +114,7 @@ def test_2_gaussian_limit_matches_lognormal(scoreboard):
                     alpha=2.0, theta=0.0, sigma=sigma, mu=-sigma * sigma
                 )
                 series = price_call(params, contract, tolerance=1e-9).price
-                closed = black_scholes_call(contract, bs_equivalent_vol(sigma))
+                closed = black_scholes(contract, bs_equivalent_vol(sigma))
                 worst = max(worst, abs(series - closed) / closed)
 
     run_grid()  # warm-up

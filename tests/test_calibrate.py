@@ -10,6 +10,7 @@ import io
 import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from stablepricer import (
     synthetic_chain,
 )
 from stablepricer.calibrate import (
-    _FREE_MU_SPECS,
     _SPECS,
     CalibrationReport,
     _alpha_from_z,
@@ -357,16 +357,40 @@ class TestRecovery:
         assert st.beta_identified
         assert st.sigma == pytest.approx(0.2, abs=0.02)
 
-    def test_free_mu_recovers_drift(self):
+    def test_stable_recovers_drift(self):
         # interior beta, so the unconstrained optimizer can terminate
         truth = StableModelParams.from_beta(1.6, -0.7, 0.2)
-        config = CalibrateConfig(starts=2, seed=1, free_mu=True)
-        report = calibrate(small_chain(truth), "stable", config)
+        report = calibrate(small_chain(truth), "stable", QUICK)
         assert report.converged
         assert report.mu == pytest.approx(truth.mu, rel=0.1)
         assert report.beta == pytest.approx(-0.7, abs=0.05)
         # sigma is reported as the scale implied by (alpha, mu)
         assert report.mu == pytest.approx(mu_fmls(report.alpha, report.sigma), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "kind, rebuild",
+        [
+            ("carrwu", lambda r: StableModelParams.fmls(r.alpha, r.sigma)),
+            ("stable", lambda r: StableModelParams.from_beta(r.alpha, r.beta, r.sigma)),
+        ],
+        ids=["carrwu", "stable"],
+    )
+    def test_report_prices_back(self, kind, rebuild):
+        # the reported parameters, through the public constructors, are the
+        # fitted model: they reproduce the reported aggregated error.  The
+        # prices carry +-2% noise, so that the error is far from 0.
+        exact = small_chain(StableModelParams.from_beta(1.6, -0.7, 0.2))
+        chain = OptionChain(
+            as_of="noisy",
+            quotes=tuple(
+                replace(q, market_price=q.market_price * (1.0 + 0.02 * (i % 3 - 1)))
+                for i, q in enumerate(exact.quotes)
+            ),
+        )
+        report = calibrate(chain, kind, QUICK)
+        assert aggregated_error(rebuild(report), chain) == pytest.approx(
+            report.aggregated_error, rel=1e-9
+        )
 
     def test_unknown_model_rejected(self):
         chain = small_chain(StableModelParams.fmls(1.6, 0.2))
@@ -387,7 +411,7 @@ class TestModelSpecs:
 
     @pytest.mark.parametrize(
         "specs, kind",
-        [(_SPECS, kind) for kind in _SPECS] + [(_FREE_MU_SPECS, "stable")],
+        [(_SPECS, kind) for kind in _SPECS],
     )
     @pytest.mark.parametrize("leaner_alpha", [1.7, 2.0])
     def test_warm_start_round_trip(self, specs, kind, leaner_alpha):

@@ -240,10 +240,10 @@ class TestMonteCarlo:
         assert abs(factor - 1.0) < 4.0 * se
 
     def test_gaussian_member_matches_black_scholes(self):
-        from stablepricer import black_scholes_call, bs_equivalent_vol
+        from stablepricer import black_scholes, bs_equivalent_vol
 
         mc, se = mc_price_fmls(2.0, 0.15, self.CONTRACT, paths=200_000, seed=3)
-        bs = black_scholes_call(self.CONTRACT, bs_equivalent_vol(0.15))
+        bs = black_scholes(self.CONTRACT, bs_equivalent_vol(0.15))
         assert abs(mc - bs) < 4.0 * se
 
     def test_put_side_rejected(self):

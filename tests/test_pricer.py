@@ -18,7 +18,7 @@ from stablepricer.core import (
     log_moneyness,
     mu_fmls,
 )
-from stablepricer.reference import black_scholes_call, bs_equivalent_vol
+from stablepricer.reference import black_scholes, bs_equivalent_vol
 from stablepricer.pricer import (
     TermIndex,
     _columns,
@@ -606,7 +606,7 @@ class TestBatch:
             contract = OptionContract(
                 spot=100.0, strike=strike, rate=0.02, maturity=0.75
             )
-            closed = black_scholes_call(contract, bs_equivalent_vol(sigma))
+            closed = black_scholes(contract, bs_equivalent_vol(sigma))
             assert value == pytest.approx(closed, abs=1e-6)
 
     def test_at_the_money_forward(self):
@@ -729,8 +729,8 @@ class TestEngine:
         [
             (StableModelParams.fmls(1.6, 0.2), _fmls_columns),
             (StableModelParams.from_beta(1.6, -1.0, 0.2), _fmls_columns),
-            # mu recovered from a scale to a few ulps, as calibrate's free-mu
-            # fit does, is still the martingale drift
+            # mu recovered from a scale to a few ulps, as calibrate's stable
+            # rung does, is still the martingale drift
             (
                 StableModelParams(1.6, 1.6 - 2.0, 0.2, mu_fmls(1.6, 0.2) * (1 + 4e-16)),
                 _fmls_columns,

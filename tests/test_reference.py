@@ -19,8 +19,7 @@ from stablepricer import (
     ConvergenceError,
     DomainError,
     OptionContract,
-    black_scholes_call,
-    black_scholes_put,
+    black_scholes,
     bs_equivalent_vol,
     fmls_call,
     price_call,
@@ -59,26 +58,26 @@ QUAD_CONTRACTS = [
 class TestBlackScholes:
     @pytest.mark.parametrize("contract,vol", QUAD_CONTRACTS)
     def test_call_matches_quadrature(self, contract, vol):
-        closed = black_scholes_call(contract, vol)
+        closed = black_scholes(contract, vol)
         quad = lognormal_call_quadrature(contract, vol)
         assert closed == pytest.approx(quad, rel=1e-8)
 
     def test_put_parity(self):
         contract = OptionContract(spot=100.0, strike=105.0, rate=0.03, maturity=0.5)
-        call = black_scholes_call(contract, 0.2)
-        put = black_scholes_put(contract, 0.2)
+        call = black_scholes(contract, 0.2)
+        put = black_scholes(replace(contract, side="put"), 0.2)
         forward = contract.spot - contract.discounted_strike()
         assert call - put == pytest.approx(forward, rel=1e-14)
 
     def test_vol_monotonicity(self):
         contract = OptionContract(spot=100.0, strike=100.0, rate=0.01, maturity=1.0)
-        prices = [black_scholes_call(contract, v) for v in (0.1, 0.2, 0.3, 0.5)]
+        prices = [black_scholes(contract, v) for v in (0.1, 0.2, 0.3, 0.5)]
         assert all(a < b for a, b in zip(prices, prices[1:]))
 
     def test_strike_convexity(self):
         for k in (80.0, 95.0, 100.0, 110.0):
             lo, mid, hi = (
-                black_scholes_call(
+                black_scholes(
                     OptionContract(spot=100.0, strike=kk, rate=0.02, maturity=1.0), 0.3
                 )
                 for kk in (k - 5.0, k, k + 5.0)
@@ -95,14 +94,14 @@ class TestBlackScholes:
     @settings(deadline=None, max_examples=100)
     def test_no_arbitrage_bounds(self, spot, strike, vol, rate, maturity):
         contract = OptionContract(spot=spot, strike=strike, rate=rate, maturity=maturity)
-        call = black_scholes_call(contract, vol)
+        call = black_scholes(contract, vol)
         intrinsic = max(spot - contract.discounted_strike(), 0.0)
         assert intrinsic - 1e-12 * spot <= call <= spot
 
     def test_volatility_validation(self):
         contract = OptionContract(spot=100.0, strike=100.0, rate=0.0, maturity=1.0)
         with pytest.raises(DomainError):
-            black_scholes_call(contract, 0.0)
+            black_scholes(contract, 0.0)
 
     def test_bs_equivalent_vol(self):
         assert bs_equivalent_vol(0.25) == 0.25 * math.sqrt(2.0)
@@ -114,7 +113,7 @@ class TestFmlsCall:
         contract = OptionContract(spot=100.0, strike=95.0, rate=0.02, maturity=0.8)
         sigma = 0.18
         result = fmls_call(2.0, sigma, contract, tolerance=1e-10)
-        closed = black_scholes_call(contract, bs_equivalent_vol(sigma))
+        closed = black_scholes(contract, bs_equivalent_vol(sigma))
         assert result.price == pytest.approx(closed, rel=1e-10)
 
     @pytest.mark.parametrize("alpha", [1.2, 1.45, 1.8])
