@@ -11,9 +11,9 @@ pricing error over a chain:
                  (alpha, beta, mu), sigma reported as the scale the
                  martingale tie mu = mu_fmls(alpha, sigma) implies.
 
-Every family is priced by price_call_strikes, which picks the series from
-the model: the FMLS expectation on the carrwu line (beta = -1 with the
-martingale drift), the lattice elsewhere.  A point prices the same in every
+Every family is priced by the kernel of price_call_strikes, which picks
+the series from the model: the FMLS expectation on the carrwu line
+(beta = -1 with the martingale drift), the lattice elsewhere.  A point prices the same in every
 family that contains it, so the leaner model's optimum is a feasible point
 of each richer family.  The richer fits always evaluate that embedded point
 as a candidate, which guarantees the aggregated errors nest:
@@ -22,6 +22,13 @@ AE(stable) <= AE(carrwu) <= AE(bs).
 Each family is one entry of the model-spec table ``_SPECS`` (start box,
 coordinate maps, warm start, embedded leaner optimum, report); the ladder
 fits its entries in order, so a new family is one more entry.
+
+Each rung runs Nelder-Mead with Gao & Han's (2012) adaptive coefficients
+from a warm start and the points of a scrambled Halton sequence (Owen
+2017).  Both are numpy ports of scipy's, to the bit (_nelder_mead,
+_halton), so calibration needs numpy only.  The starts step in lockstep:
+each round prices the points of every live start in one
+price_call_models call, and each start takes the path it takes alone.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -43,11 +50,14 @@ from .core import (
     StableModelParams,
     theta_to_beta,
 )
-from .pricer import price_call_strikes
+from .pricer import price_call_models, price_call_strikes
 from .reference import bs_equivalent_vol
 
 _SIDES = ("call", "put")
 _CSV_COLUMNS = ("as_of", "spot", "rate", "maturity", "strike", "side", "market_price")
+
+# Series tolerance of the objective.
+_TOLERANCE = 1e-5
 
 # Nelder-Mead iteration cap and termination tolerances, per start.
 _MAXITER = 400
@@ -254,7 +264,7 @@ def synthetic_chain(
 
 
 def aggregated_error(
-    params: StableModelParams, chain: OptionChain, tolerance: float = 1e-5
+    params: StableModelParams, chain: OptionChain, tolerance: float = _TOLERANCE
 ) -> float:
     """Sum of absolute pricing errors |model - market| over all quotes.
 
@@ -276,7 +286,25 @@ def aggregated_error(
             f"quote {i + 1} (strike={quote.strike}, maturity={quote.maturity}, "
             f"side={quote.side}) failed to price: {exc}"
         ) from exc
+    return _error_sum(calls, forwards, market)
+
+
+def _error_sum(calls: np.ndarray, forwards: np.ndarray, market: np.ndarray) -> float:
     return math.fsum(np.abs(calls - forwards - market).tolist())
+
+
+def _aggregated_errors(
+    models: Sequence[StableModelParams], chain: OptionChain
+) -> list[float]:
+    """aggregated_error of each model at its default tolerance, inf where
+    the model fails to price, from one price_call_models call."""
+    strikes, rates, maturities, forwards, market = chain._arrays
+    return [
+        math.inf if isinstance(calls, Exception) else _error_sum(calls, forwards, market)
+        for calls in price_call_models(
+            models, chain.spot, rates, maturities, strikes, tolerance=_TOLERANCE
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +425,120 @@ _SPECS: dict[str, _ModelSpec] = {
 
 
 # ---------------------------------------------------------------------------
+# optimizer
+# ---------------------------------------------------------------------------
+
+
+def _halton(d: int, n: int, seed: int) -> np.ndarray:
+    """The first n points of the d-dimensional scrambled Halton sequence in
+    [0, 1)**d, as scipy.stats.qmc.Halton(d, scramble=True, seed=seed).random(n)
+    draws them.
+
+    Dimension i is the van der Corput sequence in the i-th prime base, with
+    Owen's (2017) scrambling: each of the digits that a float64 resolves
+    goes through its own random permutation of 0..base-1.  The permutations
+    are shuffled by np.random.default_rng(seed), base by base.
+    """
+    rng = np.random.default_rng(seed)
+    bases: list[int] = []
+    candidate = 2
+    while len(bases) < d:
+        if all(candidate % b for b in bases):
+            bases.append(candidate)
+        candidate += 1
+    permutations = []
+    for base in bases:
+        table = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for row in table:
+            rng.shuffle(row)
+        permutations.append(table)
+    points = np.zeros((d, n))
+    for point, base, table in zip(points, bases, permutations):
+        quotient = np.arange(n)
+        weight = 1.0 / base
+        for row in table:
+            point += row[quotient % base] * weight
+            weight /= base
+            quotient //= base
+    return points.T
+
+
+def _nelder_mead(
+    x0: np.ndarray,
+) -> Generator[np.ndarray, list[float], tuple[np.ndarray, float, int, bool]]:
+    """Nelder-Mead from x0 with Gao & Han's (2012) adaptive coefficients:
+    scipy.optimize.minimize(method="Nelder-Mead") with options maxiter
+    _MAXITER, xatol _XATOL, fatol _FATOL and adaptive=True, line for line,
+    written as a generator so that several runs can share objective calls.
+
+    It yields the points it needs, one per row: the N+1 vertices of the
+    initial simplex, then one trial point per step, or the N points of a
+    shrink.  It is sent their objective values, in order, and returns
+    (x, fun, iterations, success); success is False when the run stops at
+    _MAXITER iterations.
+    """
+    dim = len(x0)
+    rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
+    nonzdelt, zdelt = 0.05, 0.00025
+    sim = np.empty((dim + 1, dim))
+    sim[0] = x0
+    for k in range(dim):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + nonzdelt) * y[k] if y[k] != 0 else zdelt
+        sim[k + 1] = y
+    fsim = np.full((dim + 1,), np.inf)
+    fsim[:] = yield sim
+    # scipy sorts the initial simplex twice
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < _MAXITER:
+        if (
+            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _XATOL
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / dim
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        (fxr,) = yield xr[None]
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            (fxe,) = yield xe[None]
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                (fxc,) = yield xc[None]
+                shrink = not fxc <= fxr
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+            else:
+                # inside contraction
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                (fxcc,) = yield xcc[None]
+                shrink = not fxcc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xcc, fxcc
+            if shrink:
+                for j in range(1, dim + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                fsim[1:] = yield sim[1:]
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], float(np.min(fsim)), iterations, iterations < _MAXITER
+
+
+# ---------------------------------------------------------------------------
 # calibration driver
 # ---------------------------------------------------------------------------
 
@@ -420,7 +562,12 @@ class CalibrateConfig:
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Fit result for one chain and one model family."""
+    """Fit result for one chain and one model family.
+
+    evaluations counts the objective evaluations of the family's fit, its
+    embedded leaner optimum included; inf_evaluations, those of them that
+    were inf (a point that is no model, or a model that fails to price).
+    """
 
     model: str
     sigma: float
@@ -431,6 +578,8 @@ class CalibrationReport:
     iterations: int
     converged: bool
     quotes: int
+    evaluations: int
+    inf_evaluations: int
 
     @property
     def beta_identified(self) -> bool:
@@ -460,6 +609,8 @@ def report_payload(
         "iterations": report.iterations,
         "converged": report.converged,
         "quotes": report.quotes,
+        "evaluations": report.evaluations,
+        "inf_evaluations": report.inf_evaluations,
     }
 
 
@@ -497,56 +648,70 @@ def _fit_rung(
 ) -> CalibrationReport:
     """Fit one model family, warm-started from the next-leaner family's fit.
 
-    Multi-start Nelder-Mead in the spec's unconstrained coordinates
-    (log sigma for bs and carrwu, log(-mu) for stable; alpha = 1.5 +
-    0.5 sin z; atanh beta), from the spec's warm start and the quasi-random
-    points of its box.  The leaner optimum,
-    embedded exactly by the spec, is a candidate too, which guarantees the
-    aggregated errors nest across the ladder.  The lowest aggregated error
-    wins; ties keep the earliest candidate.
+    Multi-start Nelder-Mead (_nelder_mead) in the spec's unconstrained
+    coordinates (log sigma for bs and carrwu, log(-mu) for stable;
+    alpha = 1.5 + 0.5 sin z; atanh beta), from the spec's warm start and the
+    scrambled Halton points of its box (_halton).  The starts step in
+    lockstep: each round prices the points every live start asks for in one
+    price_call_models call, and each start follows the path it would follow
+    alone.  A start whose first point is inf is dropped.  The leaner
+    optimum, embedded exactly by the spec, is a candidate too, which
+    guarantees the aggregated errors nest across the ladder.  The lowest
+    aggregated error wins; ties keep the earliest candidate, in start order.
     """
-    from scipy import optimize
-    from scipy.stats import qmc
+    evaluations = inf_evaluations = 0
 
-    def objective(z: np.ndarray) -> float:
-        try:
-            return objective_params(spec.to_params(z), chain)
-        except (DomainError, OverflowError):
-            return math.inf
+    def objective(points: list[np.ndarray]) -> list[float]:
+        nonlocal evaluations, inf_evaluations
+        values = [math.inf] * len(points)
+        models: dict[int, StableModelParams] = {}
+        for i, z in enumerate(points):
+            try:
+                models[i] = spec.to_params(z)
+            except (DomainError, OverflowError):
+                pass
+        for i, error in zip(models, _aggregated_errors(list(models.values()), chain)):
+            values[i] = error
+        evaluations += len(values)
+        inf_evaluations += values.count(math.inf)
+        return values
 
     candidates: list[_Candidate] = []
     if spec.embed is not None:
         embedded = spec.embed(leaner)
-        candidates.append(
-            _Candidate(objective_params(embedded, chain), embedded, leaner.converged)
-        )
+        error = objective_params(embedded, chain)
+        evaluations += 1
+        inf_evaluations += error == math.inf
+        candidates.append(_Candidate(error, embedded, leaner.converged))
 
     # warm start first, then quasi-random starts spread over the box
-    sampler = qmc.Halton(d=len(spec.box_low), scramble=True, seed=config.seed)
     low, high = np.array(spec.box_low), np.array(spec.box_high)
-    box = low + sampler.random(config.starts) * (high - low)
+    box = low + _halton(len(low), config.starts, config.seed) * (high - low)
+    runs = [_nelder_mead(spec.to_z(x)) for x in (spec.warm(leaner, chain), *box)]
+    # the points each live start asks for, by start; the first are its
+    # initial simplex, its own point first
+    asks = {i: next(run) for i, run in enumerate(runs)}
+    results: dict[int, tuple[np.ndarray, float, int, bool]] = {}
+    first = True
+    while asks:
+        values = iter(objective([z for points in asks.values() for z in points]))
+        answers = [(i, [next(values) for _ in points]) for i, points in asks.items()]
+        asks = {}
+        for i, answer in answers:
+            if first and not math.isfinite(answer[0]):
+                continue  # start sits in the non-priceable region; skip it
+            try:
+                asks[i] = runs[i].send(answer)
+            except StopIteration as done:
+                results[i] = done.value
+        first = False
+
     iterations = 0
-    for z0 in [spec.to_z(x) for x in (spec.warm(leaner, chain), *box)]:
-        if not math.isfinite(objective(z0)):
-            continue  # start sits in the non-priceable region; skip it
-        result = optimize.minimize(
-            objective,
-            z0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": _MAXITER,
-                "xatol": _XATOL,
-                "fatol": _FATOL,
-                "adaptive": True,
-            },
-        )
-        iterations += int(result.nit)
-        if math.isfinite(result.fun):
-            candidates.append(
-                _Candidate(
-                    float(result.fun), spec.to_params(result.x), bool(result.success)
-                )
-            )
+    for i in sorted(results):
+        x, fun, nit, success = results[i]
+        iterations += nit
+        if math.isfinite(fun):
+            candidates.append(_Candidate(fun, spec.to_params(x), success))
 
     if not candidates:
         raise ConvergenceError(
@@ -564,6 +729,8 @@ def _fit_rung(
         iterations=iterations,
         converged=best.converged,
         quotes=len(chain.quotes),
+        evaluations=evaluations,
+        inf_evaluations=inf_evaluations,
     )
 
 
@@ -588,7 +755,7 @@ def calibrate_all(
     """Fit all three nested families, sharing the warm-start ladder.
 
     Returns {"bs": ..., "carrwu": ..., "stable": ...}.  Each report's
-    iteration count covers its own family's optimization only.
+    iteration and evaluation counts cover its own family's fit only.
     """
     return _ladder(chain, config, None)
 

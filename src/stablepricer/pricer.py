@@ -19,13 +19,16 @@ With L = ln(S/K) + r*tau, po = -mu*tau and Kd = K*exp(-r*tau):
   drift-shifted series into the same weights (_fmls_columns):
   po**(-k/alpha) / Gamma(1 - k/alpha) = alpha * h_k * po**(-k/alpha).
 
-Every price sums its columns under one strict stop rule (_sum_columns): stop
-after two consecutive columns whose worst-strike absolute value is at most
-the tolerance; without such a pair by column max_column, ConvergenceError.
-One driver (_summed) builds a chain's columns for all its strikes at once,
-with one weight table, and applies the rule to each (rate, maturity) pair:
-price_call_strikes's chain, or price's one strike (a put is C - (S - Kd)).
-The model picks the columns (_engine): the FMLS series on the FMLS line
+Every price sums its columns under one strict stop rule: stop after two
+consecutive columns whose worst-strike absolute value is at most the
+tolerance; without such a pair by column max_column, ConvergenceError.
+One driver (_summed) builds a chain's columns for all its strikes, and for
+several models at once, with one weight table per model, and applies the
+rule to each model and (rate, maturity) pair: price_call_models's models,
+price_call_strikes's one model, or price's one strike (a put is
+C - (S - Kd)).  A model fails alone, and each model's prices are the bits
+of a call with that model alone.
+Each model picks its columns (_engine): the FMLS series on the FMLS line
 with the martingale drift, where the call is a risk-neutral expectation, and
 the lattice everywhere else, alpha = 2 included.  Off the FMLS line with
 alpha < 2, E[S_T] is infinite and a call is the paper's lattice value, not
@@ -132,23 +135,54 @@ def _check_stop(tolerance: float, max_column: int) -> None:
         raise DomainError(f"max_column must be >= 1, got {max_column}")
 
 
-def _weights(alpha: float, theta: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sign and log-magnitude of h_k for k = 1..count.
+def _by_model(rows: list[tuple]) -> tuple:
+    """Per-model fields, one tuple per model, as one value per field: a
+    single model's own values, so that its call keeps floats and 1-d
+    shapes, or else arrays with a leading model axis.  There a float field
+    is a (model, 1) column, which broadcasts along strikes, a per-strike
+    array a (model, strike) array, and a tuple of per-pair floats one such
+    column per pair.
+    """
+    if len(rows) == 1:
+        return rows[0]
+    fields = []
+    for field in zip(*rows):
+        table = np.array(field)
+        if isinstance(field[0], tuple):
+            fields.append(table.T[..., None])
+        elif table.ndim == 1:
+            fields.append(table[:, None])
+        else:
+            fields.append(table)
+    return tuple(fields)
+
+
+def _weights(
+    alpha: float | np.ndarray,
+    theta: float | np.ndarray,
+    log_norm: float | np.ndarray,
+    count: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sign and log-magnitude of h_k for k = 1..count, for alpha, theta and
+    log_norm = math.log(alpha * pi) of one model, or of several as columns
+    (see _by_model).
 
     The sine is taken as sin(pi*d) of the reduced argument d = x - round(x),
     x = (alpha-theta)*k/(2*alpha), and is exactly 0 where |d| is within
-    _INTEGER_SLACK of zero; there the sign is 0 and the log-magnitude -inf.
+    _INTEGER_SLACK of zero; there the sign is 0 and the log-magnitude -inf,
+    so callers ignore divide-by-zero.
     """
-    k = np.arange(1, count + 1)
+    k = np.arange(1.0, count + 1)
     x = (alpha - theta) * k / (2.0 * alpha)
     nearest = np.rint(x)
     d = x - nearest
     sine = np.sin(np.pi * d) * (1.0 - 2.0 * (nearest % 2))
     sine[np.abs(d) <= _INTEGER_SLACK * np.maximum(1.0, np.abs(x))] = 0.0
-    log_mag = np.fromiter(map(math.lgamma, (k / alpha).tolist()), float, count)
-    log_mag -= math.log(alpha * math.pi)
-    with np.errstate(divide="ignore"):
-        log_mag += np.log(np.abs(sine))
+    log_mag = np.fromiter(
+        map(math.lgamma, (k / alpha).ravel().tolist()), float, x.size
+    ).reshape(x.shape)
+    log_mag -= log_norm
+    log_mag += np.log(np.abs(sine))
     return np.sign(sine), log_mag
 
 
@@ -158,6 +192,18 @@ def _log_factorials(count: int) -> np.ndarray:
     table = np.array([math.lgamma(j + 1.0) for j in range(count)])
     table.setflags(write=False)
     return table
+
+
+def _powers(x: np.ndarray, first: int, last: int) -> np.ndarray:
+    """x**first..x**last (first 0 or 1) along a new last axis, by repeated
+    multiplication as np.vander(x, last + 1, increasing=True) builds them."""
+    powers = np.empty(x.shape + (last + 1 - first,))
+    rising = powers[..., 1 - first :]
+    rising[...] = x[..., None]
+    if first == 0:
+        powers[..., 0] = 1.0
+    np.multiply.accumulate(rising, axis=-1, out=rising)
+    return powers
 
 
 def _per_strike(
@@ -173,47 +219,99 @@ def _per_strike(
     return values[0] if len(counts) == 1 else np.repeat(values, counts, axis=0).T
 
 
+def _chain_scalars(
+    spot: float,
+    pairs: Sequence[tuple[float, float]],
+    counts: Sequence[int],
+    strikes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+    """Per strike, as _per_strike lays them out: the discounted strike Kd,
+    L = ln(S/K) + r*tau, and tau."""
+    disc, rt, tau = _per_strike(
+        [(math.exp(-r * t), r * t, t) for r, t in pairs], counts
+    )
+    return strikes * disc, np.log(spot / strikes) + rt, tau
+
+
+def _model_scalars(
+    models: Sequence[StableModelParams],
+    scalars: Callable[[StableModelParams], tuple],
+) -> tuple[tuple | None, dict[int, Exception]]:
+    """scalars(params) of the models, stacked by _by_model (None if there
+    are none), and the errors, by position in models, of the models whose
+    scalars raise ConvergenceError or OverflowError, which they leave out."""
+    rows, failures = [], {}
+    for i, params in enumerate(models):
+        try:
+            rows.append(scalars(params))
+        except (ConvergenceError, OverflowError) as exc:
+            # without its traceback, which would hold this frame and with it
+            # the error
+            failures[i] = exc.with_traceback(None)
+    return (_by_model(rows) if rows else None), failures
+
+
+# What the column builders return: the columns (rows n by one column per
+# strike, under a leading model axis for several models) of the models that
+# price, None if none does, and the errors, by position in the models given,
+# of the others.
+_Columns = tuple[np.ndarray | None, dict[int, Exception]]
+
+
+def _strike_major(shape: tuple[int, ...], rows: int, strikes: int) -> np.ndarray:
+    """An empty block columns[..., row, strike] with each strike's rows
+    contiguous: each strike's sum is numpy's pairwise sum over its own
+    column, whatever the other strikes and models of the call."""
+    return np.empty(shape + (strikes, rows)).swapaxes(-1, -2)
+
+
 def _columns(
-    params: StableModelParams,
+    models: Sequence[StableModelParams],
     spot: float,
     pairs: Sequence[tuple[float, float]],
     counts: Sequence[int],
     strikes: np.ndarray,
     max_column: int,
-) -> np.ndarray:
+) -> _Columns:
     """Lattice columns n = -1..max_column (rows), one per strike; the first
     counts[0] strikes have (rate, maturity) pairs[0], the next counts[1]
-    pairs[1], and so on.
+    pairs[1], and so on.  A model fails when its scale po**(-1/alpha)
+    overflows.
 
     Row 0 is the forward term rho*(S - Kd); row k, column n = k-1, is
     h_k/k! * (S*y+**k - Kd*y-**k) (see the module docstring).  Rows past the
-    stop may overflow; _sum_columns checks only the rows it sums.  Like
-    vander(...).T, the block is strike-major (Fortran order): each strike's
-    sum is numpy's pairwise sum over its own contiguous column, whatever
-    the other strikes of the chain.
+    stop may overflow; _summed checks only the rows it sums.
     """
-    alpha, theta, mu = params.alpha, params.theta, params.mu
-    disc, rt, po, scale = _per_strike(
-        [
-            (math.exp(-r * t), r * t, -mu * t, (-mu * t) ** (-1.0 / alpha))
-            for r, t in pairs
-        ],
-        counts,
+    kd, lm, tau = _chain_scalars(spot, pairs, counts, strikes)
+    scalars, failures = _model_scalars(
+        models,
+        lambda p: (
+            p.alpha,
+            p.theta,
+            -p.mu,
+            math.log(p.alpha * math.pi),
+            (p.alpha - p.theta) / (2.0 * p.alpha),
+            *_per_strike([((-p.mu * t) ** (-1.0 / p.alpha),) for _, t in pairs], counts),
+        ),
     )
-    kd = strikes * disc
-    lm = np.log(spot / strikes) + rt
-    sign, log_h = _weights(alpha, theta, max_column + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
+    if scalars is None:
+        return None, failures
+    alpha, theta, neg_mu, log_norm, rho, scale = scalars
+    po = neg_mu * tau
+    size = strikes.size
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sign, log_h = _weights(alpha, theta, log_norm, max_column + 1)
         g = sign * np.exp(log_h - _log_factorials(max_column + 2)[1:])
-        legs = np.vander(
-            np.concatenate([(lm + po) * scale, (lm - po) * scale]),
-            max_column + 2,
-            increasing=True,
-        ).T[1:]
-        up, down = legs[:, : strikes.size], legs[:, strikes.size :]
-        digitals = g[:, None] * (spot * up - kd * down)
-    forward = (alpha - theta) / (2.0 * alpha) * (spot - kd)
-    return np.concatenate([forward[None], digitals])
+        y = np.concatenate([(lm + po) * scale, (lm - po) * scale], axis=-1)
+        legs = _powers(y, 1, max_column + 1).swapaxes(-1, -2)
+        columns = _strike_major(y.shape[:-1], max_column + 2, size)
+        columns[..., 0, :] = rho * (spot - kd)
+        np.multiply(
+            g[..., None],
+            spot * legs[..., :size] - kd * legs[..., size:],
+            out=columns[..., 1:, :],
+        )
+    return columns, failures
 
 
 def _fmls_tail(alpha: float, po: float, strike_index: int) -> float:
@@ -223,61 +321,86 @@ def _fmls_tail(alpha: float, po: float, strike_index: int) -> float:
     when they no longer move it in float64.  On overflow, ConvergenceError
     names strike_index.
     """
+    exp, lgamma = math.exp, math.lgamma
     log_po = math.log(po)
     total = 0.0
     j = 1
     while True:
+        ratio = j / alpha
         try:
-            a = math.exp(j * log_po / alpha - math.lgamma(1.0 + j / alpha))
+            a = exp(j * log_po / alpha - lgamma(1.0 + ratio))
         except OverflowError:
             raise _strike_failure(
                 f"FMLS series overflowed (-mu*tau = {po:.3g} too large)", strike_index
             ) from None
         total += a
-        if j / alpha > po and a <= 1e-17 * total:
+        if ratio > po and a <= 1e-17 * total:
             return total
         j += 1
 
 
 def _fmls_columns(
-    params: StableModelParams,
+    models: Sequence[StableModelParams],
     spot: float,
     pairs: Sequence[tuple[float, float]],
     counts: Sequence[int],
     strikes: np.ndarray,
     max_column: int,
-) -> np.ndarray:
-    """FMLS columns n = 0..max_column (rows), one per strike, grouped as for
-    _columns; params on the FMLS line (theta = alpha-2, mu = mu_fmls).
+) -> _Columns:
+    """FMLS columns n = 0..max_column (rows), one per strike, grouped and
+    laid out as for _columns; models on the FMLS line (theta = alpha-2,
+    mu = mu_fmls).  A model fails when its tail overflows.
 
     Carr & Wu's drift-shifted series, C = (Kd/alpha) * sum_n c_n * x**n/n!
     with x = L + mu*tau.  c_0 is the tail sum_{j>=1} po**(j/alpha) /
     Gamma(1 + j/alpha), c_1 = c_0 + 1, and each later column adds one
     reflected coefficient, c_n = c_{n-1} + alpha * h_{n-1} * po**(-(n-1)/alpha).
     """
-    alpha, mu = params.alpha, params.mu
-    disc, rt, mt = _per_strike(
-        [(math.exp(-r * t), r * t, mu * t) for r, t in pairs], counts
-    )
-    sign, log_h = _weights(alpha, params.theta, max_column - 1)
-    exponents = np.arange(1, max_column) / alpha
-    cs = []
-    first = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for (_, t), count in zip(pairs, counts):
-            po = -mu * t
-            # every strike of a group shares its tail; an overflow names the first
-            tail = _fmls_tail(alpha, po, first)
-            reflected = alpha * sign * np.exp(log_h - exponents * math.log(po))
-            cs.append(np.cumsum(np.concatenate([(tail, 1.0), reflected])))
-            first += count
-        # strike-major like powers, so that their product is too
-        c = cs[0][:, None] if len(cs) == 1 else np.repeat(cs, counts, axis=0).T
-        x = np.log(spot / strikes) + rt + mt
-        powers = np.vander(x, max_column + 1, increasing=True).T * np.exp(
+    kd, lm, tau = _chain_scalars(spot, pairs, counts, strikes)
+    firsts = [0, *accumulate(counts[:-1])]
+
+    def pair_scalars(p: StableModelParams) -> tuple:
+        pos = [-p.mu * t for _, t in pairs]
+        return (
+            p.alpha,
+            p.theta,
+            p.mu,
+            math.log(p.alpha * math.pi),
+            # every strike of a pair shares its tail; an overflow names the first
+            tuple(_fmls_tail(p.alpha, po, first) for po, first in zip(pos, firsts)),
+            tuple(map(math.log, pos)),
+        )
+
+    scalars, failures = _model_scalars(models, pair_scalars)
+    if scalars is None:
+        return None, failures
+    alpha, theta, mu, log_norm, tails, log_pos = scalars
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sign, log_h = _weights(alpha, theta, log_norm, max_column - 1)
+        exponents = np.arange(1.0, max_column) / alpha
+        # one row of coefficients per pair: the tail, 1, then the reflected
+        # coefficients, summed
+        cs = []
+        for tail, log_po in zip(tails, log_pos):
+            c = np.empty(np.shape(exponents)[:-1] + (max_column + 1,))
+            c[..., :1] = tail
+            c[..., 1] = 1.0
+            np.multiply(
+                alpha * sign, np.exp(log_h - exponents * log_po), out=c[..., 2:]
+            )
+            cs.append(np.add.accumulate(c, axis=-1, out=c))
+        # then one per strike
+        if len(cs) == 1:
+            c = cs[0][..., None]
+        else:
+            c = np.repeat(np.stack(cs, axis=-2), counts, axis=-2).swapaxes(-1, -2)
+        x = lm + mu * tau
+        powers = _powers(x, 0, max_column).swapaxes(-1, -2) * np.exp(
             -_log_factorials(max_column + 2)[:-1, None]
         )
-        return c * powers * (strikes * disc / alpha)
+        columns = _strike_major(x.shape[:-1], max_column + 1, strikes.size)
+        np.multiply(c * powers, (kd / alpha)[..., None, :], out=columns)
+    return columns, failures
 
 
 def _strike_failure(message: str, strike_index: int) -> ConvergenceError:
@@ -288,44 +411,38 @@ def _strike_failure(message: str, strike_index: int) -> ConvergenceError:
     return exc
 
 
-def _sum_columns(
+def _rejected(
     columns: np.ndarray, tolerance: float, max_column: int, first: int
-) -> np.ndarray:
-    """The rows of columns the stop rule sums; the last row is column max_column.
+) -> ConvergenceError:
+    """The error of one pair's columns (rows) that the stop rule rejects,
+    with strike_index naming the failing strike (first + its column).
 
-    Summation stops after two consecutive columns whose worst-strike
-    absolute value is at most tolerance.  Only the summed columns are
-    checked for overflow.  Raises ConvergenceError, with strike_index naming
-    the failing strike (first + its column), on overflow or when no two
-    consecutive columns are within tolerance.
+    The stop rule rejects columns when a row before their first quiet pair
+    is not finite, or when they have no quiet pair; either way the sum
+    reaches their first non-finite row.  So they overflowed exactly when an
+    entry is not finite, and the first is named; otherwise no two
+    consecutive columns are within tolerance, and the later loud one of the
+    final pair is named.
     """
-    worst = np.abs(columns).max(axis=1)
-    quiet = worst <= tolerance
-    quiet_pairs = quiet[1:] & quiet[:-1]
-    stop = quiet_pairs.argmax()
-    stopped = quiet_pairs[stop]
-    end = stop + 2 if stopped else len(columns)
-    # max propagates nan, so a row's worst is finite exactly when the row is
-    if not np.isfinite(worst[:end]).all():
-        row, failed = np.argwhere(~np.isfinite(columns[:end]))[0]
-        raise _strike_failure(
+    bad = np.argwhere(~np.isfinite(columns))
+    if bad.size:
+        row, failed = bad[0]
+        return _strike_failure(
             f"series terms overflowed at column {row + max_column + 1 - len(columns)} "
             f"(parameters too far into the slow-convergence regime)",
             first + failed,
         )
-    if not stopped:
-        # the final pair is not quiet: name the later of its loud columns
-        row = -1 if not quiet[-1] else -2
-        raise _strike_failure(
-            f"series did not stabilize within {max_column} columns "
-            f"(column {max_column + 1 + row} {worst[row]:.3e} "
-            f"> tolerance {tolerance:.3e})",
-            first + np.argmax(np.abs(columns[row])),
-        )
-    return columns[:end]
+    worst = np.abs(columns).max(axis=1)
+    row = -1 if worst[-1] > tolerance else -2
+    return _strike_failure(
+        f"series did not stabilize within {max_column} columns "
+        f"(column {max_column + 1 + row} {worst[row]:.3e} "
+        f"> tolerance {tolerance:.3e})",
+        first + np.argmax(np.abs(columns[row])),
+    )
 
 
-def _engine(params: StableModelParams) -> Callable[..., np.ndarray]:
+def _engine(params: StableModelParams) -> Callable[..., _Columns]:
     """The columns that price params.
 
     On the FMLS line with the martingale drift (alpha < 2, theta = alpha-2
@@ -343,23 +460,73 @@ def _engine(params: StableModelParams) -> Callable[..., np.ndarray]:
 
 
 def _summed(
-    params: StableModelParams,
+    models: Sequence[StableModelParams],
     spot: float,
     pairs: Sequence[tuple[float, float]],
     counts: Sequence[int],
     strikes: np.ndarray,
     tolerance: float,
     max_column: int,
-) -> list[np.ndarray]:
-    """Each pair's summed columns (strikes grouped as for _columns): the
-    columns the model picks, under the stop rule applied per pair."""
-    _require_priceable(params)
+) -> list[list[np.ndarray] | Exception]:
+    """For each model, each pair's summed columns (strikes grouped as for
+    _columns), or the error that pricing the model alone raises.
+
+    Each model is priced by the columns it picks (_engine), built at once
+    for all the models that pick them, under one stop rule applied per
+    model and pair: stop after two consecutive columns whose worst-strike
+    absolute value is at most the tolerance.  Only the summed columns are
+    checked for overflow.  Without such a pair by column max_column, or on
+    overflow, the model's error is a ConvergenceError whose strike_index
+    names the failing strike; pairs are checked in order, after an FMLS
+    tail overflow.  Each model's columns and stops are those of a call with
+    that model alone, to the bit.
+    """
     _check_stop(tolerance, max_column)
-    columns = _engine(params)(params, spot, pairs, counts, strikes, max_column)
-    return [
-        _sum_columns(columns[:, first : first + n], tolerance, max_column, first)
-        for first, n in zip(accumulate(counts[:-1], initial=0), counts)
-    ]
+    firsts = [0, *accumulate(counts[:-1])]
+    outcomes: list[list[np.ndarray] | Exception] = [[] for _ in models]
+    engines: dict[Callable[..., _Columns], list[int]] = {}
+    for i, params in enumerate(models):
+        try:
+            _require_priceable(params)
+        except DomainError as exc:
+            outcomes[i] = exc.with_traceback(None)
+        else:
+            engines.setdefault(_engine(params), []).append(i)
+    for engine, members in engines.items():
+        columns, failures = engine(
+            models if len(members) == len(models) else [models[i] for i in members],
+            spot, pairs, counts, strikes, max_column,
+        )
+        for j, exc in failures.items():
+            outcomes[members[j]] = exc
+        if columns is None:
+            continue
+        if failures:
+            members = [i for j, i in enumerate(members) if j not in failures]
+        if columns.ndim == 2:
+            columns = columns[None]
+        # each row's worst strike, per model and pair (one pair: a plain max,
+        # which costs less than reduceat)
+        magnitude = np.abs(columns)
+        if len(counts) == 1:
+            worst = magnitude.max(axis=2, keepdims=True)
+        else:
+            worst = np.maximum.reduceat(magnitude, firsts, axis=2)
+        quiet = worst <= tolerance
+        quiet_pairs = quiet[:, 1:] & quiet[:, :-1]
+        # argmin finds the first row that opens a quiet pair or is not finite
+        # (max propagates nan, so a row's worst is finite exactly when the
+        # row is): the stop, if that row opens a quiet pair
+        stops = (np.isfinite(worst[:, :-1]) > quiet_pairs).argmin(axis=1)
+        for row, (i, model_stops) in enumerate(zip(members, stops.tolist())):
+            for pair, (first, n, stop) in enumerate(zip(firsts, counts, model_stops)):
+                if not quiet_pairs[row, stop, pair]:
+                    outcomes[i] = _rejected(
+                        columns[row, :, first : first + n], tolerance, max_column, first
+                    )
+                    break
+                outcomes[i].append(columns[row, : stop + 2, first : first + n])
+    return outcomes
 
 
 def price(
@@ -385,10 +552,13 @@ def price(
     tolerance, if no two consecutive columns up to n = max_column are, or if
     a summed column overflows.
     """
-    used = _summed(
-        params, contract.spot, [(contract.rate, contract.maturity)], [1],
+    (outcome,) = _summed(
+        [params], contract.spot, [(contract.rate, contract.maturity)], [1],
         np.array([contract.strike]), tolerance, max_column,
-    )[0][:, 0]
+    )
+    if isinstance(outcome, Exception):
+        raise outcome
+    used = outcome[0][:, 0]
     value = float(used.sum())
     put = contract.side == "put"
     if put:
@@ -421,9 +591,9 @@ def term_table(
     # after the forward term at k = 0
     k, m = (index[1:] for index in np.tril_indices(n_max + 2))
     p = k - m
-    sign, log_h = _weights(alpha, theta, n_max + 1)
     log_fact = _log_factorials(n_max + 2)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sign, log_h = _weights(alpha, theta, math.log(alpha * math.pi), n_max + 1)
         terms = (
             sign[k - 1]
             * np.where(m % 2, spot + kd, spot - kd)
@@ -502,7 +672,33 @@ def price_call_strikes(
     column a call with its strikes alone stops on.  On ConvergenceError,
     strike_index names the failing strike (its index in strikes); the pairs
     are checked in order of first appearance, except that an FMLS tail
-    overflow is found before any stop rule runs.
+    overflow is found before any stop rule runs.  This is price_call_models
+    for one model.
+    """
+    (prices,) = price_call_models(
+        [params], spot, rate, maturity, strikes, tolerance, max_column
+    )
+    if isinstance(prices, Exception):
+        raise prices
+    return prices
+
+
+def price_call_models(
+    models: Sequence[StableModelParams],
+    spot: float,
+    rate: float | np.ndarray,
+    maturity: float | np.ndarray,
+    strikes: np.ndarray,
+    tolerance: float = 1e-4,
+    max_column: int = 64,
+) -> list[np.ndarray | ConvergenceError | DomainError | OverflowError]:
+    """price_call_strikes of several models on one chain, in one kernel call.
+
+    One entry per model: its call prices, the same bits as
+    price_call_strikes of that model alone, or the error that call would
+    raise (ConvergenceError, with its strike_index, DomainError or
+    OverflowError), which fails that model only.  A bad chain or stop rule
+    raises for the whole call.
     """
     strikes = np.asarray(strikes, dtype=float)
     if strikes.ndim != 1 or strikes.size == 0:
@@ -528,13 +724,14 @@ def price_call_strikes(
     # that each pair's strikes are consecutive columns
     order = np.array([i for indices in groups.values() for i in indices])
     counts = [len(indices) for indices in groups.values()]
-    try:
-        summed = _summed(
-            params, spot, list(groups), counts, strikes[order], tolerance, max_column
-        )
-    except ConvergenceError as exc:
-        exc.strike_index = int(order[exc.strike_index])
-        raise
-    prices = np.empty(strikes.size)
-    prices[order] = np.concatenate([block.sum(axis=0) for block in summed])
-    return prices
+    outcomes = _summed(
+        models, spot, list(groups), counts, strikes[order], tolerance, max_column
+    )
+    prices = np.empty((len(models), strikes.size))
+    for i, outcome in enumerate(outcomes):
+        if isinstance(outcome, ConvergenceError):
+            outcome.strike_index = int(order[outcome.strike_index])
+        elif not isinstance(outcome, Exception):
+            prices[i, order] = np.concatenate([block.sum(axis=0) for block in outcome])
+            outcomes[i] = prices[i]
+    return outcomes

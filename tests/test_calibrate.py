@@ -34,12 +34,17 @@ from stablepricer import (
     report_payload,
     synthetic_chain,
 )
+from scipy import optimize
+from scipy.stats import qmc
 from stablepricer.calibrate import (
     _SPECS,
     CalibrationReport,
     _alpha_from_z,
     _bs_member,
+    _fit_rung,
+    _halton,
     _heuristic_vol,
+    _nelder_mead,
     _z_from_alpha,
     objective_params,
 )
@@ -286,6 +291,7 @@ class TestConfigAndReport:
         assert list(payload) == [
             "model", "sigma", "alpha", "beta", "beta_identified", "mu",
             "aggregated_error", "iterations", "converged", "quotes",
+            "evaluations", "inf_evaluations",
         ]
         assert payload["beta_identified"] is False  # the bs rung has alpha = 2
         parsed = json.loads(json.dumps(report_payload(report, precision=17)))
@@ -303,7 +309,7 @@ class TestConfigAndReport:
         report = CalibrationReport(
             model="AlphaBetaStable", sigma=0.2, alpha=alpha, beta=-0.904,
             mu=mu_fmls(alpha, 0.2), aggregated_error=1.0, iterations=1,
-            converged=True, quotes=16,
+            converged=True, quotes=16, evaluations=1, inf_evaluations=0,
         )
         assert report.beta_identified is identified
         assert report_payload(report)["beta_identified"] is identified
@@ -421,6 +427,7 @@ class TestModelSpecs:
         leaner = CalibrationReport(
             model="leaner", sigma=sigma, alpha=leaner_alpha, beta=-1.0, mu=mu,
             aggregated_error=1.0, iterations=1, converged=True, quotes=1,
+            evaluations=1, inf_evaluations=0,
         )
         expected = {
             "BS": _bs_member(_heuristic_vol(chain)),
@@ -437,3 +444,151 @@ class TestModelSpecs:
             ), field
         if expected.alpha == 2.0:
             assert params.alpha == 2.0
+
+
+# the package attribute stablepricer.calibrate is the function
+calibrate_module = importlib.import_module("stablepricer.calibrate")
+
+
+def _objective(spec, chain):
+    """The objective of one point alone, through the one-model pricer."""
+
+    def error(z: np.ndarray) -> float:
+        try:
+            return calibrate_module.objective_params(spec.to_params(z), chain)
+        except (DomainError, OverflowError):
+            return math.inf
+
+    return error
+
+
+def _drive(run, error):
+    """Step one _nelder_mead run alone, pricing its points one by one."""
+    points = next(run)
+    try:
+        while True:
+            points = run.send([error(z) for z in points])
+    except StopIteration as done:
+        return done.value
+
+
+def _fit_alone(chain, spec, config, leaner):
+    """_fit_rung's report with each start stepped alone, in start order."""
+    evaluations = inf_evaluations = 0
+    candidates = []
+    if spec.embed is not None:
+        embedded = spec.embed(leaner)
+        error = calibrate_module.objective_params(embedded, chain)
+        evaluations, inf_evaluations = 1, int(error == math.inf)
+        candidates.append((error, embedded, leaner.converged))
+    low, high = np.array(spec.box_low), np.array(spec.box_high)
+    box = low + _halton(len(low), config.starts, config.seed) * (high - low)
+    error = _objective(spec, chain)
+    iterations = 0
+    for x in (spec.warm(leaner, chain), *box):
+        run = _nelder_mead(spec.to_z(x))
+        points, first = next(run), True
+        try:
+            while True:
+                values = [error(z) for z in points]
+                evaluations += len(values)
+                inf_evaluations += values.count(math.inf)
+                if first and not math.isfinite(values[0]):
+                    break
+                first = False
+                points = run.send(values)
+        except StopIteration as done:
+            z, fun, nit, success = done.value
+            iterations += nit
+            if math.isfinite(fun):
+                candidates.append((fun, spec.to_params(z), success))
+    fun, params, success = min(candidates, key=lambda cand: cand[0])
+    sigma, beta = spec.report(params)
+    return CalibrationReport(
+        model=spec.name, sigma=sigma, alpha=params.alpha, beta=beta, mu=params.mu,
+        aggregated_error=fun, iterations=iterations, converged=success,
+        quotes=len(chain.quotes), evaluations=evaluations,
+        inf_evaluations=inf_evaluations,
+    )
+
+
+class TestOptimizer:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_halton_is_scipys(self, d):
+        for seed in range(20):
+            for n in range(1, 10):
+                expected = qmc.Halton(d, scramble=True, seed=seed).random(n)
+                assert np.array_equal(_halton(d, n, seed), expected), (seed, n)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["stable", "carrwu", "bs", "inf-region-2d", "inf-region-3d-maxiter", "plateaus"],
+    )
+    def test_nelder_mead_is_scipys(self, case):
+        # driven alone, the port takes scipy's path to the bit: same point,
+        # value, iteration count and success flag
+        if case in ("stable", "carrwu", "bs"):
+            chain = {
+                "stable": small_chain(StableModelParams.from_beta(1.7, -0.3, 0.15)),
+                "carrwu": small_chain(StableModelParams.fmls(1.6, 0.2)),
+                "bs": small_chain(StableModelParams.fmls(1.6, 0.2)),
+            }[case]
+            spec = _SPECS[case]
+            start = {"stable": (1.8, -0.5, math.log(0.03)),
+                     "carrwu": (math.log(0.15), 1.8), "bs": (math.log(0.3),)}[case]
+            error, x0 = _objective(spec, chain), spec.to_z(start)
+        else:
+            # Rosenbrock's valley, cut off where the first coordinate passes
+            # 0.9, so that the search meets an inf region; scaled by 1e8 in
+            # 3-d, so that fatol is not met within maxiter; rounded to
+            # plateaus, so that trial points tie
+            dim, scale, digits = {
+                "inf-region-2d": (2, 1.0, None),
+                "inf-region-3d-maxiter": (3, 1e8, None),
+                "plateaus": (2, 1.0, 0),
+            }[case]
+
+            def error(z):
+                if z[0] > 0.9:
+                    return math.inf
+                value = scale * float(
+                    sum(100.0 * (z[1:] - z[:-1] ** 2) ** 2 + (1.0 - z[:-1]) ** 2)
+                )
+                return value if digits is None else round(value, digits)
+
+            x0 = np.array([-1.2, 1.0, 0.5][:dim])
+        expected = optimize.minimize(
+            error, x0, method="Nelder-Mead",
+            options=dict(maxiter=400, xatol=1e-4, fatol=1e-6, adaptive=True),
+        )
+        x, fun, nit, success = _drive(_nelder_mead(x0), error)
+        assert success is (case != "inf-region-3d-maxiter")
+        assert np.array_equal(x, expected.x)
+        assert fun == expected.fun
+        assert nit == expected.nit
+        assert success == expected.success
+
+    @pytest.mark.parametrize("rounded", [False, True], ids=["exact", "ties"])
+    def test_lockstep_equals_each_start_alone(self, rounded, monkeypatch):
+        # every start takes the path it takes alone, and the candidates keep
+        # start order: with errors rounded so that starts tie, the earliest
+        # start still wins
+        if rounded:
+            batch, alone = calibrate_module._aggregated_errors, objective_params
+            monkeypatch.setattr(
+                calibrate_module, "_aggregated_errors",
+                lambda models, chain: [round(e, 2) for e in batch(models, chain)],
+            )
+            monkeypatch.setattr(
+                calibrate_module, "objective_params",
+                lambda params, chain: round(alone(params, chain), 2),
+            )
+        # on this chain and these starts, the rounded errors tie between
+        # starts that finish in another order than they start
+        chain = small_chain(StableModelParams.from_beta(1.5, -0.8, 0.2))
+        config = CalibrateConfig(starts=3, seed=1)
+        leaner = None
+        for spec in _SPECS.values():
+            report = _fit_rung(chain, spec, config, leaner)
+            assert report == _fit_alone(chain, spec, config, leaner), spec.name
+            leaner = report

@@ -60,8 +60,7 @@ SCIPY_MODULES = (
 
 class TestImports:
     def test_pricing_path_loads_no_scipy(self):
-        # scipy is imported by calibration on first use, never by importing
-        # the package or pricing an option
+        # neither importing the package nor pricing an option imports scipy
         script = (
             "import sys, stablepricer, stablepricer.cli\n"
             + SCIPY_MODULES
@@ -89,6 +88,27 @@ class TestImports:
         )
         done = run_fresh(script)
         assert done.returncode == 0, done.stderr
+
+    def test_calibrate_runs_without_scipy(self, chain_files):
+        # a finder that refuses every scipy import: the whole ladder, up to
+        # the stable rung, needs numpy only
+        script = (
+            "import sys\n"
+            "class NoScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ImportError(f'scipy refused: {name}')\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
+            "from stablepricer.cli import main\n"
+            f"code = main(['calibrate', '--chain', {chain_files[0]!r},"
+            " '--model', 'stable', '--starts', '2'])\n"
+            "assert code == 0, code\n"
+            + SCIPY_MODULES
+            + "assert not scipy_modules(), scipy_modules()\n"
+        )
+        done = run_fresh(script)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["model"] == "AlphaBetaStable"
 
 
 class TestPrice:

@@ -26,6 +26,7 @@ from stablepricer.pricer import (
     _fmls_columns,
     price,
     price_call,
+    price_call_models,
     price_call_strikes,
     price_put,
     residue_term,
@@ -278,8 +279,8 @@ class TestKernelMatchesTable:
         n_max = result.columns_used - 2
         table = term_table(params, contract, n_max)
         columns = _columns(
-            params, spot, [(rate, maturity)], [1], np.array([contract.strike]), n_max
-        )[:, 0]
+            [params], spot, [(rate, maturity)], [1], np.array([contract.strike]), n_max
+        )[0][:, 0]
         po = -params.mu * maturity
         lm = log_moneyness(contract)
         y_up, y_down = (lm + po) * po ** (-1 / alpha), (lm - po) * po ** (-1 / alpha)
@@ -721,6 +722,58 @@ class TestBatch:
                 tolerance=1e-9, max_column=4,
             )
         assert err.value.strike_index == 2
+
+
+# one model of each kind a chain call may mix: the FMLS line, the lattice,
+# alpha = 2, and models that fail to price (a lattice that does not
+# stabilize, an overflowing FMLS tail, a mu that cannot be priced)
+MODELS = st.one_of(
+    st.builds(StableModelParams.fmls, ALPHAS, SIGMAS),
+    st.builds(StableModelParams.from_beta, ALPHAS, BETAS, SIGMAS),
+    st.builds(StableModelParams.from_beta, st.just(2.0), BETAS, SIGMAS),
+    st.builds(StableModelParams.from_beta, ALPHAS, BETAS, st.floats(1.0, 3.0)),
+    st.builds(StableModelParams.fmls, ALPHAS, st.floats(30.0, 100.0)),
+    st.builds(
+        StableModelParams, ALPHAS, st.just(0.0), SIGMAS, st.floats(0.001, 0.1)
+    ),
+)
+
+
+class TestModelAxis:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        models=st.lists(MODELS, min_size=1, max_size=7),
+        quotes=st.lists(
+            st.tuples(
+                st.floats(60.0, 160.0),
+                st.sampled_from([0.0, 0.02]),
+                st.sampled_from([0.25, 0.5, 1.0]),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        tolerance=st.sampled_from([1e-5, 1e-8]),
+    )
+    def test_rows_are_one_model_calls(self, models, quotes, tolerance):
+        # on a chain whose (rate, maturity) pairs interleave, each model's
+        # row is its own price_call_strikes call, to the bit, and a model
+        # that fails carries the error that call raises
+        strikes, rates, maturities = (np.array(column) for column in zip(*quotes))
+        args = (100.0, rates, maturities, strikes, tolerance)
+        rows = price_call_models(models, *args)
+        assert len(rows) == len(models)
+        for params, row in zip(models, rows):
+            try:
+                alone = price_call_strikes(params, *args)
+            except (ConvergenceError, DomainError, OverflowError) as exc:
+                assert type(row) is type(exc)
+                assert str(row) == str(exc)
+                assert getattr(row, "strike_index", None) == getattr(
+                    exc, "strike_index", None
+                )
+            else:
+                assert isinstance(row, np.ndarray)
+                assert np.array_equal(row, alone)
 
 
 class TestEngine:
