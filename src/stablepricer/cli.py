@@ -1,7 +1,8 @@
 """Command-line front end: pricing, term tables, curves, density/sampler
 output, Monte-Carlo checks, and chain calibration.
 
-Exit codes: 0 success, 2 usage or domain error, 3 numerical non-convergence.
+Exit codes: 0 success, 2 usage, domain or file error, 3 numerical
+non-convergence.
 All numeric output uses 6 significant digits by default (--precision to
 override); every command is deterministic given its flags (and --seed).
 """
@@ -175,6 +176,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 def cmd_density(args: argparse.Namespace) -> int:
     theta = _resolve_theta(args)
+    if args.points < 1:
+        raise DomainError(f"--points must be >= 1, got {args.points}")
     xmin = -args.xmax if args.xmin is None else args.xmin
     if not math.isfinite(xmin + args.xmax):
         raise DomainError("--xmin and --xmax must be finite")
@@ -352,10 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.precision < 0:
+        parser.error(f"argument --precision: must be >= 0, got {args.precision}")
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

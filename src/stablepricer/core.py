@@ -21,7 +21,8 @@ class DomainError(ValueError):
 class ConvergenceError(RuntimeError):
     """A series or quadrature failed to reach the requested tolerance."""
 
-    strike_index: int | None = None  # the failing strike, from price_call_strikes
+    # the failing strike, from price, price_call_strikes or price_call_models
+    strike_index: int | None = None
 
 
 def _check_alpha(alpha: float) -> None:

@@ -28,9 +28,10 @@ rule to each model and (rate, maturity) pair: price_call_models's models,
 price_call_strikes's one model, or price's one strike (a put is
 C - (S - Kd)).  A model fails alone, and each model's prices are the bits
 of a call with that model alone.
-Each model picks its columns (_engine): the FMLS series on the FMLS line
-with the martingale drift, where the call is a risk-neutral expectation, and
-the lattice everywhere else, alpha = 2 included.  Off the FMLS line with
+Each model picks its engine (_engine), one (scalars, columns) entry: the
+FMLS series (_FMLS) on the FMLS line with the martingale drift, where the
+call is a risk-neutral expectation, and the lattice (_LATTICE) everywhere
+else, alpha = 2 included.  Off the FMLS line with
 alpha < 2, E[S_T] is infinite and a call is the paper's lattice value, not
 an expectation.  The term table is always the paper's lattice.
 """
@@ -233,31 +234,6 @@ def _chain_scalars(
     return strikes * disc, np.log(spot / strikes) + rt, tau
 
 
-def _model_scalars(
-    models: Sequence[StableModelParams],
-    scalars: Callable[[StableModelParams], tuple],
-) -> tuple[tuple | None, dict[int, Exception]]:
-    """scalars(params) of the models, stacked by _by_model (None if there
-    are none), and the errors, by position in models, of the models whose
-    scalars raise ConvergenceError or OverflowError, which they leave out."""
-    rows, failures = [], {}
-    for i, params in enumerate(models):
-        try:
-            rows.append(scalars(params))
-        except (ConvergenceError, OverflowError) as exc:
-            # without its traceback, which would hold this frame and with it
-            # the error
-            failures[i] = exc.with_traceback(None)
-    return (_by_model(rows) if rows else None), failures
-
-
-# What the column builders return: the columns (rows n by one column per
-# strike, under a leading model axis for several models) of the models that
-# price, None if none does, and the errors, by position in the models given,
-# of the others.
-_Columns = tuple[np.ndarray | None, dict[int, Exception]]
-
-
 def _strike_major(shape: tuple[int, ...], rows: int, strikes: int) -> np.ndarray:
     """An empty block columns[..., row, strike] with each strike's rows
     contiguous: each strike's sum is numpy's pairwise sum over its own
@@ -265,53 +241,51 @@ def _strike_major(shape: tuple[int, ...], rows: int, strikes: int) -> np.ndarray
     return np.empty(shape + (strikes, rows)).swapaxes(-1, -2)
 
 
-def _columns(
-    models: Sequence[StableModelParams],
-    spot: float,
+def _lattice_scalars(
+    p: StableModelParams,
     pairs: Sequence[tuple[float, float]],
     counts: Sequence[int],
-    strikes: np.ndarray,
+    firsts: Sequence[int],
+) -> tuple:
+    """alpha, theta, -mu, log(alpha*pi), rho, po**(-1/alpha) per strike."""
+    return (
+        p.alpha, p.theta, -p.mu, math.log(p.alpha * math.pi),
+        (p.alpha - p.theta) / (2.0 * p.alpha),
+        *_per_strike([((-p.mu * t) ** (-1.0 / p.alpha),) for _, t in pairs], counts),
+    )
+
+
+def _columns(
+    scalars: tuple,
+    spot: float,
+    kd: np.ndarray,
+    lm: np.ndarray,
+    tau: float | np.ndarray,
+    counts: Sequence[int],
     max_column: int,
-) -> _Columns:
-    """Lattice columns n = -1..max_column (rows), one per strike; the first
-    counts[0] strikes have (rate, maturity) pairs[0], the next counts[1]
-    pairs[1], and so on.  A model fails when its scale po**(-1/alpha)
-    overflows.
+) -> np.ndarray:
+    """Lattice columns n = -1..max_column (rows), one per strike, of the
+    models whose _lattice_scalars are stacked in scalars.
 
     Row 0 is the forward term rho*(S - Kd); row k, column n = k-1, is
     h_k/k! * (S*y+**k - Kd*y-**k) (see the module docstring).  Rows past the
     stop may overflow; _summed checks only the rows it sums.
     """
-    kd, lm, tau = _chain_scalars(spot, pairs, counts, strikes)
-    scalars, failures = _model_scalars(
-        models,
-        lambda p: (
-            p.alpha,
-            p.theta,
-            -p.mu,
-            math.log(p.alpha * math.pi),
-            (p.alpha - p.theta) / (2.0 * p.alpha),
-            *_per_strike([((-p.mu * t) ** (-1.0 / p.alpha),) for _, t in pairs], counts),
-        ),
-    )
-    if scalars is None:
-        return None, failures
     alpha, theta, neg_mu, log_norm, rho, scale = scalars
     po = neg_mu * tau
-    size = strikes.size
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        sign, log_h = _weights(alpha, theta, log_norm, max_column + 1)
-        g = sign * np.exp(log_h - _log_factorials(max_column + 2)[1:])
-        y = np.concatenate([(lm + po) * scale, (lm - po) * scale], axis=-1)
-        legs = _powers(y, 1, max_column + 1).swapaxes(-1, -2)
-        columns = _strike_major(y.shape[:-1], max_column + 2, size)
-        columns[..., 0, :] = rho * (spot - kd)
-        np.multiply(
-            g[..., None],
-            spot * legs[..., :size] - kd * legs[..., size:],
-            out=columns[..., 1:, :],
-        )
-    return columns, failures
+    size = kd.size
+    sign, log_h = _weights(alpha, theta, log_norm, max_column + 1)
+    g = sign * np.exp(log_h - _log_factorials(max_column + 2)[1:])
+    y = np.concatenate([(lm + po) * scale, (lm - po) * scale], axis=-1)
+    legs = _powers(y, 1, max_column + 1).swapaxes(-1, -2)
+    columns = _strike_major(y.shape[:-1], max_column + 2, size)
+    columns[..., 0, :] = rho * (spot - kd)
+    np.multiply(
+        g[..., None],
+        spot * legs[..., :size] - kd * legs[..., size:],
+        out=columns[..., 1:, :],
+    )
+    return columns
 
 
 def _fmls_tail(alpha: float, po: float, strike_index: int) -> float:
@@ -339,68 +313,74 @@ def _fmls_tail(alpha: float, po: float, strike_index: int) -> float:
         j += 1
 
 
-def _fmls_columns(
-    models: Sequence[StableModelParams],
-    spot: float,
+def _fmls_scalars(
+    p: StableModelParams,
     pairs: Sequence[tuple[float, float]],
     counts: Sequence[int],
-    strikes: np.ndarray,
+    firsts: Sequence[int],
+) -> tuple:
+    """alpha, theta, mu, log(alpha*pi), per pair the tail, per pair log po."""
+    pos = [-p.mu * t for _, t in pairs]
+    return (
+        p.alpha, p.theta, p.mu, math.log(p.alpha * math.pi),
+        # every strike of a pair shares its tail; an overflow names the first
+        tuple(_fmls_tail(p.alpha, po, first) for po, first in zip(pos, firsts)),
+        tuple(map(math.log, pos)),
+    )
+
+
+def _fmls_columns(
+    scalars: tuple,
+    spot: float,
+    kd: np.ndarray,
+    lm: np.ndarray,
+    tau: float | np.ndarray,
+    counts: Sequence[int],
     max_column: int,
-) -> _Columns:
-    """FMLS columns n = 0..max_column (rows), one per strike, grouped and
-    laid out as for _columns; models on the FMLS line (theta = alpha-2,
-    mu = mu_fmls).  A model fails when its tail overflows.
+) -> np.ndarray:
+    """FMLS columns n = 0..max_column (rows), one per strike, of the models
+    whose _fmls_scalars are stacked in scalars: models on the FMLS line
+    (theta = alpha-2, mu = mu_fmls).
 
     Carr & Wu's drift-shifted series, C = (Kd/alpha) * sum_n c_n * x**n/n!
     with x = L + mu*tau.  c_0 is the tail sum_{j>=1} po**(j/alpha) /
     Gamma(1 + j/alpha), c_1 = c_0 + 1, and each later column adds one
     reflected coefficient, c_n = c_{n-1} + alpha * h_{n-1} * po**(-(n-1)/alpha).
     """
-    kd, lm, tau = _chain_scalars(spot, pairs, counts, strikes)
-    firsts = [0, *accumulate(counts[:-1])]
-
-    def pair_scalars(p: StableModelParams) -> tuple:
-        pos = [-p.mu * t for _, t in pairs]
-        return (
-            p.alpha,
-            p.theta,
-            p.mu,
-            math.log(p.alpha * math.pi),
-            # every strike of a pair shares its tail; an overflow names the first
-            tuple(_fmls_tail(p.alpha, po, first) for po, first in zip(pos, firsts)),
-            tuple(map(math.log, pos)),
-        )
-
-    scalars, failures = _model_scalars(models, pair_scalars)
-    if scalars is None:
-        return None, failures
     alpha, theta, mu, log_norm, tails, log_pos = scalars
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        sign, log_h = _weights(alpha, theta, log_norm, max_column - 1)
-        exponents = np.arange(1.0, max_column) / alpha
-        # one row of coefficients per pair: the tail, 1, then the reflected
-        # coefficients, summed
-        cs = []
-        for tail, log_po in zip(tails, log_pos):
-            c = np.empty(np.shape(exponents)[:-1] + (max_column + 1,))
-            c[..., :1] = tail
-            c[..., 1] = 1.0
-            np.multiply(
-                alpha * sign, np.exp(log_h - exponents * log_po), out=c[..., 2:]
-            )
-            cs.append(np.add.accumulate(c, axis=-1, out=c))
-        # then one per strike
-        if len(cs) == 1:
-            c = cs[0][..., None]
-        else:
-            c = np.repeat(np.stack(cs, axis=-2), counts, axis=-2).swapaxes(-1, -2)
-        x = lm + mu * tau
-        powers = _powers(x, 0, max_column).swapaxes(-1, -2) * np.exp(
-            -_log_factorials(max_column + 2)[:-1, None]
+    sign, log_h = _weights(alpha, theta, log_norm, max_column - 1)
+    exponents = np.arange(1.0, max_column) / alpha
+    # one row of coefficients per pair: the tail, 1, then the reflected
+    # coefficients, summed
+    cs = []
+    for tail, log_po in zip(tails, log_pos):
+        c = np.empty(np.shape(exponents)[:-1] + (max_column + 1,))
+        c[..., :1] = tail
+        c[..., 1] = 1.0
+        np.multiply(
+            alpha * sign, np.exp(log_h - exponents * log_po), out=c[..., 2:]
         )
-        columns = _strike_major(x.shape[:-1], max_column + 1, strikes.size)
-        np.multiply(c * powers, (kd / alpha)[..., None, :], out=columns)
-    return columns, failures
+        cs.append(np.add.accumulate(c, axis=-1, out=c))
+    # then one per strike
+    if len(cs) == 1:
+        c = cs[0][..., None]
+    else:
+        c = np.repeat(np.stack(cs, axis=-2), counts, axis=-2).swapaxes(-1, -2)
+    x = lm + mu * tau
+    powers = _powers(x, 0, max_column).swapaxes(-1, -2) * np.exp(
+        -_log_factorials(max_column + 2)[:-1, None]
+    )
+    columns = _strike_major(x.shape[:-1], max_column + 1, kd.size)
+    np.multiply(c * powers, (kd / alpha)[..., None, :], out=columns)
+    return columns
+
+
+# A series engine: scalars(params, pairs, counts, firsts), one model's
+# Python-float scalars, which may raise the model's own error, and
+# columns(scalars, spot, kd, lm, tau, counts, max_column), the column block
+# of the models whose scalars _by_model stacks.
+_LATTICE = (_lattice_scalars, _columns)
+_FMLS = (_fmls_scalars, _fmls_columns)
 
 
 def _strike_failure(message: str, strike_index: int) -> ConvergenceError:
@@ -442,21 +422,21 @@ def _rejected(
     )
 
 
-def _engine(params: StableModelParams) -> Callable[..., _Columns]:
-    """The columns that price params.
+def _engine(params: StableModelParams) -> tuple[Callable, Callable]:
+    """The engine, a (scalars, columns) entry, that prices params.
 
     On the FMLS line with the martingale drift (alpha < 2, theta = alpha-2
     exactly and mu = mu_fmls(alpha, sigma) within _MU_SLACK relative) the
     call is a risk-neutral expectation and Carr & Wu's series sums it
-    (_fmls_columns); everywhere else, alpha = 2 included, the lattice does
-    (_columns).
+    (_FMLS); everywhere else, alpha = 2 included, the lattice does
+    (_LATTICE).
     """
     alpha = params.alpha
     if alpha < 2.0 and params.theta == alpha - 2.0:
         drift = mu_fmls(alpha, params.sigma)
         if abs(params.mu - drift) <= _MU_SLACK * abs(drift):
-            return _fmls_columns
-    return _columns
+            return _FMLS
+    return _LATTICE
 
 
 def _summed(
@@ -468,41 +448,42 @@ def _summed(
     tolerance: float,
     max_column: int,
 ) -> list[list[np.ndarray] | Exception]:
-    """For each model, each pair's summed columns (strikes grouped as for
-    _columns), or the error that pricing the model alone raises.
+    """For each model, each pair's summed columns, or the error that pricing
+    the model alone raises; the first counts[0] strikes have pairs[0]'s
+    (rate, maturity), the next counts[1] pairs[1]'s, and so on.
 
-    Each model is priced by the columns it picks (_engine), built at once
-    for all the models that pick them, under one stop rule applied per
+    Each model's engine (_engine) gives its scalars, or its error: an
+    unpriceable mu (DomainError), an FMLS tail (ConvergenceError) or a
+    lattice scale (OverflowError) that overflows.  Each engine builds its
+    columns at once for all its models, under one stop rule applied per
     model and pair: stop after two consecutive columns whose worst-strike
     absolute value is at most the tolerance.  Only the summed columns are
     checked for overflow.  Without such a pair by column max_column, or on
     overflow, the model's error is a ConvergenceError whose strike_index
-    names the failing strike; pairs are checked in order, after an FMLS
-    tail overflow.  Each model's columns and stops are those of a call with
-    that model alone, to the bit.
+    names the failing strike; pairs are checked in order.  Each model's
+    columns and stops are those of a call with that model alone, to the bit.
     """
     _check_stop(tolerance, max_column)
     firsts = [0, *accumulate(counts[:-1])]
+    kd, lm, tau = _chain_scalars(spot, pairs, counts, strikes)
     outcomes: list[list[np.ndarray] | Exception] = [[] for _ in models]
-    engines: dict[Callable[..., _Columns], list[int]] = {}
+    engines: dict[tuple[Callable, Callable], tuple[list[int], list[tuple]]] = {}
     for i, params in enumerate(models):
         try:
             _require_priceable(params)
-        except DomainError as exc:
+            engine = _engine(params)
+            row = engine[0](params, pairs, counts, firsts)
+        except (DomainError, ConvergenceError, OverflowError) as exc:
+            # without its traceback, which would hold this frame and with it
+            # the error
             outcomes[i] = exc.with_traceback(None)
         else:
-            engines.setdefault(_engine(params), []).append(i)
-    for engine, members in engines.items():
-        columns, failures = engine(
-            models if len(members) == len(models) else [models[i] for i in members],
-            spot, pairs, counts, strikes, max_column,
-        )
-        for j, exc in failures.items():
-            outcomes[members[j]] = exc
-        if columns is None:
-            continue
-        if failures:
-            members = [i for j, i in enumerate(members) if j not in failures]
+            members, rows = engines.setdefault(engine, ([], []))
+            members.append(i)
+            rows.append(row)
+    for (_, build), (members, rows) in engines.items():
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            columns = build(_by_model(rows), spot, kd, lm, tau, counts, max_column)
         if columns.ndim == 2:
             columns = columns[None]
         # each row's worst strike, per model and pair (one pair: a plain max,

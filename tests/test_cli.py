@@ -194,6 +194,12 @@ class TestPrice:
         assert (code, out) == (2, "")
         assert "finite" in err
 
+    def test_negative_precision_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["price", *GOLDEN_FLAGS, "--precision", "-1"])
+        assert err.value.code == 2
+        assert "--precision" in capsys.readouterr().err
+
     def test_non_convergence_exit_code(self, capsys):
         code, _, err = run(capsys, "price", *GOLDEN_FLAGS, "--max-column", "3")
         assert code == 3
@@ -397,6 +403,14 @@ class TestDensityAndSample:
             assert out == ""
             assert "must be finite" in err
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_density_points_below_one(self, capsys, points):
+        code, out, err = run(
+            capsys, "density", "--alpha", "1.5", "--theta", "0", "--points", points
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --points must be >= 1, got {points}\n"
+
     def test_sample_deterministic(self, capsys):
         args = ["sample", "--alpha", "1.6", "--beta", "-0.5",
                 "--count", "64", "--seed", "42"]
@@ -510,6 +524,20 @@ class TestCalibrate:
         code, _, err = run(capsys, "calibrate", "--chain", str(bad), "--model", "bs")
         assert code == 2
         assert "row 3" in err
+
+    @pytest.mark.parametrize("case", ["missing chain", "directory chain", "bad out"])
+    def test_file_error_exit_code(self, capsys, tmp_path, case):
+        argv = {
+            "missing chain": ["calibrate", "--chain", str(tmp_path / "missing.csv"),
+                              "--model", "bs"],
+            "directory chain": ["calibrate", "--chain", str(tmp_path), "--model", "bs"],
+            "bad out": ["density", "--alpha", "2", "--theta", "0", "--points", "5",
+                        "--out", str(tmp_path / "no" / "dir" / "x.csv")],
+        }[case]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_multi_file_aggregate(self, capsys, chain_files):
         code, out, _ = run(

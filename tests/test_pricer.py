@@ -20,10 +20,11 @@ from stablepricer.core import (
 )
 from stablepricer.reference import black_scholes, bs_equivalent_vol
 from stablepricer.pricer import (
+    _FMLS,
+    _LATTICE,
     TermIndex,
-    _columns,
+    _chain_scalars,
     _engine,
-    _fmls_columns,
     price,
     price_call,
     price_call_models,
@@ -278,9 +279,16 @@ class TestKernelMatchesTable:
         result = price_call(params, contract, tolerance=1e-8)
         n_max = result.columns_used - 2
         table = term_table(params, contract, n_max)
-        columns = _columns(
-            [params], spot, [(rate, maturity)], [1], np.array([contract.strike]), n_max
-        )[0][:, 0]
+        # the lattice engine's two halves, as _summed calls them for one pair
+        scalars, build = _LATTICE
+        kd, lm_chain, tau = _chain_scalars(
+            spot, [(rate, maturity)], [1], np.array([contract.strike])
+        )
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            columns = build(
+                scalars(params, [(rate, maturity)], [1], [0]),
+                spot, kd, lm_chain, tau, [1], n_max,
+            )[:, 0]
         po = -params.mu * maturity
         lm = log_moneyness(contract)
         y_up, y_down = (lm + po) * po ** (-1 / alpha), (lm - po) * po ** (-1 / alpha)
@@ -759,7 +767,39 @@ class TestModelAxis:
         # row is its own price_call_strikes call, to the bit, and a model
         # that fails carries the error that call raises
         strikes, rates, maturities = (np.array(column) for column in zip(*quotes))
-        args = (100.0, rates, maturities, strikes, tolerance)
+        self._assert_rows_are_one_model_calls(
+            models, (100.0, rates, maturities, strikes, tolerance)
+        )
+
+    def test_mixed_batch_rows_are_one_model_calls(self):
+        # every engine and every way a model fails, in one call on a chain
+        # whose pairs interleave: (0, 0.5), (0.02, 1.0), (0, 0.5)
+        models = [
+            StableModelParams.fmls(1.6, 0.2),
+            StableModelParams.from_beta(1.7, -0.3, 0.15),
+            StableModelParams.from_beta(2.0, 0.0, 0.2),
+            # mu > 0 cannot be priced
+            StableModelParams(1.6, 0.0, 0.2, 0.05),
+            # the FMLS tail overflows on the second pair only
+            StableModelParams.fmls(1.6, 60.0),
+            # the lattice series overflows
+            StableModelParams.from_beta(1.5, 0.3, 1e-6),
+            # the lattice scale po**(-1/alpha) overflows
+            StableModelParams(1.01, 0.0, 0.2, -1e-320),
+        ]
+        args = (100.0, np.array([0.0, 0.02, 0.0]), np.array([0.5, 1.0, 0.5]),
+                np.array([95.0, 105.0, 110.0]), 1e-8)
+        rows = self._assert_rows_are_one_model_calls(models, args)
+        assert [type(row).__name__ for row in rows] == [
+            "ndarray", "ndarray", "ndarray", "DomainError",
+            "ConvergenceError", "ConvergenceError", "OverflowError",
+        ]
+        assert "FMLS series overflowed" in str(rows[4])
+        assert rows[4].strike_index == 1
+        assert "series terms overflowed" in str(rows[5])
+
+    @staticmethod
+    def _assert_rows_are_one_model_calls(models, args):
         rows = price_call_models(models, *args)
         assert len(rows) == len(models)
         for params, row in zip(models, rows):
@@ -774,28 +814,31 @@ class TestModelAxis:
             else:
                 assert isinstance(row, np.ndarray)
                 assert np.array_equal(row, alone)
+        return rows
 
 
 class TestEngine:
     @pytest.mark.parametrize(
         "params, engine",
         [
-            (StableModelParams.fmls(1.6, 0.2), _fmls_columns),
-            (StableModelParams.from_beta(1.6, -1.0, 0.2), _fmls_columns),
+            (StableModelParams.fmls(1.6, 0.2), _FMLS),
+            (StableModelParams.from_beta(1.6, -1.0, 0.2), _FMLS),
             # mu recovered from a scale to a few ulps, as calibrate's stable
             # rung does, is still the martingale drift
             (
                 StableModelParams(1.6, 1.6 - 2.0, 0.2, mu_fmls(1.6, 0.2) * (1 + 4e-16)),
-                _fmls_columns,
+                _FMLS,
             ),
             (
                 StableModelParams(1.6, 1.6 - 2.0, 0.2, mu_fmls(1.6, 0.2) * (1 + 1e-12)),
-                _columns,
+                _LATTICE,
             ),
-            (StableModelParams.from_beta(1.6, -0.99, 0.2), _columns),
-            (StableModelParams.fmls(2.0, 0.2), _columns),
-            (golden_params(), _columns),
+            (StableModelParams.from_beta(1.6, -0.99, 0.2), _LATTICE),
+            (StableModelParams.fmls(2.0, 0.2), _LATTICE),
+            (golden_params(), _LATTICE),
         ],
+        # an engine by the name of its column builder
+        ids=lambda v: v[1].__name__ if isinstance(v, tuple) else None,
     )
     def test_model_picks_the_series(self, params, engine):
         assert _engine(params) is engine
