@@ -34,7 +34,7 @@ from .core import (
 )
 from .lab import SamplerConfig, density_grid, mc_price_fmls, sample_stable
 from .pricer import price, term_table, term_table_csv
-from .reference import black_scholes, bs_equivalent_vol, fmls_call
+from .reference import black_scholes, fmls_call
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -120,7 +120,8 @@ def cmd_price(args: argparse.Namespace) -> int:
         )
     if args.check:
         if params.alpha == 2.0 and params.theta == 0.0:
-            vol = bs_equivalent_vol(params.sigma)
+            # the series reads sigma only through mu, so it is Black-Scholes at this vol
+            vol = math.sqrt(-2.0 * params.mu)
             reference = black_scholes(contract, vol)
             print(f"check: black_scholes={fmt(reference)} (vol={fmt(vol)})")
         else:
@@ -276,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         action="store_true",
-        help="cross-check against the closed form when one exists (alpha=2, theta=0)",
+        help="cross-check against Black-Scholes at vol sqrt(-2*mu) (alpha=2, theta=0)",
     )
     common(p)
     p.set_defaults(func=cmd_price)

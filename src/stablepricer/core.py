@@ -13,6 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+# the largest -rate*maturity whose discount exp(-rate*maturity) is finite
+_MAX_DISCOUNT_EXPONENT = math.log(math.nextafter(math.inf, 0.0))
+
 
 class DomainError(ValueError):
     """A parameter lies outside its mathematical domain."""
@@ -33,6 +36,14 @@ def _check_alpha(alpha: float) -> None:
 def _check_sigma(sigma: float) -> None:
     if not 0.0 < sigma < math.inf:
         raise DomainError(f"sigma must be positive and finite, got {sigma}")
+
+
+def _check_discount(rate_maturity: float) -> None:
+    if rate_maturity < -_MAX_DISCOUNT_EXPONENT:
+        raise DomainError(
+            f"rate * maturity must be >= {-_MAX_DISCOUNT_EXPONENT:.6g} "
+            f"(the discount overflows), got {rate_maturity:.6g}"
+        )
 
 
 def _check_beta(beta: float) -> None:
@@ -165,6 +176,7 @@ class OptionContract:
                 raise DomainError(f"{name} must be positive and finite, got {value}")
         if not math.isfinite(self.rate):
             raise DomainError(f"rate must be finite, got {self.rate}")
+        _check_discount(self.rate * self.maturity)
         if self.side not in ("call", "put"):
             raise DomainError(f"side must be 'call' or 'put', got {self.side!r}")
 

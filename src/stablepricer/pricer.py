@@ -31,9 +31,11 @@ of a call with that model alone.
 Each model picks its engine (_engine), one (scalars, columns) entry: the
 FMLS series (_FMLS) on the FMLS line with the martingale drift, where the
 call is a risk-neutral expectation, and the lattice (_LATTICE) everywhere
-else, alpha = 2 included.  Off the FMLS line with
-alpha < 2, E[S_T] is infinite and a call is the paper's lattice value, not
-an expectation.  The term table is always the paper's lattice.
+else, alpha = 2 included.  Off the FMLS line with alpha < 2, E[S_T] is
+infinite and a call is the paper's lattice value, not an expectation.  The
+term table is always the paper's lattice.  _summed forms each model's
+po = -mu*tau per pair once; both engines' scalars are per-model floats and
+per-pair values, which their columns lay out per strike with _per_strike.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .core import (
     DomainError,
     OptionContract,
     StableModelParams,
+    _check_discount,
     log_moneyness,
     mu_fmls,
 )
@@ -122,11 +125,14 @@ class TermTable:
         return len(self.column_sums) - 2
 
 
-def _require_priceable(params: StableModelParams) -> None:
+def _require_priceable(params: StableModelParams, pos: Sequence[float]) -> None:
+    """Reject mu >= 0, then a po = -mu*tau in pos that underflows to 0."""
     if params.mu >= 0.0:
         raise DomainError(
             f"mu must be negative for pricing (fractional powers of -mu*tau), got {params.mu}"
         )
+    if 0.0 in pos:
+        raise DomainError(f"-mu*tau underflows to 0 at mu={params.mu}")
 
 
 def _check_stop(tolerance: float, max_column: int) -> None:
@@ -136,26 +142,22 @@ def _check_stop(tolerance: float, max_column: int) -> None:
         raise DomainError(f"max_column must be >= 1, got {max_column}")
 
 
+def _per_pair(values: list[tuple[float, ...]]) -> tuple:
+    """One tuple of values per (rate, maturity) pair as one per-pair field
+    per value: a float when the chain has one pair, else a tuple of them."""
+    return values[0] if len(values) == 1 else tuple(zip(*values))
+
+
 def _by_model(rows: list[tuple]) -> tuple:
     """Per-model fields, one tuple per model, as one value per field: a
-    single model's own values, so that its call keeps floats and 1-d
-    shapes, or else arrays with a leading model axis.  There a float field
-    is a (model, 1) column, which broadcasts along strikes, a per-strike
-    array a (model, strike) array, and a tuple of per-pair floats one such
-    column per pair.
+    single model's own values, so that its call keeps floats, or else
+    arrays with a leading model axis.  There a float field is a (model, 1)
+    column and a per-pair tuple (_per_pair) a (model, pair) array.
     """
     if len(rows) == 1:
         return rows[0]
-    fields = []
-    for field in zip(*rows):
-        table = np.array(field)
-        if isinstance(field[0], tuple):
-            fields.append(table.T[..., None])
-        elif table.ndim == 1:
-            fields.append(table[:, None])
-        else:
-            fields.append(table)
-    return tuple(fields)
+    tables = [np.array(field) for field in zip(*rows)]
+    return tuple(table if table.ndim == 2 else table[:, None] for table in tables)
 
 
 def _weights(
@@ -207,17 +209,13 @@ def _powers(x: np.ndarray, first: int, last: int) -> np.ndarray:
     return powers
 
 
-def _per_strike(
-    values: list[tuple[float, ...]], counts: Sequence[int]
-) -> tuple[float, ...] | np.ndarray:
-    """Per-group scalars (one tuple per group, for its counts[g] strikes) as
-    one row per scalar and one column per strike; a single group's floats
-    broadcast as they are.
-
-    The scalars are Python floats computed per group: numpy's array exp and
-    power can differ from math's in the last ulp.
-    """
-    return values[0] if len(counts) == 1 else np.repeat(values, counts, axis=0).T
+def _per_strike(values, counts: Sequence[int], axis: int):
+    """Per-pair values, pairs along axis, laid out per strike: pair g's
+    repeated for its counts[g] strikes.  One pair's values broadcast along
+    strikes as they are.  They are Python floats computed per pair (_per_pair,
+    _by_model): numpy's array exp and power can differ from math's in the
+    last ulp."""
+    return values if len(counts) == 1 else np.repeat(values, counts, axis=axis)
 
 
 def _chain_scalars(
@@ -225,13 +223,12 @@ def _chain_scalars(
     pairs: Sequence[tuple[float, float]],
     counts: Sequence[int],
     strikes: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
-    """Per strike, as _per_strike lays them out: the discounted strike Kd,
-    L = ln(S/K) + r*tau, and tau."""
-    disc, rt, tau = _per_strike(
-        [(math.exp(-r * t), r * t, t) for r, t in pairs], counts
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per strike: the discounted strike Kd and L = ln(S/K) + r*tau."""
+    disc, rt = _per_strike(
+        _per_pair([(math.exp(-r * t), r * t) for r, t in pairs]), counts, -1
     )
-    return strikes * disc, np.log(spot / strikes) + rt, tau
+    return strikes * disc, np.log(spot / strikes) + rt
 
 
 def _strike_major(shape: tuple[int, ...], rows: int, strikes: int) -> np.ndarray:
@@ -242,16 +239,13 @@ def _strike_major(shape: tuple[int, ...], rows: int, strikes: int) -> np.ndarray
 
 
 def _lattice_scalars(
-    p: StableModelParams,
-    pairs: Sequence[tuple[float, float]],
-    counts: Sequence[int],
-    firsts: Sequence[int],
+    p: StableModelParams, pos: Sequence[float], firsts: Sequence[int]
 ) -> tuple:
-    """alpha, theta, -mu, log(alpha*pi), rho, po**(-1/alpha) per strike."""
+    """alpha, theta, log(alpha*pi), rho, and per pair po and po**(-1/alpha)."""
     return (
-        p.alpha, p.theta, -p.mu, math.log(p.alpha * math.pi),
+        p.alpha, p.theta, math.log(p.alpha * math.pi),
         (p.alpha - p.theta) / (2.0 * p.alpha),
-        *_per_strike([((-p.mu * t) ** (-1.0 / p.alpha),) for _, t in pairs], counts),
+        *_per_pair([(po, po ** (-1.0 / p.alpha)) for po in pos]),
     )
 
 
@@ -260,7 +254,6 @@ def _columns(
     spot: float,
     kd: np.ndarray,
     lm: np.ndarray,
-    tau: float | np.ndarray,
     counts: Sequence[int],
     max_column: int,
 ) -> np.ndarray:
@@ -271,8 +264,8 @@ def _columns(
     h_k/k! * (S*y+**k - Kd*y-**k) (see the module docstring).  Rows past the
     stop may overflow; _summed checks only the rows it sums.
     """
-    alpha, theta, neg_mu, log_norm, rho, scale = scalars
-    po = neg_mu * tau
+    alpha, theta, log_norm, rho, po, scale = scalars
+    po, scale = _per_strike((po, scale), counts, -1)
     size = kd.size
     sign, log_h = _weights(alpha, theta, log_norm, max_column + 1)
     g = sign * np.exp(log_h - _log_factorials(max_column + 2)[1:])
@@ -314,18 +307,16 @@ def _fmls_tail(alpha: float, po: float, strike_index: int) -> float:
 
 
 def _fmls_scalars(
-    p: StableModelParams,
-    pairs: Sequence[tuple[float, float]],
-    counts: Sequence[int],
-    firsts: Sequence[int],
+    p: StableModelParams, pos: Sequence[float], firsts: Sequence[int]
 ) -> tuple:
-    """alpha, theta, mu, log(alpha*pi), per pair the tail, per pair log po."""
-    pos = [-p.mu * t for _, t in pairs]
+    """alpha, theta, log(alpha*pi), and per pair the tail, po and log po."""
     return (
-        p.alpha, p.theta, p.mu, math.log(p.alpha * math.pi),
+        p.alpha, p.theta, math.log(p.alpha * math.pi),
         # every strike of a pair shares its tail; an overflow names the first
-        tuple(_fmls_tail(p.alpha, po, first) for po, first in zip(pos, firsts)),
-        tuple(map(math.log, pos)),
+        *_per_pair([
+            (_fmls_tail(p.alpha, po, first), po, math.log(po))
+            for po, first in zip(pos, firsts)
+        ]),
     )
 
 
@@ -334,7 +325,6 @@ def _fmls_columns(
     spot: float,
     kd: np.ndarray,
     lm: np.ndarray,
-    tau: float | np.ndarray,
     counts: Sequence[int],
     max_column: int,
 ) -> np.ndarray:
@@ -343,30 +333,24 @@ def _fmls_columns(
     (theta = alpha-2, mu = mu_fmls).
 
     Carr & Wu's drift-shifted series, C = (Kd/alpha) * sum_n c_n * x**n/n!
-    with x = L + mu*tau.  c_0 is the tail sum_{j>=1} po**(j/alpha) /
+    with x = L - po = L + mu*tau.  c_0 is the tail sum_{j>=1} po**(j/alpha) /
     Gamma(1 + j/alpha), c_1 = c_0 + 1, and each later column adds one
     reflected coefficient, c_n = c_{n-1} + alpha * h_{n-1} * po**(-(n-1)/alpha).
     """
-    alpha, theta, mu, log_norm, tails, log_pos = scalars
+    alpha, theta, log_norm, tail, po, log_po = scalars
     sign, log_h = _weights(alpha, theta, log_norm, max_column - 1)
     exponents = np.arange(1.0, max_column) / alpha
-    # one row of coefficients per pair: the tail, 1, then the reflected
-    # coefficients, summed
-    cs = []
-    for tail, log_po in zip(tails, log_pos):
-        c = np.empty(np.shape(exponents)[:-1] + (max_column + 1,))
-        c[..., :1] = tail
-        c[..., 1] = 1.0
-        np.multiply(
-            alpha * sign, np.exp(log_h - exponents * log_po), out=c[..., 2:]
-        )
-        cs.append(np.add.accumulate(c, axis=-1, out=c))
-    # then one per strike
-    if len(cs) == 1:
-        c = cs[0][..., None]
-    else:
-        c = np.repeat(np.stack(cs, axis=-2), counts, axis=-2).swapaxes(-1, -2)
-    x = lm + mu * tau
+    # one row of coefficients per pair (a pair axis of length 1 for one
+    # pair): the tail, 1, the reflected coefficients, summed; then per strike
+    log_po = np.asarray(log_po)[..., None]
+    reflected = np.exp(log_h[..., None, :] - exponents[..., None, :] * log_po)
+    c = np.empty(reflected.shape[:-1] + (max_column + 1,))
+    c[..., 0] = tail
+    c[..., 1] = 1.0
+    np.multiply((alpha * sign)[..., None, :], reflected, out=c[..., 2:])
+    np.add.accumulate(c, axis=-1, out=c)
+    c = _per_strike(c, counts, -2).swapaxes(-1, -2)
+    x = lm - _per_strike(po, counts, -1)
     powers = _powers(x, 0, max_column).swapaxes(-1, -2) * np.exp(
         -_log_factorials(max_column + 2)[:-1, None]
     )
@@ -375,10 +359,10 @@ def _fmls_columns(
     return columns
 
 
-# A series engine: scalars(params, pairs, counts, firsts), one model's
-# Python-float scalars, which may raise the model's own error, and
-# columns(scalars, spot, kd, lm, tau, counts, max_column), the column block
-# of the models whose scalars _by_model stacks.
+# A series engine: scalars(params, pos, firsts), one model's floats and
+# per-pair values (_per_pair) from its po = -mu*tau per pair, which may raise
+# the model's own error, and columns(scalars, spot, kd, lm, counts,
+# max_column), the columns of the models whose scalars _by_model stacks.
 _LATTICE = (_lattice_scalars, _columns)
 _FMLS = (_fmls_scalars, _fmls_columns)
 
@@ -452,27 +436,28 @@ def _summed(
     the model alone raises; the first counts[0] strikes have pairs[0]'s
     (rate, maturity), the next counts[1] pairs[1]'s, and so on.
 
-    Each model's engine (_engine) gives its scalars, or its error: an
-    unpriceable mu (DomainError), an FMLS tail (ConvergenceError) or a
+    Each model's po = -mu*tau per pair is formed here, once, and its engine
+    (_engine) gives its scalars, or its error: an unpriceable mu or an
+    underflowing po (DomainError), an FMLS tail (ConvergenceError) or a
     lattice scale (OverflowError) that overflows.  Each engine builds its
     columns at once for all its models, under one stop rule applied per
-    model and pair: stop after two consecutive columns whose worst-strike
-    absolute value is at most the tolerance.  Only the summed columns are
-    checked for overflow.  Without such a pair by column max_column, or on
+    model and pair (see the module docstring); only the summed columns are
+    checked for overflow.  Without a stop by column max_column, or on
     overflow, the model's error is a ConvergenceError whose strike_index
     names the failing strike; pairs are checked in order.  Each model's
     columns and stops are those of a call with that model alone, to the bit.
     """
     _check_stop(tolerance, max_column)
     firsts = [0, *accumulate(counts[:-1])]
-    kd, lm, tau = _chain_scalars(spot, pairs, counts, strikes)
+    kd, lm = _chain_scalars(spot, pairs, counts, strikes)
     outcomes: list[list[np.ndarray] | Exception] = [[] for _ in models]
     engines: dict[tuple[Callable, Callable], tuple[list[int], list[tuple]]] = {}
     for i, params in enumerate(models):
         try:
-            _require_priceable(params)
+            pos = [-params.mu * t for _, t in pairs]
+            _require_priceable(params, pos)
             engine = _engine(params)
-            row = engine[0](params, pairs, counts, firsts)
+            row = engine[0](params, pos, firsts)
         except (DomainError, ConvergenceError, OverflowError) as exc:
             # without its traceback, which would hold this frame and with it
             # the error
@@ -483,7 +468,7 @@ def _summed(
             rows.append(row)
     for (_, build), (members, rows) in engines.items():
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            columns = build(_by_model(rows), spot, kd, lm, tau, counts, max_column)
+            columns = build(_by_model(rows), spot, kd, lm, counts, max_column)
         if columns.ndim == 2:
             columns = columns[None]
         # each row's worst strike, per model and pair (one pair: a plain max,
@@ -561,7 +546,8 @@ def term_table(
     params: StableModelParams, contract: OptionContract, n_max: int
 ) -> TermTable:
     """All terms for -1 <= n <= n_max with cumulative column sums."""
-    _require_priceable(params)
+    po = -params.mu * contract.maturity
+    _require_priceable(params, [po])
     if contract.side != "call":
         raise DomainError("term_table requires a call contract")
     if n_max < -1:
@@ -581,7 +567,7 @@ def term_table(
             * log_moneyness(contract) ** p
             * np.exp(
                 log_h[k - 1]
-                + (m - k / alpha) * math.log(-params.mu * contract.maturity)
+                + (m - k / alpha) * math.log(po)
                 - log_fact[m]
                 - log_fact[p]
             )
@@ -625,11 +611,9 @@ def term_table_csv(table: TermTable, precision: int = 6) -> str:
     n_max = table.n_max
     fmt = f"%.{precision}g"
     lines = ["," + ",".join(str(n) for n in range(-1, n_max + 1))]
-    for m in range(0, n_max + 2):
-        cells = [str(m)]
-        for n in range(-1, n_max + 1):
-            cells.append(fmt % table.entries[(n, m)] if m <= n + 1 else "")
-        lines.append(",".join(cells))
+    for m in range(n_max + 2):
+        filled = [fmt % table.entries[(n, m)] for n in range(m - 1, n_max + 1)]
+        lines.append(",".join([str(m)] + [""] * m + filled))
     lines.append("Call," + ",".join(fmt % s for s in table.column_sums))
     return "\n".join(lines) + "\n"
 
@@ -677,9 +661,10 @@ def price_call_models(
 
     One entry per model: its call prices, the same bits as
     price_call_strikes of that model alone, or the error that call would
-    raise (ConvergenceError, with its strike_index, DomainError or
-    OverflowError), which fails that model only.  A bad chain or stop rule
-    raises for the whole call.
+    raise (ConvergenceError, with its strike_index, DomainError for a mu >= 0
+    or a -mu*tau that underflows, or OverflowError), which fails that model
+    only.  A bad chain (one whose discount exp(-rate*maturity) overflows
+    included) or stop rule raises for the whole call.
     """
     strikes = np.asarray(strikes, dtype=float)
     if strikes.ndim != 1 or strikes.size == 0:
@@ -698,6 +683,7 @@ def price_call_models(
         and np.isfinite(np.concatenate((strikes, rate, maturity))).all()
     ):
         raise DomainError("spot, strikes and maturity must be positive, all finite")
+    _check_discount(float((rate * maturity).min()))
     groups: dict[tuple[float, float], list[int]] = {}
     for i, pair in enumerate(zip(rate.tolist(), maturity.tolist())):
         groups.setdefault(pair, []).append(i)

@@ -139,6 +139,22 @@ class TestPrice:
         closed = float(lines[1].split()[1].split("=")[1])
         assert series == pytest.approx(closed, rel=1e-5)
 
+    def test_check_uses_the_vol_the_series_prices(self, capsys):
+        # the series reads sigma only through mu, so off the default drift
+        # it is Black-Scholes at vol sqrt(-2*mu), not sigma*sqrt(2)
+        code, out, _ = run(
+            capsys, "price",
+            "--spot", "100", "--strike", "100", "--rate", "0.01", "--maturity", "1",
+            "--alpha", "2", "--theta", "0", "--sigma", "0.2", "--mu", "-0.1",
+            "--tol", "1e-9", "--check",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        series = float(lines[0].split()[0].split("=")[1])
+        closed = float(lines[1].split()[1].split("=")[1])
+        assert series == pytest.approx(closed, rel=1e-5)
+        assert lines[1].endswith(f"(vol={math.sqrt(0.2):.6g})")
+
     def test_beta_minus_one_prices_the_fmls_expectation(self, capsys):
         # the drift defaults to the martingale value, so the model is FMLS
         code, out, _ = run(
@@ -193,6 +209,24 @@ class TestPrice:
         code, out, err = run(capsys, "price", *flags)
         assert (code, out) == (2, "")
         assert "finite" in err
+
+    @pytest.mark.parametrize("command", ["price", "table"])
+    def test_underflowing_mu_is_domain_error(self, capsys, command):
+        # -mu*tau rounds to 0: one error line, not a traceback
+        # (argparse takes a value in exponent form only after "=")
+        flags = GOLDEN_FLAGS[: GOLDEN_FLAGS.index("--mu")] + ["--mu=-5e-324"]
+        flags[flags.index("--maturity") + 1] = "0.5"
+        extra = ["--nmax", "3"] if command == "table" else []
+        code, out, err = run(capsys, command, *flags, *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: -mu*tau underflows") and err.count("\n") == 1
+
+    def test_discount_overflow_is_domain_error(self, capsys):
+        flags = list(GOLDEN_FLAGS)
+        flags[flags.index("--rate") + 1] = "-800"
+        code, out, err = run(capsys, "price", *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: rate * maturity") and err.count("\n") == 1
 
     def test_negative_precision_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -1,6 +1,7 @@
 """Parameter domain, asymmetry conversions, and contract containers."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -187,3 +188,17 @@ class TestOptionContract:
         ]:
             with pytest.raises(DomainError, match=f"{field} must be .*finite"):
                 OptionContract(**{**good, field: value})
+
+    def test_discount_overflow_rejected(self):
+        # exp(-rate*maturity) is finite up to rate*maturity = -log(max float)
+        edge = -math.log(sys.float_info.max)
+        assert math.isfinite(math.exp(-edge))
+        OptionContract(spot=100.0, strike=1e-300, rate=edge, maturity=1.0)
+        with pytest.raises(DomainError, match="discount overflows"):
+            OptionContract(
+                spot=100.0, strike=1e-300, rate=math.nextafter(edge, -math.inf), maturity=1.0
+            )
+        with pytest.raises(DomainError, match="discount overflows"):
+            OptionContract(spot=100.0, strike=100.0, rate=-800.0, maturity=1.0)
+        with pytest.raises(DomainError, match="discount overflows"):
+            OptionContract(spot=100.0, strike=100.0, rate=-400.0, maturity=2.0)

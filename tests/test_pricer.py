@@ -229,6 +229,24 @@ class TestTermValues:
         with pytest.raises(DomainError):
             price_call(params, golden_contract())
 
+    @pytest.mark.parametrize(
+        "params, maturity",
+        [
+            # -mu*tau rounds to 0 on either engine
+            (StableModelParams(1.5, 0.0, 0.2, -5e-324), 0.5),
+            (StableModelParams.fmls(1.5, 1e-200), 1e-30),
+        ],
+        ids=["lattice", "fmls"],
+    )
+    def test_underflowing_po_rejected(self, params, maturity):
+        contract = OptionContract(100.0, 100.0, 0.0, maturity)
+        for call in (
+            lambda: price(params, contract),
+            lambda: term_table(params, contract, 3),
+        ):
+            with pytest.raises(DomainError, match=r"-mu\*tau underflows to 0 at mu="):
+                call()
+
 
 class TestColumnConsistency:
     def test_column_sums_match_entries(self):
@@ -281,15 +299,14 @@ class TestKernelMatchesTable:
         table = term_table(params, contract, n_max)
         # the lattice engine's two halves, as _summed calls them for one pair
         scalars, build = _LATTICE
-        kd, lm_chain, tau = _chain_scalars(
+        kd, lm_chain = _chain_scalars(
             spot, [(rate, maturity)], [1], np.array([contract.strike])
         )
+        po = -params.mu * maturity
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             columns = build(
-                scalars(params, [(rate, maturity)], [1], [0]),
-                spot, kd, lm_chain, tau, [1], n_max,
+                scalars(params, [po], [0]), spot, kd, lm_chain, [1], n_max
             )[:, 0]
-        po = -params.mu * maturity
         lm = log_moneyness(contract)
         y_up, y_down = (lm + po) * po ** (-1 / alpha), (lm - po) * po ** (-1 / alpha)
         rho = (alpha - params.theta) / (2 * alpha)
@@ -517,6 +534,11 @@ class TestBatch:
             price_call_strikes(params, 100.0, [0.0, 0.01], 1.0, strikes)
         with pytest.raises(DomainError, match="maturity must be positive"):
             price_call_strikes(params, 100.0, 0.0, [1.0, 0.0, 1.0], strikes)
+        # exp(-rate*maturity) overflows on the last strike's pair
+        with pytest.raises(DomainError, match="discount overflows"):
+            price_call_models(
+                [params], 100.0, [0.01, 0.01, -400.0], [1.0, 1.0, 2.0], strikes
+            )
         # with a bad chain and a bad model or stop rule, the chain is named:
         # the one driver that price shares checks the model and stop rule
         # only once the strikes have been grouped by (rate, maturity)
@@ -773,7 +795,7 @@ class TestModelAxis:
 
     def test_mixed_batch_rows_are_one_model_calls(self):
         # every engine and every way a model fails, in one call on a chain
-        # whose pairs interleave: (0, 0.5), (0.02, 1.0), (0, 0.5)
+        # whose pairs interleave
         models = [
             StableModelParams.fmls(1.6, 0.2),
             StableModelParams.from_beta(1.7, -0.3, 0.15),
@@ -786,17 +808,34 @@ class TestModelAxis:
             StableModelParams.from_beta(1.5, 0.3, 1e-6),
             # the lattice scale po**(-1/alpha) overflows
             StableModelParams(1.01, 0.0, 0.2, -1e-320),
+            # -mu*tau underflows to 0 at tau = 0.5
+            StableModelParams(1.5, 0.0, 0.2, -5e-324),
         ]
-        args = (100.0, np.array([0.0, 0.02, 0.0]), np.array([0.5, 1.0, 0.5]),
-                np.array([95.0, 105.0, 110.0]), 1e-8)
-        rows = self._assert_rows_are_one_model_calls(models, args)
-        assert [type(row).__name__ for row in rows] == [
-            "ndarray", "ndarray", "ndarray", "DomainError",
-            "ConvergenceError", "ConvergenceError", "OverflowError",
+        chains = [
+            # pairs (0, 0.5), (0.02, 1.0), (0, 0.5)
+            ([0.0, 0.02, 0.0], [0.5, 1.0, 0.5], [95.0, 105.0, 110.0]),
+            # three pairs, interleaved: A B C A C B
+            (
+                [0.0, 0.02, 0.01, 0.0, 0.01, 0.02],
+                [0.5, 1.0, 0.25, 0.5, 0.25, 1.0],
+                [95.0, 105.0, 110.0, 100.0, 90.0, 120.0],
+            ),
         ]
-        assert "FMLS series overflowed" in str(rows[4])
-        assert rows[4].strike_index == 1
-        assert "series terms overflowed" in str(rows[5])
+        for chain in chains:
+            args = (100.0, *map(np.array, chain), 1e-8)
+            rows = self._assert_rows_are_one_model_calls(models, args)
+            assert [type(row).__name__ for row in rows] == [
+                "ndarray", "ndarray", "ndarray", "DomainError",
+                "ConvergenceError", "ConvergenceError", "OverflowError", "DomainError",
+            ]
+            assert "FMLS series overflowed" in str(rows[4])
+            assert rows[4].strike_index == 1
+            assert "series terms overflowed" in str(rows[5])
+            assert "underflows" in str(rows[7])
+            # the other rows are the bits of the batch without that model
+            without = price_call_models(models[:-1], *args)
+            for row, alone in zip(rows[:3], without):
+                assert np.array_equal(row, alone)
 
     @staticmethod
     def _assert_rows_are_one_model_calls(models, args):
