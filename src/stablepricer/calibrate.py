@@ -27,8 +27,8 @@ Each rung runs Nelder-Mead with Gao & Han's (2012) adaptive coefficients
 from a warm start and the points of a scrambled Halton sequence (Owen
 2017).  Both are numpy ports of scipy's, to the bit (_nelder_mead,
 _halton), so calibration needs numpy only.  The starts step in lockstep:
-each round prices the points of every live start in one
-price_call_models call, and each start takes the path it takes alone.
+each round prices the points of every live start in one kernel call on the
+chain's layout, built once, and each start takes the path it takes alone.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .core import (
     StableModelParams,
     theta_to_beta,
 )
-from .pricer import price_call_models, price_call_strikes
+from .pricer import _chain_layout, _model_calls, price_call_strikes
 from .reference import bs_equivalent_vol
 
 _SIDES = ("call", "put")
@@ -95,11 +95,7 @@ class OptionQuote:
 
     def contract(self) -> OptionContract:
         return OptionContract(
-            spot=self.spot,
-            strike=self.strike,
-            rate=self.rate,
-            maturity=self.maturity,
-            side=self.side,
+            self.spot, self.strike, self.rate, self.maturity, self.side
         )
 
 
@@ -133,18 +129,18 @@ class OptionChain:
         A put's forward is OptionContract.forward, the amount put-call
         parity takes off the call; a call's is 0.
         """
-        q = self.quotes
-        forwards = [x.contract().forward() if x.side == "put" else 0.0 for x in q]
-        return tuple(
-            np.array(column)
-            for column in (
-                [x.strike for x in q],
-                [x.rate for x in q],
-                [x.maturity for x in q],
-                forwards,
-                [x.market_price for x in q],
-            )
-        )
+        rows = [
+            (q.strike, q.rate, q.maturity,
+             q.contract().forward() if q.side == "put" else 0.0, q.market_price)
+            for q in self.quotes
+        ]
+        return tuple(np.array(column) for column in zip(*rows))
+
+    @cached_property
+    def _layout(self):
+        """The quotes laid out for the pricing kernel, built once per chain."""
+        strikes, rates, maturities, _, _ = self._arrays
+        return _chain_layout(self.spot, rates, maturities, strikes)
 
 
 def filter_quotes(chain: OptionChain, side: str) -> OptionChain:
@@ -226,35 +222,21 @@ def synthetic_chain(
 ) -> OptionChain:
     """Generate a noiseless chain from one price_call_strikes call: puts below
     spot, calls above."""
-    strike_arr = np.asarray(strikes, dtype=float)
     grid = [
         (float(maturity), float(strike))
         for maturity in maturities
-        for strike in strike_arr
+        for strike in np.asarray(strikes, dtype=float)
     ]
     calls = price_call_strikes(
-        params,
-        spot,
-        rate,
-        np.array([maturity for maturity, _ in grid]),
-        np.array([strike for _, strike in grid]),
-        tolerance=tolerance,
+        params, spot, rate, np.array([maturity for maturity, _ in grid]),
+        np.array([strike for _, strike in grid]), tolerance=tolerance,
     )
     quotes: list[OptionQuote] = []
-    for (maturity, strike), call in zip(grid, calls):
+    for (maturity, strike), call in zip(grid, calls.tolist()):
         side = "put" if strike < spot else "call"
-        contract = OptionContract(spot, strike, rate, maturity, side)
-        price = call - contract.forward() if side == "put" else call
-        quotes.append(
-            OptionQuote(
-                spot=spot,
-                rate=rate,
-                maturity=maturity,
-                strike=strike,
-                side=side,
-                market_price=float(price),
-            )
-        )
+        if side == "put":
+            call -= OptionContract(spot, strike, rate, maturity).forward()
+        quotes.append(OptionQuote(spot, rate, maturity, strike, side, call))
     return OptionChain(as_of=as_of, quotes=tuple(quotes))
 
 
@@ -297,13 +279,11 @@ def _aggregated_errors(
     models: Sequence[StableModelParams], chain: OptionChain
 ) -> list[float]:
     """aggregated_error of each model at its default tolerance, inf where
-    the model fails to price, from one price_call_models call."""
-    strikes, rates, maturities, forwards, market = chain._arrays
+    the model fails to price, from one kernel call on the chain's layout."""
+    _, _, _, forwards, market = chain._arrays
     return [
         math.inf if isinstance(calls, Exception) else _error_sum(calls, forwards, market)
-        for calls in price_call_models(
-            models, chain.spot, rates, maturities, strikes, tolerance=_TOLERANCE
-        )
+        for calls in _model_calls(models, chain._layout, _TOLERANCE)
     ]
 
 
@@ -653,8 +633,8 @@ def _fit_rung(
     alpha = 1.5 + 0.5 sin z; atanh beta), from the spec's warm start and the
     scrambled Halton points of its box (_halton).  The starts step in
     lockstep: each round prices the points every live start asks for in one
-    price_call_models call, and each start follows the path it would follow
-    alone.  A start whose first point is inf is dropped.  The leaner
+    kernel call on the chain's layout, built once per chain, and each start
+    follows the path it would follow alone.  A start whose first point is inf is dropped.  The leaner
     optimum, embedded exactly by the spec, is a candidate too, which
     guarantees the aggregated errors nest across the ladder.  The lowest
     aggregated error wins; ties keep the earliest candidate, in start order.

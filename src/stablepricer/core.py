@@ -24,7 +24,7 @@ class DomainError(ValueError):
 class ConvergenceError(RuntimeError):
     """A series or quadrature failed to reach the requested tolerance."""
 
-    # the failing strike, from price, price_call_strikes or price_call_models
+    # the failing strike's index in the strikes priced (0 from price)
     strike_index: int | None = None
 
 
@@ -44,6 +44,11 @@ def _check_discount(rate_maturity: float) -> None:
             f"rate * maturity must be >= {-_MAX_DISCOUNT_EXPONENT:.6g} "
             f"(the discount overflows), got {rate_maturity:.6g}"
         )
+
+
+def _check_discounted_strike(discounted_strike: float) -> None:
+    if discounted_strike == math.inf:
+        raise DomainError("discounted strike K * exp(-rate * maturity) overflows")
 
 
 def _check_beta(beta: float) -> None:
@@ -177,6 +182,7 @@ class OptionContract:
         if not math.isfinite(self.rate):
             raise DomainError(f"rate must be finite, got {self.rate}")
         _check_discount(self.rate * self.maturity)
+        _check_discounted_strike(self.discounted_strike())
         if self.side not in ("call", "put"):
             raise DomainError(f"side must be 'call' or 'put', got {self.side!r}")
 

@@ -22,12 +22,14 @@ With L = ln(S/K) + r*tau, po = -mu*tau and Kd = K*exp(-r*tau):
 Every price sums its columns under one strict stop rule: stop after two
 consecutive columns whose worst-strike absolute value is at most the
 tolerance; without such a pair by column max_column, ConvergenceError.
-One driver (_summed) builds a chain's columns for all its strikes, and for
-several models at once, with one weight table per model, and applies the
-rule to each model and (rate, maturity) pair: price_call_models's models,
-price_call_strikes's one model, or price's one strike (a put is
-C - (S - Kd)).  A model fails alone, and each model's prices are the bits
-of a call with that model alone.
+_chain_layout checks a chain and groups its strikes by (rate, maturity)
+pair, with their Kd and L (_ChainLayout), once per price_call_strikes call
+or calibration chain; price lays out its one strike directly.  One driver
+(_summed) builds a layout's columns for all its strikes, and for several
+models at once, with one weight table per model, and applies the rule to
+each model and pair: _model_calls's models, price_call_strikes's one model,
+or price's one strike (a put is C - (S - Kd)).  A model fails alone, and
+each model's prices are the bits of a call with that model alone.
 Each model picks its engine (_engine), one (scalars, columns) entry: the
 FMLS series (_FMLS) on the FMLS line with the martingale drift, where the
 call is a risk-neutral expectation, and the lattice (_LATTICE) everywhere
@@ -44,7 +46,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,6 +56,7 @@ from .core import (
     OptionContract,
     StableModelParams,
     _check_discount,
+    _check_discounted_strike,
     log_moneyness,
     mu_fmls,
 )
@@ -135,13 +138,6 @@ def _require_priceable(params: StableModelParams, pos: Sequence[float]) -> None:
         raise DomainError(f"-mu*tau underflows to 0 at mu={params.mu}")
 
 
-def _check_stop(tolerance: float, max_column: int) -> None:
-    if tolerance <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tolerance}")
-    if max_column < 1:
-        raise DomainError(f"max_column must be >= 1, got {max_column}")
-
-
 def _per_pair(values: list[tuple[float, ...]]) -> tuple:
     """One tuple of values per (rate, maturity) pair as one per-pair field
     per value: a float when the chain has one pair, else a tuple of them."""
@@ -218,17 +214,68 @@ def _per_strike(values, counts: Sequence[int], axis: int):
     return values if len(counts) == 1 else np.repeat(values, counts, axis=axis)
 
 
-def _chain_scalars(
+class _ChainLayout(NamedTuple):
+    """A chain as the kernel reads it, its strikes grouped by distinct
+    (rate, maturity) pair: counts and firsts give each pair's number of
+    strikes and index of its first, and per strike kd = K*exp(-r*tau),
+    lm = ln(S/K) + r*tau and order, the caller's index (None in price)."""
+
+    spot: float
+    pairs: tuple[tuple[float, float], ...]
+    counts: tuple[int, ...]
+    firsts: tuple[int, ...]
+    kd: np.ndarray
+    lm: np.ndarray
+    order: np.ndarray | None
+
+
+def _chain_layout(
     spot: float,
-    pairs: Sequence[tuple[float, float]],
-    counts: Sequence[int],
+    rate: float | np.ndarray,
+    maturity: float | np.ndarray,
     strikes: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per strike: the discounted strike Kd and L = ln(S/K) + r*tau."""
+) -> _ChainLayout:
+    """The layout of a checked chain, pairs in order of first appearance;
+    rate and maturity are scalars or arrays aligned with strikes.  A bad
+    chain, one whose discount or discounted strike overflows included, is a
+    DomainError."""
+    strikes = np.asarray(strikes, dtype=float)
+    if strikes.ndim != 1 or strikes.size == 0:
+        raise DomainError("strikes must be a non-empty 1-d array")
+    try:
+        rate, maturity = (
+            np.full(strikes.shape, v, dtype=float) for v in (rate, maturity)
+        )
+    except ValueError:
+        raise DomainError(
+            "rate and maturity must be scalars or arrays aligned with strikes"
+        ) from None
+    # min propagates nan, so nan fails the comparisons; inf fails isfinite
+    if not (
+        0.0 < spot < math.inf and strikes.min() > 0.0 < maturity.min()
+        and np.isfinite(np.concatenate((strikes, rate, maturity))).all()
+    ):
+        raise DomainError("spot, strikes and maturity must be positive, all finite")
+    _check_discount(float((rate * maturity).min()))
+    groups: dict[tuple[float, float], list[int]] = {}
+    for i, pair in enumerate(zip(rate.tolist(), maturity.tolist())):
+        groups.setdefault(pair, []).append(i)
+    order = np.array([i for indices in groups.values() for i in indices])
+    counts = tuple(len(indices) for indices in groups.values())
+    strikes = strikes[order]
     disc, rt = _per_strike(
-        _per_pair([(math.exp(-r * t), r * t) for r, t in pairs]), counts, -1
+        _per_pair([(math.exp(-r * t), r * t) for r, t in groups]), counts, -1
     )
-    return strikes * disc, np.log(spot / strikes) + rt
+    with np.errstate(over="ignore"):
+        kd = strikes * disc
+    _check_discounted_strike(float(kd.max()))
+    layout = _ChainLayout(
+        spot, tuple(groups), counts, (0, *accumulate(counts[:-1])),
+        kd, np.log(spot / strikes) + rt, order,
+    )
+    for array in (layout.kd, layout.lm, order):
+        array.setflags(write=False)
+    return layout
 
 
 def _strike_major(shape: tuple[int, ...], rows: int, strikes: int) -> np.ndarray:
@@ -425,16 +472,12 @@ def _engine(params: StableModelParams) -> tuple[Callable, Callable]:
 
 def _summed(
     models: Sequence[StableModelParams],
-    spot: float,
-    pairs: Sequence[tuple[float, float]],
-    counts: Sequence[int],
-    strikes: np.ndarray,
+    layout: _ChainLayout,
     tolerance: float,
     max_column: int,
 ) -> list[list[np.ndarray] | Exception]:
-    """For each model, each pair's summed columns, or the error that pricing
-    the model alone raises; the first counts[0] strikes have pairs[0]'s
-    (rate, maturity), the next counts[1] pairs[1]'s, and so on.
+    """For each model, each pair's summed columns over the layout's strikes,
+    or the error that pricing the model alone raises.
 
     Each model's po = -mu*tau per pair is formed here, once, and its engine
     (_engine) gives its scalars, or its error: an unpriceable mu or an
@@ -444,12 +487,14 @@ def _summed(
     model and pair (see the module docstring); only the summed columns are
     checked for overflow.  Without a stop by column max_column, or on
     overflow, the model's error is a ConvergenceError whose strike_index
-    names the failing strike; pairs are checked in order.  Each model's
-    columns and stops are those of a call with that model alone, to the bit.
+    names the failing strike in the layout; pairs are checked in order.  Each
+    model's columns and stops are those of a call with that model alone.
     """
-    _check_stop(tolerance, max_column)
-    firsts = [0, *accumulate(counts[:-1])]
-    kd, lm = _chain_scalars(spot, pairs, counts, strikes)
+    if tolerance <= 0.0:
+        raise DomainError(f"tolerance must be positive, got {tolerance}")
+    if max_column < 1:
+        raise DomainError(f"max_column must be >= 1, got {max_column}")
+    spot, pairs, counts, firsts, kd, lm, _ = layout
     outcomes: list[list[np.ndarray] | Exception] = [[] for _ in models]
     engines: dict[tuple[Callable, Callable], tuple[list[int], list[tuple]]] = {}
     for i, params in enumerate(models):
@@ -518,10 +563,13 @@ def price(
     tolerance, if no two consecutive columns up to n = max_column are, or if
     a summed column overflows.
     """
-    (outcome,) = _summed(
-        [params], contract.spot, [(contract.rate, contract.maturity)], [1],
-        np.array([contract.strike]), tolerance, max_column,
+    spot, strikes = contract.spot, np.array([contract.strike])
+    rt = contract.rate * contract.maturity
+    layout = _ChainLayout(
+        spot, ((contract.rate, contract.maturity),), (1,), (0,),
+        strikes * math.exp(-rt), np.log(spot / strikes) + rt, None,
     )
+    (outcome,) = _summed([params], layout, tolerance, max_column)
     if isinstance(outcome, Exception):
         raise outcome
     used = outcome[0][:, 0]
@@ -637,64 +685,28 @@ def price_call_strikes(
     column a call with its strikes alone stops on.  On ConvergenceError,
     strike_index names the failing strike (its index in strikes); the pairs
     are checked in order of first appearance, except that an FMLS tail
-    overflow is found before any stop rule runs.  This is price_call_models
-    for one model.
+    overflow is found before any stop rule runs.
     """
-    (prices,) = price_call_models(
-        [params], spot, rate, maturity, strikes, tolerance, max_column
+    (prices,) = _model_calls(
+        [params], _chain_layout(spot, rate, maturity, strikes), tolerance, max_column
     )
     if isinstance(prices, Exception):
         raise prices
     return prices
 
 
-def price_call_models(
+def _model_calls(
     models: Sequence[StableModelParams],
-    spot: float,
-    rate: float | np.ndarray,
-    maturity: float | np.ndarray,
-    strikes: np.ndarray,
-    tolerance: float = 1e-4,
+    layout: _ChainLayout,
+    tolerance: float,
     max_column: int = 64,
 ) -> list[np.ndarray | ConvergenceError | DomainError | OverflowError]:
-    """price_call_strikes of several models on one chain, in one kernel call.
-
-    One entry per model: its call prices, the same bits as
-    price_call_strikes of that model alone, or the error that call would
-    raise (ConvergenceError, with its strike_index, DomainError for a mu >= 0
-    or a -mu*tau that underflows, or OverflowError), which fails that model
-    only.  A bad chain (one whose discount exp(-rate*maturity) overflows
-    included) or stop rule raises for the whole call.
-    """
-    strikes = np.asarray(strikes, dtype=float)
-    if strikes.ndim != 1 or strikes.size == 0:
-        raise DomainError("strikes must be a non-empty 1-d array")
-    try:
-        rate, maturity = (
-            np.full(strikes.shape, v, dtype=float) for v in (rate, maturity)
-        )
-    except ValueError:
-        raise DomainError(
-            "rate and maturity must be scalars or arrays aligned with strikes"
-        ) from None
-    # min propagates nan, so nan fails the comparisons; inf fails isfinite
-    if not (
-        0.0 < spot < math.inf and strikes.min() > 0.0 < maturity.min()
-        and np.isfinite(np.concatenate((strikes, rate, maturity))).all()
-    ):
-        raise DomainError("spot, strikes and maturity must be positive, all finite")
-    _check_discount(float((rate * maturity).min()))
-    groups: dict[tuple[float, float], list[int]] = {}
-    for i, pair in enumerate(zip(rate.tolist(), maturity.tolist())):
-        groups.setdefault(pair, []).append(i)
-    # the strikes ordered by pair (pairs in order of first appearance), so
-    # that each pair's strikes are consecutive columns
-    order = np.array([i for indices in groups.values() for i in indices])
-    counts = [len(indices) for indices in groups.values()]
-    outcomes = _summed(
-        models, spot, list(groups), counts, strikes[order], tolerance, max_column
-    )
-    prices = np.empty((len(models), strikes.size))
+    """price_call_strikes of each model on one laid-out chain, in one kernel
+    call: its prices, to the bit, or the error that call would raise, which
+    fails that model only (a bad stop rule raises for all)."""
+    outcomes = _summed(models, layout, tolerance, max_column)
+    order = layout.order
+    prices = np.empty((len(models), order.size))
     for i, outcome in enumerate(outcomes):
         if isinstance(outcome, ConvergenceError):
             outcome.strike_index = int(order[outcome.strike_index])

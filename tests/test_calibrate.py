@@ -568,6 +568,29 @@ class TestOptimizer:
         assert nit == expected.nit
         assert success == expected.success
 
+    def test_rung_lays_out_its_chain_once(self, monkeypatch):
+        # every round of a rung prices on the layout its chain keeps
+        pricer_module = importlib.import_module("stablepricer.pricer")
+        layout = pricer_module._chain_layout
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return layout(*args, **kwargs)
+
+        monkeypatch.setattr(pricer_module, "_chain_layout", counting)
+        monkeypatch.setattr(calibrate_module, "_chain_layout", counting)
+        chain = small_chain(StableModelParams.from_beta(1.7, -0.3, 0.15))
+        leaner, counts = None, []
+        for spec in _SPECS.values():
+            before = len(built)
+            leaner = _fit_rung(chain, spec, QUICK, leaner)
+            counts.append(len(built) - before)
+        # the bs rung lays out the chain, which keeps it; each later rung
+        # lays out only the chain of its embedded candidate's one
+        # aggregated_error call
+        assert counts == [1, 1, 1]
+
     @pytest.mark.parametrize("rounded", [False, True], ids=["exact", "ties"])
     def test_lockstep_equals_each_start_alone(self, rounded, monkeypatch):
         # every start takes the path it takes alone, and the candidates keep

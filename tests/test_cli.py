@@ -228,6 +228,19 @@ class TestPrice:
         assert (code, out) == (2, "")
         assert err.startswith("error: rate * maturity") and err.count("\n") == 1
 
+    def test_discounted_strike_overflow_is_domain_error(self):
+        # in a fresh interpreter, so that stderr shows any numpy warning
+        done = run_fresh(
+            "import sys\n"
+            "from stablepricer.cli import main\n"
+            "sys.exit(main(['price', '--spot', '100', '--strike', '100',"
+            " '--rate', '-709.7', '--maturity', '1', '--alpha', '1.6',"
+            " '--beta', '-1', '--sigma', '0.2']))\n"
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: discounted strike K")
+        assert done.stderr.count("\n") == 1
+
     def test_negative_precision_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["price", *GOLDEN_FLAGS, "--precision", "-1"])

@@ -202,3 +202,7 @@ class TestOptionContract:
             OptionContract(spot=100.0, strike=100.0, rate=-800.0, maturity=1.0)
         with pytest.raises(DomainError, match="discount overflows"):
             OptionContract(spot=100.0, strike=100.0, rate=-400.0, maturity=2.0)
+        # the discount exp(709.7) is finite, 100 times it is not
+        OptionContract(spot=100.0, strike=1.0, rate=-709.7, maturity=1.0)
+        with pytest.raises(DomainError, match="discounted strike K"):
+            OptionContract(spot=100.0, strike=100.0, rate=-709.7, maturity=1.0)
