@@ -616,7 +616,7 @@ def objective_params(params: StableModelParams, chain: OptionChain) -> float:
     tolerance and column cap, inf on failure to price."""
     try:
         return aggregated_error(params, chain)
-    except (ConvergenceError, DomainError, OverflowError):
+    except (ConvergenceError, DomainError):
         return math.inf
 
 

@@ -51,6 +51,12 @@ def _check_discounted_strike(discounted_strike: float) -> None:
         raise DomainError("discounted strike K * exp(-rate * maturity) overflows")
 
 
+def _check_spot_ratio(spot: float, low_strike: float, high_strike: float) -> None:
+    # ln(S/K) needs S/K inside float range at every strike, low to high
+    if spot / high_strike == 0.0 or spot / low_strike == math.inf:
+        raise DomainError("spot / strike leaves float range (it overflows or underflows)")
+
+
 def _check_beta(beta: float) -> None:
     if not (-1.0 <= beta <= 1.0):
         raise DomainError(f"beta must lie in [-1, 1], got {beta}")
@@ -105,15 +111,20 @@ def mu_fmls(alpha: float, sigma: float) -> float:
     """Characteristic exponent sigma^alpha * sec(pi*alpha/2).
 
     Negative for all alpha in (1, 2]; equals -sigma**2 exactly at alpha=2.
+    Where it overflows, DomainError.
     """
     _check_alpha(alpha)
     _check_sigma(sigma)
     # sec(pi*alpha/2) = -1/cos(pi*(alpha-2)/2); the shifted cosine is exact at
-    # alpha=2 and stays positive on (1, 2].
+    # alpha=2 and stays positive on (1, 2], never 0 for a float alpha.
     c = math.cos(math.pi * (alpha - 2.0) / 2.0)
-    if c == 0.0:
-        raise DomainError(f"alpha={alpha} too close to 1: sec(pi*alpha/2) diverges")
-    return -(sigma**alpha) / c
+    try:
+        mu = -(sigma**alpha) / c
+    except OverflowError:
+        mu = -math.inf
+    if mu == -math.inf:
+        raise DomainError(f"sigma**alpha * sec(pi*alpha/2) overflows at alpha={alpha}")
+    return mu
 
 
 @dataclass(frozen=True)
@@ -183,6 +194,7 @@ class OptionContract:
             raise DomainError(f"rate must be finite, got {self.rate}")
         _check_discount(self.rate * self.maturity)
         _check_discounted_strike(self.discounted_strike())
+        _check_spot_ratio(self.spot, self.strike, self.strike)
         if self.side not in ("call", "put"):
             raise DomainError(f"side must be 'call' or 'put', got {self.side!r}")
 

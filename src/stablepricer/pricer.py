@@ -19,25 +19,28 @@ With L = ln(S/K) + r*tau, po = -mu*tau and Kd = K*exp(-r*tau):
   drift-shifted series into the same weights (_fmls_columns):
   po**(-k/alpha) / Gamma(1 - k/alpha) = alpha * h_k * po**(-k/alpha).
 
-Every price sums its columns under one strict stop rule: stop after two
-consecutive columns whose worst-strike absolute value is at most the
-tolerance; without such a pair by column max_column, ConvergenceError.
 _chain_layout checks a chain and groups its strikes by (rate, maturity)
 pair, with their Kd and L (_ChainLayout), once per price_call_strikes call
 or calibration chain; price lays out its one strike directly.  One driver
 (_summed) builds a layout's columns for all its strikes, and for several
-models at once, with one weight table per model, and applies the rule to
-each model and pair: _model_calls's models, price_call_strikes's one model,
-or price's one strike (a put is C - (S - Kd)).  A model fails alone, and
-each model's prices are the bits of a call with that model alone.
-Each model picks its engine (_engine), one (scalars, columns) entry: the
-FMLS series (_FMLS) on the FMLS line with the martingale drift, where the
-call is a risk-neutral expectation, and the lattice (_LATTICE) everywhere
-else, alpha = 2 included.  Off the FMLS line with alpha < 2, E[S_T] is
-infinite and a call is the paper's lattice value, not an expectation.  The
-term table is always the paper's lattice.  _summed forms each model's
-po = -mu*tau per pair once; both engines' scalars are per-model floats and
-per-pair values, which their columns lay out per strike with _per_strike.
+models at once, with one weight table per model: _model_calls's models,
+price_call_strikes's one model, or price's one strike (a put is
+C - (S - Kd)).  Each model picks its engine (_engine), one (scalars,
+columns) entry: the FMLS series (_FMLS) on the FMLS line with the
+martingale drift, where the call is a risk-neutral expectation, and the
+lattice (_LATTICE) everywhere else, alpha = 2 included.  Off the FMLS line
+with alpha < 2, E[S_T] is infinite and a call is the paper's lattice value,
+not an expectation.  The term table is always the paper's lattice.
+
+A model fails alone, in one of two places, and each model's prices are the
+bits of a call with that model alone.  Its input is checked first
+(_require_priceable, _engine): mu >= 0, a po that underflows to 0 or whose
+scale po**(-1/alpha) overflows, or a drift mu_fmls that overflows, is a
+DomainError.  Then one strict stop rule, applied per model and pair, stops
+after two consecutive columns whose worst-strike absolute value is at most
+the tolerance; without such a pair by column max_column, or if a summed
+column overflows (an FMLS tail that overflows is inf), ConvergenceError.
+No engine raises.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .core import (
     StableModelParams,
     _check_discount,
     _check_discounted_strike,
+    _check_spot_ratio,
     log_moneyness,
     mu_fmls,
 )
@@ -129,13 +133,18 @@ class TermTable:
 
 
 def _require_priceable(params: StableModelParams, pos: Sequence[float]) -> None:
-    """Reject mu >= 0, then a po = -mu*tau in pos that underflows to 0."""
+    """Reject mu >= 0, then a po = -mu*tau in pos that underflows to 0 or
+    whose scale po**(-1/alpha) overflows (the least po has the largest)."""
     if params.mu >= 0.0:
         raise DomainError(
             f"mu must be negative for pricing (fractional powers of -mu*tau), got {params.mu}"
         )
     if 0.0 in pos:
         raise DomainError(f"-mu*tau underflows to 0 at mu={params.mu}")
+    try:
+        min(pos) ** (-1.0 / params.alpha)
+    except OverflowError:
+        raise DomainError(f"(-mu*tau)**(-1/alpha) overflows at mu={params.mu}") from None
 
 
 def _per_pair(values: list[tuple[float, ...]]) -> tuple:
@@ -237,8 +246,8 @@ def _chain_layout(
 ) -> _ChainLayout:
     """The layout of a checked chain, pairs in order of first appearance;
     rate and maturity are scalars or arrays aligned with strikes.  A bad
-    chain, one whose discount or discounted strike overflows included, is a
-    DomainError."""
+    chain, one whose discount, discounted strike or spot / strike leaves
+    float range included, is a DomainError."""
     strikes = np.asarray(strikes, dtype=float)
     if strikes.ndim != 1 or strikes.size == 0:
         raise DomainError("strikes must be a non-empty 1-d array")
@@ -269,6 +278,7 @@ def _chain_layout(
     with np.errstate(over="ignore"):
         kd = strikes * disc
     _check_discounted_strike(float(kd.max()))
+    _check_spot_ratio(spot, float(strikes.min()), float(strikes.max()))
     layout = _ChainLayout(
         spot, tuple(groups), counts, (0, *accumulate(counts[:-1])),
         kd, np.log(spot / strikes) + rt, order,
@@ -285,9 +295,7 @@ def _strike_major(shape: tuple[int, ...], rows: int, strikes: int) -> np.ndarray
     return np.empty(shape + (strikes, rows)).swapaxes(-1, -2)
 
 
-def _lattice_scalars(
-    p: StableModelParams, pos: Sequence[float], firsts: Sequence[int]
-) -> tuple:
+def _lattice_scalars(p: StableModelParams, pos: Sequence[float]) -> tuple:
     """alpha, theta, log(alpha*pi), rho, and per pair po and po**(-1/alpha)."""
     return (
         p.alpha, p.theta, math.log(p.alpha * math.pi),
@@ -328,12 +336,11 @@ def _columns(
     return columns
 
 
-def _fmls_tail(alpha: float, po: float, strike_index: int) -> float:
+def _fmls_tail(alpha: float, po: float) -> float:
     """sum_{j>=1} po**(j/alpha) / Gamma(1 + j/alpha), common to every FMLS column.
 
     The terms fall once j/alpha exceeds po, then factorially; the sum stops
-    when they no longer move it in float64.  On overflow, ConvergenceError
-    names strike_index.
+    when they no longer move it in float64, or at inf on overflow.
     """
     exp, lgamma = math.exp, math.lgamma
     log_po = math.log(po)
@@ -344,26 +351,18 @@ def _fmls_tail(alpha: float, po: float, strike_index: int) -> float:
         try:
             a = exp(j * log_po / alpha - lgamma(1.0 + ratio))
         except OverflowError:
-            raise _strike_failure(
-                f"FMLS series overflowed (-mu*tau = {po:.3g} too large)", strike_index
-            ) from None
+            return math.inf
         total += a
         if ratio > po and a <= 1e-17 * total:
             return total
         j += 1
 
 
-def _fmls_scalars(
-    p: StableModelParams, pos: Sequence[float], firsts: Sequence[int]
-) -> tuple:
+def _fmls_scalars(p: StableModelParams, pos: Sequence[float]) -> tuple:
     """alpha, theta, log(alpha*pi), and per pair the tail, po and log po."""
     return (
         p.alpha, p.theta, math.log(p.alpha * math.pi),
-        # every strike of a pair shares its tail; an overflow names the first
-        *_per_pair([
-            (_fmls_tail(p.alpha, po, first), po, math.log(po))
-            for po, first in zip(pos, firsts)
-        ]),
+        *_per_pair([(_fmls_tail(p.alpha, po), po, math.log(po)) for po in pos]),
     )
 
 
@@ -406,20 +405,12 @@ def _fmls_columns(
     return columns
 
 
-# A series engine: scalars(params, pos, firsts), one model's floats and
-# per-pair values (_per_pair) from its po = -mu*tau per pair, which may raise
-# the model's own error, and columns(scalars, spot, kd, lm, counts,
-# max_column), the columns of the models whose scalars _by_model stacks.
+# A series engine: scalars(params, pos), one model's floats and per-pair
+# values (_per_pair) from its checked po = -mu*tau per pair, which never
+# raises, and columns(scalars, spot, kd, lm, counts, max_column), the
+# columns of the models whose scalars _by_model stacks.
 _LATTICE = (_lattice_scalars, _columns)
 _FMLS = (_fmls_scalars, _fmls_columns)
-
-
-def _strike_failure(message: str, strike_index: int) -> ConvergenceError:
-    # built here, not in the kernel's frame: an exception held in a local of
-    # the frame its traceback holds is a cycle that keeps the arrays alive
-    exc = ConvergenceError(message)
-    exc.strike_index = int(strike_index)
-    return exc
 
 
 def _rejected(
@@ -438,19 +429,21 @@ def _rejected(
     bad = np.argwhere(~np.isfinite(columns))
     if bad.size:
         row, failed = bad[0]
-        return _strike_failure(
+        exc = ConvergenceError(
             f"series terms overflowed at column {row + max_column + 1 - len(columns)} "
-            f"(parameters too far into the slow-convergence regime)",
-            first + failed,
+            f"(parameters too far into the slow-convergence regime)"
         )
-    worst = np.abs(columns).max(axis=1)
-    row = -1 if worst[-1] > tolerance else -2
-    return _strike_failure(
-        f"series did not stabilize within {max_column} columns "
-        f"(column {max_column + 1 + row} {worst[row]:.3e} "
-        f"> tolerance {tolerance:.3e})",
-        first + np.argmax(np.abs(columns[row])),
-    )
+    else:
+        worst = np.abs(columns).max(axis=1)
+        row = -1 if worst[-1] > tolerance else -2
+        failed = np.argmax(np.abs(columns[row]))
+        exc = ConvergenceError(
+            f"series did not stabilize within {max_column} columns "
+            f"(column {max_column + 1 + row} {worst[row]:.3e} "
+            f"> tolerance {tolerance:.3e})"
+        )
+    exc.strike_index = int(first + failed)
+    return exc
 
 
 def _engine(params: StableModelParams) -> tuple[Callable, Callable]:
@@ -479,16 +472,13 @@ def _summed(
     """For each model, each pair's summed columns over the layout's strikes,
     or the error that pricing the model alone raises.
 
-    Each model's po = -mu*tau per pair is formed here, once, and its engine
-    (_engine) gives its scalars, or its error: an unpriceable mu or an
-    underflowing po (DomainError), an FMLS tail (ConvergenceError) or a
-    lattice scale (OverflowError) that overflows.  Each engine builds its
-    columns at once for all its models, under one stop rule applied per
-    model and pair (see the module docstring); only the summed columns are
-    checked for overflow.  Without a stop by column max_column, or on
-    overflow, the model's error is a ConvergenceError whose strike_index
-    names the failing strike in the layout; pairs are checked in order.  Each
-    model's columns and stops are those of a call with that model alone.
+    Each model's po = -mu*tau per pair is formed here, once, and checked
+    with the model (_require_priceable, _engine): its input fails there or
+    not at all, as a DomainError.  Each engine builds its columns at once
+    for all its models under the stop rule of the module docstring, applied
+    per model and pair in order, whose ConvergenceError names the failing
+    strike in the layout (strike_index).  Each model's columns and stops are
+    those of a call with that model alone.
     """
     if tolerance <= 0.0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
@@ -502,8 +492,8 @@ def _summed(
             pos = [-params.mu * t for _, t in pairs]
             _require_priceable(params, pos)
             engine = _engine(params)
-            row = engine[0](params, pos, firsts)
-        except (DomainError, ConvergenceError, OverflowError) as exc:
+            row = engine[0](params, pos)
+        except DomainError as exc:
             # without its traceback, which would hold this frame and with it
             # the error
             outcomes[i] = exc.with_traceback(None)
@@ -559,9 +549,10 @@ def price(
     are added until two consecutive column contributions are each at most
     tolerance in absolute value (currency units).
 
-    Raises ConvergenceError, even when the final column alone is within
-    tolerance, if no two consecutive columns up to n = max_column are, or if
-    a summed column overflows.
+    Raises DomainError where the model's input leaves the series' domain
+    (see the module docstring), and ConvergenceError, even when the final
+    column alone is within tolerance, if no two consecutive columns up to
+    n = max_column are, or if a summed column overflows.
     """
     spot, strikes = contract.spot, np.array([contract.strike])
     rt = contract.rate * contract.maturity
@@ -682,10 +673,9 @@ def price_call_strikes(
     built for all strikes at once and applied to each distinct
     (rate, maturity) pair over that pair's worst strike: no price is less
     refined than price's for one of its strikes, and each pair stops on the
-    column a call with its strikes alone stops on.  On ConvergenceError,
-    strike_index names the failing strike (its index in strikes); the pairs
-    are checked in order of first appearance, except that an FMLS tail
-    overflow is found before any stop rule runs.
+    column a call with its strikes alone stops on.  It raises what price
+    raises; on ConvergenceError, strike_index names the failing strike (its
+    index in strikes), the pairs checked in order of first appearance.
     """
     (prices,) = _model_calls(
         [params], _chain_layout(spot, rate, maturity, strikes), tolerance, max_column
@@ -700,7 +690,7 @@ def _model_calls(
     layout: _ChainLayout,
     tolerance: float,
     max_column: int = 64,
-) -> list[np.ndarray | ConvergenceError | DomainError | OverflowError]:
+) -> list[np.ndarray | DomainError | ConvergenceError]:
     """price_call_strikes of each model on one laid-out chain, in one kernel
     call: its prices, to the bit, or the error that call would raise, which
     fails that model only (a bad stop rule raises for all)."""

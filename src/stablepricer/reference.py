@@ -54,10 +54,7 @@ def fmls_call(
     price on StableModelParams.fmls(alpha, sigma), for a call or a put by
     the contract's side: for alpha < 2 the risk-neutral expectation from
     Carr & Wu's series, at alpha = 2 Black-Scholes.  Put contracts are
-    priced through parity, P = C - (S - K*exp(-r*tau)).
-
-    Raises ConvergenceError, even when the final column alone is within
-    tolerance, if no two consecutive columns up to n = max_column are, or if
-    the terms overflow.
+    priced through parity, P = C - (S - K*exp(-r*tau)).  It raises what
+    price raises.
     """
     return price(StableModelParams.fmls(alpha, sigma), contract, tolerance, max_column)

@@ -377,7 +377,7 @@ def aggregated_error_by_group(
                 tolerance=tolerance,
                 max_column=max_column,
             )
-        except (ConvergenceError, DomainError, OverflowError):
+        except (ConvergenceError, DomainError):
             return math.inf
         disc = math.exp(-rate * maturity)
         for i, call in zip(indices, calls):

@@ -203,10 +203,12 @@ class TestAggregatedError:
             aggregated_error(params, chain)
 
     def test_fmls_overflow_names_a_quote(self):
-        # every strike shares the overflowing FMLS tail; the first is named
+        # every strike shares the overflowing FMLS tail, which makes column 0
+        # of its first pair overflow; the stop rule names that pair's first
         chain = small_chain(StableModelParams.fmls(1.6, 0.2))
         with pytest.raises(
-            ConvergenceError, match=r"quote 1 \(strike=85\.0.*FMLS series overflowed"
+            ConvergenceError,
+            match=r"quote 1 \(strike=85\.0.*series terms overflowed at column 0 ",
         ):
             aggregated_error(StableModelParams.fmls(1.6, 100.0), chain)
 

@@ -52,6 +52,22 @@ def run_fresh(script: str) -> subprocess.CompletedProcess:
     )
 
 
+def run_main_fresh(*argv: str) -> subprocess.CompletedProcess:
+    """main(argv) in a new interpreter, so that stderr shows any traceback or
+    numpy warning."""
+    return run_fresh(
+        f"import sys\nfrom stablepricer.cli import main\nsys.exit(main({list(argv)!r}))\n"
+    )
+
+
+# the golden market at tau = 0.5, and models there whose -mu*tau rounds to 0
+# and whose (-mu*tau)**(-1/alpha) overflows (argparse takes a value in
+# exponent form only after "=")
+HALF_YEAR = GOLDEN_FLAGS[:7] + ["0.5"]
+UNDERFLOW = GOLDEN_FLAGS[8:-2] + ["--mu=-5e-324"]
+SCALE_OVERFLOW = ["--alpha", "1.01", "--theta", "0", "--sigma", "0.2", "--mu=-1e-320"]
+
+
 SCIPY_MODULES = (
     "def scipy_modules():\n"
     "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
@@ -210,16 +226,31 @@ class TestPrice:
         assert (code, out) == (2, "")
         assert "finite" in err
 
-    @pytest.mark.parametrize("command", ["price", "table"])
-    def test_underflowing_mu_is_domain_error(self, capsys, command):
-        # -mu*tau rounds to 0: one error line, not a traceback
-        # (argparse takes a value in exponent form only after "=")
-        flags = GOLDEN_FLAGS[: GOLDEN_FLAGS.index("--mu")] + ["--mu=-5e-324"]
-        flags[flags.index("--maturity") + 1] = "0.5"
+    @pytest.mark.parametrize(
+        "command, model, error",
+        [
+            pytest.param("price", UNDERFLOW, "-mu*tau underflows", id="price"),
+            pytest.param("table", UNDERFLOW, "-mu*tau underflows", id="table"),
+            pytest.param("price", SCALE_OVERFLOW, "(-mu*tau)**(-1/alpha)", id="price-scale"),
+            pytest.param("table", SCALE_OVERFLOW, "(-mu*tau)**(-1/alpha)", id="table-scale"),
+            # the default drift mu_fmls overflows with sigma**alpha
+            pytest.param(
+                "price", ["--alpha", "1.5", "--beta", "0", "--sigma", "1e300"],
+                "sigma**alpha", id="price-drift",
+            ),
+            pytest.param(
+                "mc", ["--alpha", "1.5", "--sigma", "1e300", "--paths", "100"],
+                "sigma**alpha", id="mc-drift",
+            ),
+        ],
+    )
+    def test_underflowing_mu_is_domain_error(self, command, model, error):
+        # one error line, not a traceback
         extra = ["--nmax", "3"] if command == "table" else []
-        code, out, err = run(capsys, command, *flags, *extra)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: -mu*tau underflows") and err.count("\n") == 1
+        done = run_main_fresh(command, *HALF_YEAR, *model, *extra)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith(f"error: {error}")
+        assert done.stderr.count("\n") == 1
 
     def test_discount_overflow_is_domain_error(self, capsys):
         flags = list(GOLDEN_FLAGS)
@@ -229,13 +260,9 @@ class TestPrice:
         assert err.startswith("error: rate * maturity") and err.count("\n") == 1
 
     def test_discounted_strike_overflow_is_domain_error(self):
-        # in a fresh interpreter, so that stderr shows any numpy warning
-        done = run_fresh(
-            "import sys\n"
-            "from stablepricer.cli import main\n"
-            "sys.exit(main(['price', '--spot', '100', '--strike', '100',"
-            " '--rate', '-709.7', '--maturity', '1', '--alpha', '1.6',"
-            " '--beta', '-1', '--sigma', '0.2']))\n"
+        done = run_main_fresh(
+            "price", "--spot", "100", "--strike", "100", "--rate", "-709.7",
+            "--maturity", "1", "--alpha", "1.6", "--beta", "-1", "--sigma", "0.2",
         )
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.startswith("error: discounted strike K")
@@ -341,6 +368,16 @@ class TestCurve:
         statuses = [line.split(",")[-1] for line in lines[1:]]
         assert statuses[0] == "ok"
         assert "non-convergent" in statuses
+
+    def test_domain_error_rows_marked_not_fatal(self):
+        # (-mu*tau)**(-1/alpha) overflows at every alpha of the sweep
+        done = run_main_fresh(
+            "curve", *HALF_YEAR, *SCALE_OVERFLOW[2:],
+            "--sweep", "alpha", "--start", "1.01", "--stop", "1.03", "--step", "0.01",
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        lines = done.stdout.splitlines()
+        assert [line.split(",")[-1] for line in lines[1:]] == ["domain-error"] * 3
 
     @pytest.mark.parametrize(
         "sweep, flags, build, statuses",

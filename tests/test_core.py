@@ -104,6 +104,13 @@ class TestMuFmls:
             with pytest.raises(DomainError, match="sigma must be positive"):
                 mu_fmls(1.5, sigma)
 
+    def test_overflow_rejected(self):
+        # sigma**alpha overflows; or it is finite and sec(pi*alpha/2) near
+        # alpha = 1 takes it past the largest float
+        for alpha, sigma in ((1.5, 1e300), (1.0 + 1e-12, 1e300)):
+            with pytest.raises(DomainError, match=r"sigma\*\*alpha .* overflows"):
+                mu_fmls(alpha, sigma)
+
     def test_scale_power(self):
         alpha = 1.6
         base = mu_fmls(alpha, 0.2)
@@ -188,6 +195,10 @@ class TestOptionContract:
         ]:
             with pytest.raises(DomainError, match=f"{field} must be .*finite"):
                 OptionContract(**{**good, field: value})
+        # spot / strike overflows, or underflows to 0: ln(S/K) is not finite
+        for spot, strike in ((1e300, 1e-300), (1e-300, 1e300)):
+            with pytest.raises(DomainError, match="spot / strike leaves float range"):
+                OptionContract(spot=spot, strike=strike, rate=0.0, maturity=1.0)
 
     def test_discount_overflow_rejected(self):
         # exp(-rate*maturity) is finite up to rate*maturity = -log(max float)

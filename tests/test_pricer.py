@@ -230,22 +230,31 @@ class TestTermValues:
             price_call(params, golden_contract())
 
     @pytest.mark.parametrize(
-        "params, maturity",
+        "params, maturity, message",
         [
             # -mu*tau rounds to 0 on either engine
-            (StableModelParams(1.5, 0.0, 0.2, -5e-324), 0.5),
-            (StableModelParams.fmls(1.5, 1e-200), 1e-30),
+            (StableModelParams(1.5, 0.0, 0.2, -5e-324), 0.5, r"-mu\*tau underflows to 0"),
+            (StableModelParams.fmls(1.5, 1e-200), 1e-30, r"-mu\*tau underflows to 0"),
+            # (-mu*tau)**(-1/alpha) overflows at alpha 1.01
+            (StableModelParams(1.01, 0.0, 0.2, -1e-320), 1.0, r"\(-1/alpha\) overflows"),
         ],
-        ids=["lattice", "fmls"],
+        ids=["lattice", "fmls", "scale"],
     )
-    def test_underflowing_po_rejected(self, params, maturity):
+    def test_underflowing_po_rejected(self, params, maturity, message):
         contract = OptionContract(100.0, 100.0, 0.0, maturity)
         for call in (
             lambda: price(params, contract),
             lambda: term_table(params, contract, 3),
+            lambda: price_call_strikes(params, 100.0, 0.0, maturity, np.array([100.0])),
         ):
-            with pytest.raises(DomainError, match=r"-mu\*tau underflows to 0 at mu="):
+            with pytest.raises(DomainError, match=message + " at mu="):
                 call()
+
+    def test_subnormal_po_with_finite_scale_prices(self):
+        # the scale check is the power itself, not a bound on -mu*tau
+        contract = OptionContract(100.0, 100.0, 0.0, 1.0)
+        result = price(StableModelParams(1.5, 0.0, 0.2, -1e-310), contract)
+        assert 0.0 < result.price < 1e-100
 
 
 class TestColumnConsistency:
@@ -303,7 +312,7 @@ class TestKernelMatchesTable:
         po = -params.mu * maturity
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             columns = build(
-                scalars(params, [po], [0]), spot, layout.kd, layout.lm, [1], n_max
+                scalars(params, [po]), spot, layout.kd, layout.lm, [1], n_max
             )[:, 0]
         lm = log_moneyness(contract)
         y_up, y_down = (lm + po) * po ** (-1 / alpha), (lm - po) * po ** (-1 / alpha)
@@ -354,6 +363,23 @@ class TestPriceCall:
             price_call_strikes(
                 params, spot, rate, maturity, np.array([strike]), tolerance=1e-4
             )
+
+    def test_fmls_tail_overflow_reported_one_way(self):
+        # at -mu*tau = 711 only the tail's sum overflows, at 740 its terms
+        # do; either way column 0 is inf, and the stop rule reports it
+        contract = OptionContract(100.0, 100.0, 0.0, 1.0)
+        reports = set()
+        for po in (711.0, 740.0):
+            sigma = (po * math.cos(0.2 * math.pi)) ** (1 / 1.6)
+            params = StableModelParams.fmls(1.6, sigma)
+            assert -params.mu == pytest.approx(po, rel=1e-12)
+            with pytest.raises(ConvergenceError) as caught:
+                price(params, contract)
+            reports.add((str(caught.value), caught.value.strike_index))
+        assert reports == {(
+            "series terms overflowed at column 0 "
+            "(parameters too far into the slow-convergence regime)", 0
+        )}
 
     @pytest.mark.parametrize("max_column", [3, 5, 7])
     def test_odd_cap_at_alpha_two(self, max_column):
@@ -546,6 +572,12 @@ class TestBatch:
                 price_call_strikes(
                     params, 100.0, np.array(rates), 1.0, np.full(len(rates), 100.0)
                 )
+        # spot / strike overflows or underflows to 0, on every strike or one
+        for spot, chain_strikes in (
+            (1e300, [1e-300]), (1e-300, [1e300]), (1e-300, [1.0, 1e300]),
+        ):
+            with pytest.raises(DomainError, match="spot / strike leaves float range"):
+                price_call_strikes(params, spot, 0.0, 1.0, np.array(chain_strikes))
         # with a bad chain and a bad model or stop rule, the chain is named:
         # the one driver that price shares checks the model and stop rule
         # only once the strikes have been grouped by (rate, maturity)
@@ -809,11 +841,11 @@ class TestModelAxis:
             StableModelParams.from_beta(2.0, 0.0, 0.2),
             # mu > 0 cannot be priced
             StableModelParams(1.6, 0.0, 0.2, 0.05),
-            # the FMLS tail overflows on the second pair only
-            StableModelParams.fmls(1.6, 60.0),
+            # converges on the first pair, (0, 0.5), and not on the second
+            StableModelParams.fmls(1.6, 4.5),
             # the lattice series overflows
             StableModelParams.from_beta(1.5, 0.3, 1e-6),
-            # the lattice scale po**(-1/alpha) overflows
+            # the scale po**(-1/alpha) overflows
             StableModelParams(1.01, 0.0, 0.2, -1e-320),
             # -mu*tau underflows to 0 at tau = 0.5
             StableModelParams(1.5, 0.0, 0.2, -5e-324),
@@ -833,11 +865,13 @@ class TestModelAxis:
             rows = self._assert_rows_are_one_model_calls(models, args)
             assert [type(row).__name__ for row in rows] == [
                 "ndarray", "ndarray", "ndarray", "DomainError",
-                "ConvergenceError", "ConvergenceError", "OverflowError", "DomainError",
+                "ConvergenceError", "ConvergenceError", "DomainError", "DomainError",
             ]
-            assert "FMLS series overflowed" in str(rows[4])
-            assert rows[4].strike_index == 1
+            assert "did not stabilize" in str(rows[4])
+            i = rows[4].strike_index
+            assert (chain[0][i], chain[1][i]) == (0.02, 1.0)
             assert "series terms overflowed" in str(rows[5])
+            assert "-1/alpha) overflows" in str(rows[6])
             assert "underflows" in str(rows[7])
             # the other rows are the bits of the batch without that model
             without = self._rows(models[:-1], args)
@@ -858,7 +892,7 @@ class TestModelAxis:
         for params, row in zip(models, rows):
             try:
                 alone = price_call_strikes(params, *args)
-            except (ConvergenceError, DomainError, OverflowError) as exc:
+            except (ConvergenceError, DomainError) as exc:
                 assert type(row) is type(exc)
                 assert str(row) == str(exc)
                 assert getattr(row, "strike_index", None) == getattr(
@@ -924,6 +958,13 @@ class TestEngine:
     )
     def test_model_picks_the_series(self, params, engine):
         assert _engine(params) is engine
+
+    def test_overflowing_drift_rejected(self):
+        # on the FMLS line the engine compares mu with mu_fmls, whose
+        # sigma**alpha overflows here
+        params = StableModelParams(1.5, -0.5, 1e300, -1.0)
+        with pytest.raises(DomainError, match=r"sigma\*\*alpha"):
+            price(params, OptionContract(100.0, 100.0, 0.0, 1.0))
 
     def test_engine_choice_stays_in_pricer(self):
         # no other module wires pricer's columns or summation by hand; an
