@@ -39,6 +39,8 @@ def _check_sigma(sigma: float) -> None:
 
 
 def _check_discount(rate_maturity: float) -> None:
+    if rate_maturity == math.inf:
+        raise DomainError(f"rate * maturity must be finite, got {rate_maturity}")
     if rate_maturity < -_MAX_DISCOUNT_EXPONENT:
         raise DomainError(
             f"rate * maturity must be >= {-_MAX_DISCOUNT_EXPONENT:.6g} "

@@ -11,12 +11,18 @@ risk-neutral Monte-Carlo pricing converges).  Market skewness beta relates
 to theta through core.beta_to_theta; a standard skewed variate (the usual
 trigonometric transformation, scale 1) equals the Feller-standardized one
 times s1_scale_factor(alpha, beta).
+
+The sampler fills its blocks on one thread per usable core, with the same
+bits on any number of cores and no setting for it.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -184,6 +190,14 @@ def _block_generator(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on, read afresh on each call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def sample_stable(config: SamplerConfig) -> np.ndarray:
     """I.i.d. standard stable draws via the trigonometric transformation.
 
@@ -192,6 +206,10 @@ def sample_stable(config: SamplerConfig) -> np.ndarray:
     with U uniform on (-pi/2, pi/2), W unit exponential,
     B = atan(beta*tan(pi*alpha/2))/alpha and scale = s1_scale_factor.
     Deterministic given the seed, independent of block partitioning.
+
+    The blocks run on one thread per usable core, each filled in place in
+    the result, so the draws are the same bits on any number of cores; the
+    calling thread takes a share, and runs alone on one block or one core.
     """
     alpha, beta = config.alpha, config.beta
     bt = beta * _tan_half(alpha)
@@ -200,19 +218,53 @@ def sample_stable(config: SamplerConfig) -> np.ndarray:
     inv_alpha = 1.0 / alpha
     exp_w = (1.0 - alpha) / alpha
     out = np.empty(config.count)
-    for block in range(0, config.count, _BLOCK_SIZE):
-        size = min(_BLOCK_SIZE, config.count - block)
-        gen = _block_generator(config.seed, block // _BLOCK_SIZE)
-        u = math.pi * (gen.random(size) - 0.5)
-        w = gen.standard_exponential(size)
-        au = alpha * (u + b)
-        x = (
-            scale
-            * np.sin(au)
-            / np.cos(u) ** inv_alpha
-            * (np.cos(u - au) / w) ** exp_w
-        )
-        out[block : block + size] = x
+    blocks = -(-config.count // _BLOCK_SIZE)
+    workers = min(blocks, _usable_cores())
+    # allocated on the calling thread: a worker's own malloc arena would keep it
+    scratch = np.empty((workers, 2, min(config.count, _BLOCK_SIZE)))
+    failures: list[BaseException | None] = [None] * workers
+
+    def share(worker: int) -> None:
+        # blocks worker, worker + workers, ...; per element the operations
+        # of the formula above, in place
+        try:
+            for block in range(worker, blocks, workers):
+                x = out[block * _BLOCK_SIZE : (block + 1) * _BLOCK_SIZE]
+                au, c = (row[: x.size] for row in scratch[worker])
+                gen = _block_generator(config.seed, block)
+                u = gen.random(out=x)
+                u -= 0.5
+                u *= math.pi
+                np.add(u, b, out=au)
+                au *= alpha
+                np.subtract(u, au, out=c)
+                np.cos(c, out=c)
+                np.sin(au, out=au)
+                au *= scale
+                np.cos(u, out=u)
+                u **= inv_alpha
+                au /= u
+                w = gen.standard_exponential(out=u)
+                c /= w
+                c **= exp_w
+                np.multiply(au, c, out=x)
+        except BaseException as exc:
+            failures[worker] = exc
+
+    # numpy 2 keeps its error state in a context variable, which a new
+    # thread does not inherit
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(share, worker))
+        for worker in range(1, workers)
+    ]
+    for thread in threads:
+        thread.start()
+    share(0)
+    for thread in threads:
+        thread.join()
+    for exc in failures:
+        if exc is not None:
+            raise exc
     return out
 
 
@@ -236,17 +288,23 @@ def mc_price_fmls(
     if paths < 2:
         raise DomainError(f"paths must be >= 2, got {paths}")
     mu = mu_fmls(alpha, sigma)
-    draws = sample_stable(
+    # the draws become the payoffs in place, with no full-size temporary
+    payoff = sample_stable(
         SamplerConfig(alpha=alpha, beta=-1.0, count=paths, seed=seed)
     )
     tau = contract.maturity
-    y = sigma * tau ** (1.0 / alpha) * draws
-    growth = (contract.rate + mu) * tau
-    payoff = np.maximum(contract.spot * np.exp(growth + y) - contract.strike, 0.0)
-    disc = math.exp(-contract.rate * tau)
-    var = float(payoff.var(ddof=1))
+    payoff *= sigma * tau ** (1.0 / alpha)
+    payoff += (contract.rate + mu) * tau
+    np.exp(payoff, out=payoff)
+    payoff *= contract.spot
+    payoff -= contract.strike
+    np.maximum(payoff, 0.0, out=payoff)
+    mean = payoff.mean()
+    # the sample variance as payoff.var(ddof=1) forms it, from squared deviations
+    payoff -= mean
+    payoff *= payoff
+    var = float(payoff.sum()) / (paths - 1)
     if not math.isfinite(var):
         warnings.warn("payoff sample variance is non-finite; std_error unreliable")
-    price = disc * float(payoff.mean())
-    std_error = disc * math.sqrt(var / paths)
-    return price, std_error
+    disc = math.exp(-contract.rate * tau)
+    return disc * float(mean), disc * math.sqrt(var / paths)

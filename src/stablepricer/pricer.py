@@ -265,16 +265,16 @@ def _chain_layout(
         and np.isfinite(np.concatenate((strikes, rate, maturity))).all()
     ):
         raise DomainError("spot, strikes and maturity must be positive, all finite")
-    _check_discount(float((rate * maturity).min()))
     groups: dict[tuple[float, float], list[int]] = {}
     for i, pair in enumerate(zip(rate.tolist(), maturity.tolist())):
         groups.setdefault(pair, []).append(i)
+    rts = [r * t for r, t in groups]  # floats: an overflow is inf, no numpy warning
+    _check_discount(min(rts))
+    _check_discount(max(rts))
     order = np.array([i for indices in groups.values() for i in indices])
     counts = tuple(len(indices) for indices in groups.values())
     strikes = strikes[order]
-    disc, rt = _per_strike(
-        _per_pair([(math.exp(-r * t), r * t) for r, t in groups]), counts, -1
-    )
+    disc, rt = _per_strike(_per_pair([(math.exp(-x), x) for x in rts]), counts, -1)
     with np.errstate(over="ignore"):
         kd = strikes * disc
     _check_discounted_strike(float(kd.max()))

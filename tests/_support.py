@@ -278,6 +278,35 @@ def sampler_ks_pvalue(
     return float(result.pvalue)
 
 
+def reference_sample_stable(config: SamplerConfig) -> np.ndarray:
+    """The stable sampler as one serial loop over its 65536-draw blocks,
+    each from Philox keyed by (seed, block): the bits lab.sample_stable
+    must reproduce on any number of cores."""
+    alpha, beta = config.alpha, config.beta
+    bt = beta * math.tan(math.pi * (alpha - 2.0) / 2.0)
+    b = math.atan(bt) / alpha
+    scale = s1_scale_factor(alpha, beta)
+    inv_alpha = 1.0 / alpha
+    exp_w = (1.0 - alpha) / alpha
+    block_size = 1 << 16
+    out = np.empty(config.count)
+    for block in range(0, config.count, block_size):
+        size = min(block_size, config.count - block)
+        key = np.array([config.seed & 0xFFFFFFFFFFFFFFFF, block // block_size], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        u = math.pi * (gen.random(size) - 0.5)
+        w = gen.standard_exponential(size)
+        au = alpha * (u + b)
+        x = (
+            scale
+            * np.sin(au)
+            / np.cos(u) ** inv_alpha
+            * (np.cos(u - au) / w) ** exp_w
+        )
+        out[block : block + size] = x
+    return out
+
+
 def gaussian_pdf_var2(x: float) -> float:
     """N(0, 2) density, the alpha=2 limit of the Feller-standard family."""
     return math.exp(-x * x / 4.0) / (2.0 * math.sqrt(math.pi))

@@ -268,6 +268,15 @@ class TestPrice:
         assert done.stderr.startswith("error: discounted strike K")
         assert done.stderr.count("\n") == 1
 
+    def test_rate_maturity_overflow_is_domain_error(self):
+        # rate * maturity is +inf in float arithmetic
+        done = run_main_fresh(
+            "price", "--spot", "100", "--strike", "100", "--rate", "1e300",
+            "--maturity", "1e10", "--alpha", "1.6", "--beta", "-1", "--sigma", "0.2",
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: rate * maturity must be finite, got inf\n"
+
     def test_negative_precision_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["price", *GOLDEN_FLAGS, "--precision", "-1"])

@@ -217,3 +217,12 @@ class TestOptionContract:
         OptionContract(spot=100.0, strike=1.0, rate=-709.7, maturity=1.0)
         with pytest.raises(DomainError, match="discounted strike K"):
             OptionContract(spot=100.0, strike=100.0, rate=-709.7, maturity=1.0)
+
+    def test_rate_maturity_overflow_rejected(self):
+        # rate * maturity overflows to +inf: the discount would be 0.0 and
+        # the price a ConvergenceError, not a rejected contract
+        with pytest.raises(DomainError, match=r"rate \* maturity must be finite, got inf"):
+            OptionContract(spot=100.0, strike=100.0, rate=1e300, maturity=1e10)
+        # -inf keeps the discount's own message
+        with pytest.raises(DomainError, match="discount overflows"):
+            OptionContract(spot=100.0, strike=100.0, rate=-1e300, maturity=1e10)

@@ -13,6 +13,9 @@ Oracles used here:
 """
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -33,7 +36,12 @@ from stablepricer import (
 from stablepricer import lab
 from stablepricer.lab import s1_scale_factor
 
-from _support import gaussian_pdf_var2, sampler_ks_pvalue, series_density
+from _support import (
+    gaussian_pdf_var2,
+    reference_sample_stable,
+    sampler_ks_pvalue,
+    series_density,
+)
 
 
 class TestDensity:
@@ -216,6 +224,115 @@ class TestSampler:
     def test_s1_scale_factor_symmetric_case(self):
         assert s1_scale_factor(1.7, 0.0) == 1.0
         assert s1_scale_factor(2.0, -1.0) == 1.0
+
+
+def _use_cores(monkeypatch, cores: int) -> None:
+    """Make lab see `cores` usable cores."""
+    monkeypatch.setattr(lab.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
+def _record_blocks(monkeypatch, record, fail=None):
+    """Wrap lab's block generator: record(block) runs on the worker that
+    makes the block, and block `fail` raises there."""
+    real = lab._block_generator
+
+    def generator(seed, block):
+        if block == fail:
+            raise RuntimeError(f"block {block} failed")
+        record(block)
+        return real(seed, block)
+
+    monkeypatch.setattr(lab, "_block_generator", generator)
+
+
+class TestThreadedSampler:
+    # blocks run on one thread per usable core; the bits must be the
+    # serial loop's whatever the count of cores
+    BLOCK = 1 << 16
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    @pytest.mark.parametrize("alpha, beta", [(1.6, -1.0), (1.6, 0.0), (1.6, 0.5), (2.0, 0.0)])
+    def test_same_bits_as_serial_loop(self, monkeypatch, cores, alpha, beta):
+        # a short switch interval interleaves the workers' Python steps
+        _use_cores(monkeypatch, cores)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for count in (1, self.BLOCK - 1, self.BLOCK, self.BLOCK + 1, 3 * self.BLOCK + 1):
+                config = SamplerConfig(alpha=alpha, beta=beta, count=count, seed=count)
+                assert np.array_equal(sample_stable(config), reference_sample_stable(config))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_mc_same_on_one_and_two_cores(self, monkeypatch):
+        # and equal to the payoff statistics of the serial draws, formed
+        # with full-size temporaries and numpy's var
+        alpha, sigma, paths, seed = 1.7, 0.2, 200_000, 3
+        contract = TestMonteCarlo.CONTRACT
+        results = []
+        for cores in (1, 2):
+            _use_cores(monkeypatch, cores)
+            results.append(mc_price_fmls(alpha, sigma, contract, paths=paths, seed=seed))
+        draws = reference_sample_stable(SamplerConfig(alpha, -1.0, paths, seed))
+        tau, growth = contract.maturity, (contract.rate + mu_fmls(alpha, sigma)) * contract.maturity
+        y = sigma * tau ** (1.0 / alpha) * draws
+        payoff = np.maximum(contract.spot * np.exp(growth + y) - contract.strike, 0.0)
+        disc = math.exp(-contract.rate * tau)
+        serial = (
+            disc * float(payoff.mean()),
+            disc * math.sqrt(float(payoff.var(ddof=1)) / paths),
+        )
+        assert results == [serial, serial]
+
+    def test_blocks_split_over_usable_cores(self, monkeypatch):
+        # worker j of 3 takes blocks j, j + 3, ...; the caller is worker 0
+        _use_cores(monkeypatch, 3)
+        makers = {}
+        _record_blocks(monkeypatch, lambda block: makers.update({block: threading.current_thread()}))
+        before = threading.active_count()
+        sample_stable(SamplerConfig(alpha=1.6, beta=0.0, count=5 * self.BLOCK, seed=0))
+        assert threading.active_count() == before
+        assert makers[0] is makers[3] is threading.current_thread()
+        assert makers[1] is makers[4]
+        assert len({makers[0], makers[1], makers[2]}) == 3
+
+    @pytest.mark.parametrize("cores, blocks", [(4, 1), (1, 3)])
+    def test_one_block_or_core_runs_on_caller(self, monkeypatch, cores, blocks):
+        _use_cores(monkeypatch, cores)
+        threads = set()
+        _record_blocks(monkeypatch, lambda block: threads.add((threading.current_thread(), threading.active_count())))
+        before = threading.active_count()
+        sample_stable(SamplerConfig(alpha=1.6, beta=0.0, count=blocks * self.BLOCK, seed=0))
+        assert threads == {(threading.current_thread(), before)}
+
+    @pytest.mark.parametrize("failing", [1, 0])
+    def test_worker_exception_raised_after_join(self, monkeypatch, failing):
+        # worker 0 (the caller) takes blocks 0 and 2, worker 1 blocks 1 and
+        # 3; the failing block's worker stops there, and the other, slowed,
+        # still makes both its blocks before the caller raises
+        _use_cores(monkeypatch, 2)
+        made = []
+
+        def slow(block):
+            time.sleep(0.05)
+            made.append(block)
+
+        _record_blocks(monkeypatch, slow, fail=failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"block {failing} failed"):
+            sample_stable(SamplerConfig(alpha=1.6, beta=0.0, count=4 * self.BLOCK, seed=0))
+        assert threading.active_count() == before
+        assert sorted(made) == [1 - failing, 3 - failing]
+
+    def test_workers_see_callers_error_state(self, monkeypatch):
+        # numpy 2 keeps np.errstate in a context variable, which a thread
+        # started without the caller's context does not see
+        _use_cores(monkeypatch, 2)
+        states = {}
+        _record_blocks(monkeypatch, lambda block: states.update({block: np.geterr()["over"]}))
+        with np.errstate(over="raise"):
+            sample_stable(SamplerConfig(alpha=1.6, beta=0.0, count=2 * self.BLOCK, seed=0))
+        assert states == {0: "raise", 1: "raise"}
 
 
 class TestMonteCarlo:

@@ -565,6 +565,15 @@ class TestBatch:
                 _chain_layout(100.0, [0.01, 0.01, -400.0], [1.0, 1.0, 2.0], strikes),
                 1e-4,
             )
+        # rate * maturity overflows to +inf, on the one pair or on the
+        # last of two; no numpy warning (an error under this suite's filter)
+        fmls = StableModelParams.fmls(1.6, 0.2)
+        for rates, maturities in (([1e300], [1e10]), ([0.01, 1e300], [1.0, 1e10])):
+            with pytest.raises(DomainError, match=r"rate \* maturity must be finite"):
+                price_call_strikes(
+                    fmls, 100.0, np.array(rates), np.array(maturities),
+                    np.full(len(rates), 100.0),
+                )
         # exp(709.7) is finite, 100 times it is not, alone or after a good
         # pair; no numpy warning (an error under this suite's filter) first
         for rates in ([-709.7], [0.01, -709.7]):
