@@ -38,9 +38,12 @@ bits of a call with that model alone.  Its input is checked first
 scale po**(-1/alpha) overflows, or a drift mu_fmls that overflows, is a
 DomainError.  Then one strict stop rule, applied per model and pair, stops
 after two consecutive columns whose worst-strike absolute value is at most
-the tolerance; without such a pair by column max_column, or if a summed
-column overflows (an FMLS tail that overflows is inf), ConvergenceError.
-No engine raises.
+the tolerance (on the FMLS series only from column floor(max |L - po|) on,
+where (L - po)**n/n! peaks); without such a pair by column max_column, or if
+a summed column overflows (an FMLS tail that overflows is inf),
+ConvergenceError.  No engine raises.  Most models stop within half of
+max_column, so the columns are built that far first, and again up to
+max_column only for the models that neither stop nor overflow there.
 """
 
 from __future__ import annotations
@@ -414,7 +417,7 @@ _FMLS = (_fmls_scalars, _fmls_columns)
 
 
 def _rejected(
-    columns: np.ndarray, tolerance: float, max_column: int, first: int
+    columns: np.ndarray, tolerance: float, max_column: int, first: int, reach: float
 ) -> ConvergenceError:
     """The error of one pair's columns (rows) that the stop rule rejects,
     with strike_index naming the failing strike (first + its column).
@@ -423,8 +426,9 @@ def _rejected(
     is not finite, or when they have no quiet pair; either way the sum
     reaches their first non-finite row.  So they overflowed exactly when an
     entry is not finite, and the first is named; otherwise no two
-    consecutive columns are within tolerance, and the later loud one of the
-    final pair is named.
+    consecutive columns from column reach on are within tolerance, and the
+    later loud one of the final pair is named (the last column if both are
+    quiet, before reach).
     """
     bad = np.argwhere(~np.isfinite(columns))
     if bad.size:
@@ -437,10 +441,11 @@ def _rejected(
         worst = np.abs(columns).max(axis=1)
         row = -1 if worst[-1] > tolerance else -2
         failed = np.argmax(np.abs(columns[row]))
+        detail = f"column {max_column + 1 + row} {worst[row]:.3e} > tolerance {tolerance:.3e}"
+        if worst[row] <= tolerance:
+            detail = f"a quiet pair counts only from column {reach:.0f}"
         exc = ConvergenceError(
-            f"series did not stabilize within {max_column} columns "
-            f"(column {max_column + 1 + row} {worst[row]:.3e} "
-            f"> tolerance {tolerance:.3e})"
+            f"series did not stabilize within {max_column} columns ({detail})"
         )
     exc.strike_index = int(first + failed)
     return exc
@@ -463,6 +468,11 @@ def _engine(params: StableModelParams) -> tuple[Callable, Callable]:
     return _LATTICE
 
 
+def _first_cap(max_column: int) -> int:
+    """The column cap of _summed's first pass, within which most models stop."""
+    return max(1, max_column // 2)
+
+
 def _summed(
     models: Sequence[StableModelParams],
     layout: _ChainLayout,
@@ -477,8 +487,12 @@ def _summed(
     not at all, as a DomainError.  Each engine builds its columns at once
     for all its models under the stop rule of the module docstring, applied
     per model and pair in order, whose ConvergenceError names the failing
-    strike in the layout (strike_index).  Each model's columns and stops are
-    those of a call with that model alone.
+    strike in the layout (strike_index).  A first pass builds the columns up
+    to _first_cap(max_column); only a model with a pair that neither stops
+    nor overflows there is built again, up to max_column.  A row, and a
+    strike's sum over its own leading rows, do not depend on how many rows or
+    which models are built, so each model's columns and stops are those of a
+    call with that model alone, whose columns are built up to max_column.
     """
     if tolerance <= 0.0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
@@ -486,7 +500,7 @@ def _summed(
         raise DomainError(f"max_column must be >= 1, got {max_column}")
     spot, pairs, counts, firsts, kd, lm, _ = layout
     outcomes: list[list[np.ndarray] | Exception] = [[] for _ in models]
-    engines: dict[tuple[Callable, Callable], tuple[list[int], list[tuple]]] = {}
+    pending: dict[tuple[Callable, Callable], list[tuple[int, tuple, list[float]]]] = {}
     for i, params in enumerate(models):
         try:
             pos = [-params.mu * t for _, t in pairs]
@@ -498,35 +512,49 @@ def _summed(
             # the error
             outcomes[i] = exc.with_traceback(None)
         else:
-            members, rows = engines.setdefault(engine, ([], []))
-            members.append(i)
-            rows.append(row)
-    for (_, build), (members, rows) in engines.items():
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            columns = build(_by_model(rows), spot, kd, lm, counts, max_column)
-        if columns.ndim == 2:
-            columns = columns[None]
-        # each row's worst strike, per model and pair (one pair: a plain max,
-        # which costs less than reduceat)
-        magnitude = np.abs(columns)
-        if len(counts) == 1:
-            worst = magnitude.max(axis=2, keepdims=True)
-        else:
-            worst = np.maximum.reduceat(magnitude, firsts, axis=2)
-        quiet = worst <= tolerance
-        quiet_pairs = quiet[:, 1:] & quiet[:, :-1]
-        # argmin finds the first row that opens a quiet pair or is not finite
-        # (max propagates nan, so a row's worst is finite exactly when the
-        # row is): the stop, if that row opens a quiet pair
-        stops = (np.isfinite(worst[:, :-1]) > quiet_pairs).argmin(axis=1)
-        for row, (i, model_stops) in enumerate(zip(members, stops.tolist())):
-            for pair, (first, n, stop) in enumerate(zip(firsts, counts, model_stops)):
-                if not quiet_pairs[row, stop, pair]:
-                    outcomes[i] = _rejected(
-                        columns[row, :, first : first + n], tolerance, max_column, first
-                    )
-                    break
-                outcomes[i].append(columns[row, : stop + 2, first : first + n])
+            pending.setdefault(engine, []).append((i, row, pos))
+    for cap in (_first_cap(max_column), max_column):
+        unstopped: dict[tuple[Callable, Callable], list] = {}
+        for engine, group in pending.items():
+            members, rows, pos = zip(*group)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                columns = engine[1](_by_model(list(rows)), spot, kd, lm, counts, cap)
+            if columns.ndim == 2:
+                columns = columns[None]
+            # each row's worst strike, per model and pair (one pair: a plain
+            # max, which costs less than reduceat)
+            magnitude = np.abs(columns)
+            if len(counts) == 1:
+                worst = magnitude.max(axis=2, keepdims=True)
+            else:
+                worst = np.maximum.reduceat(magnitude, firsts, axis=2)
+            quiet = worst <= tolerance
+            quiet_pairs = quiet[:, 1:] & quiet[:, :-1]
+            reach = np.zeros((len(members), len(counts)))
+            if engine is _FMLS:
+                # Carr & Wu's columns carry x**n/n!, x = L - po, which grows up
+                # to n = |x|: a quiet pair counts from column floor(max |x|) on
+                x = lm - _per_strike(np.array(pos), counts, -1)
+                reach = np.floor(np.maximum.reduceat(np.abs(x), firsts, axis=-1))
+                if reach.any():
+                    quiet_pairs &= np.arange(quiet_pairs.shape[1])[:, None] >= reach[:, None]
+            # argmin finds the first row that opens a quiet pair or is not
+            # finite (max propagates nan, so a row's worst is finite exactly
+            # when the row is): the stop, if that row opens a quiet pair
+            stops = (np.isfinite(worst[:, :-1]) > quiet_pairs).argmin(axis=1)
+            for k, (i, model_stops) in enumerate(zip(members, stops.tolist())):
+                for pair, (first, n, stop) in enumerate(zip(firsts, counts, model_stops)):
+                    if not quiet_pairs[k, stop, pair]:
+                        block = columns[k, :, first : first + n]
+                        if cap < max_column and np.isfinite(block).all():
+                            # no stop and no overflow yet: build again at max_column
+                            outcomes[i] = []
+                            unstopped.setdefault(engine, []).append(group[k])
+                        else:
+                            outcomes[i] = _rejected(block, tolerance, cap, first, reach[k, pair])
+                        break
+                    outcomes[i].append(columns[k, : stop + 2, first : first + n])
+        pending = unstopped
     return outcomes
 
 

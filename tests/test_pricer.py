@@ -381,6 +381,39 @@ class TestPriceCall:
             "(parameters too far into the slow-convergence regime)", 0
         )}
 
+    @pytest.mark.parametrize(
+        "strike, rate", [(1e-10, 0.0), (100.0, 50.0), (1e-4, 0.0)],
+        ids=["tiny-strike", "high-rate", "small-strike"],
+    )
+    def test_fmls_deep_in_the_money_respects_bounds(self, strike, rate):
+        # each FMLS column carries Kd/alpha * x**n/n!, x = L - po: with a tiny
+        # Kd the first columns are quiet, and the later ones grow up to n = |x|
+        params, tolerance = StableModelParams.fmls(1.6, 0.2), 1e-8
+        contract = OptionContract(100.0, strike, rate, 1.0)
+        for call in (
+            lambda: price(params, contract, tolerance).price,
+            lambda: price_call_strikes(
+                params, 100.0, rate, 1.0, np.array([strike]), tolerance
+            )[0],
+        ):
+            try:
+                value = call()
+            except ConvergenceError:
+                continue
+            assert contract.forward() - 64 * tolerance <= value <= contract.spot
+
+    def test_fmls_quiet_before_peak_named(self):
+        # every column up to the cap is quiet, but |x|**n/n! peaks at n = 73
+        with pytest.raises(ConvergenceError) as caught:
+            price(
+                StableModelParams.fmls(1.6, 0.2), OptionContract(100.0, 1e-30, 0.0, 1.0),
+                tolerance=1e-3, max_column=8,
+            )
+        assert str(caught.value) == (
+            "series did not stabilize within 8 columns "
+            "(a quiet pair counts only from column 73)"
+        )
+
     @pytest.mark.parametrize("max_column", [3, 5, 7])
     def test_odd_cap_at_alpha_two(self, max_column):
         # every even-k column is exactly 0 at alpha = 2, so with an odd cap
@@ -911,6 +944,106 @@ class TestModelAxis:
                 assert isinstance(row, np.ndarray)
                 assert np.array_equal(row, alone)
         return rows
+
+
+def _outcome(value):
+    """A kernel outcome as a comparable value: prices as their bytes, a
+    PriceResult as its repr, an error as its type, message and strike."""
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    if isinstance(value, Exception):
+        return type(value), str(value), getattr(value, "strike_index", None)
+    return repr(value)
+
+
+class TestTwoPasses:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        models=st.lists(MODELS, min_size=1, max_size=6),
+        quotes=st.lists(
+            st.tuples(
+                st.floats(60.0, 160.0),
+                st.sampled_from([0.0, 0.02, 0.05]),
+                st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        tolerance=st.floats(-12.0, -3.0).map(lambda e: 10.0**e),
+        max_column=st.integers(1, 100),
+    )
+    def test_equals_one_full_pass(self, models, quotes, tolerance, max_column):
+        # a first pass at half the cap, then the unstopped models at the
+        # cap, gives the bits of one pass at the cap: prices, columns used,
+        # truncation estimates and errors, on a chain whose pairs interleave
+        strikes, rates, maturities = (np.array(column) for column in zip(*quotes))
+        layout = _chain_layout(100.0, rates, maturities, strikes)
+        contract = OptionContract(100.0, quotes[0][0], quotes[0][1], quotes[0][2])
+
+        def outcomes():
+            rows = _model_calls(models, layout, tolerance, max_column)
+            results = []
+            for params in models:
+                try:
+                    results.append(price(params, contract, tolerance, max_column))
+                except (ConvergenceError, DomainError) as exc:
+                    results.append(exc)
+            return [_outcome(value) for value in rows + results]
+
+        two_passes = outcomes()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pricer_module, "_first_cap", lambda max_column: max_column)
+            assert outcomes() == two_passes
+
+    @staticmethod
+    def _counted_builds(monkeypatch):
+        """Record each builder call as (builder, cap, sorted po of its models)."""
+        builds = []
+        for name in ("_LATTICE", "_FMLS"):
+            scalars, columns = getattr(pricer_module, name)
+
+            def build(stacked, spot, kd, lm, counts, cap, columns=columns):
+                # po = -mu*tau is field 4 of both engines' scalars
+                builds.append((columns.__name__, cap, sorted(np.ravel(stacked[4]).tolist())))
+                return columns(stacked, spot, kd, lm, counts, cap)
+
+            monkeypatch.setattr(pricer_module, name, (scalars, build))
+        return builds
+
+    def test_golden_ladder_builds_once_at_half_the_cap(self, monkeypatch):
+        builds = self._counted_builds(monkeypatch)
+        models = [golden_params(), StableModelParams.fmls(1.5, 0.25),
+                  StableModelParams.from_beta(2.0, 0.0, 0.2)]
+        layout = _chain_layout(4300.0, 0.01, 1.0, np.array(GOLDEN_LADDER_STRIKES))
+        rows = _model_calls(models, layout, 1e-8)
+        assert [name for name, _, _ in builds] == ["_columns", "_fmls_columns"]
+        assert {cap for _, cap, _ in builds} == {32}
+        assert tuple(rows[0].tolist()) == GOLDEN_LADDER_CALLS
+
+    def test_unstopped_models_build_again_at_the_cap(self, monkeypatch):
+        # at strike 140 the alpha = 1.6, sigma = 0.2 models sit at envelope
+        # ratio r = (|L| + po) * po**(-1/alpha) of about 2.6 and need 48
+        # (lattice) and 43 (FMLS) columns; alpha = 2 at r = 2.5 and the
+        # sigma = 0.4 models at r = 1.6 stop within 32
+        slow = [StableModelParams.from_beta(1.6, 0.0, 0.2), StableModelParams.fmls(1.6, 0.2)]
+        fast = [StableModelParams.from_beta(2.0, 0.0, 0.2),
+                StableModelParams.from_beta(1.6, 0.0, 0.4), StableModelParams.fmls(1.6, 0.4)]
+        strikes = np.array([100.0, 140.0])
+        lattice_po, fmls_po = ([-p.mu * 0.5 for p in models] for models in (
+            [slow[0], fast[0], fast[1]], [slow[1], fast[2]]
+        ))
+        builds = self._counted_builds(monkeypatch)
+        rows = _model_calls(slow + fast, _chain_layout(100.0, 0.0, 0.5, strikes), 1e-8)
+        assert builds == [
+            ("_columns", 32, sorted(lattice_po)),
+            ("_fmls_columns", 32, sorted(fmls_po)),
+            ("_columns", 64, lattice_po[:1]),
+            ("_fmls_columns", 64, fmls_po[:1]),
+        ]
+        for params, row in zip(slow + fast, rows):
+            assert np.array_equal(
+                row, price_call_strikes(params, 100.0, 0.0, 0.5, strikes, 1e-8)
+            )
 
 
 class TestNoArbitrage:
