@@ -25,10 +25,11 @@ fits its entries in order, so a new family is one more entry.
 
 Each rung runs Nelder-Mead with Gao & Han's (2012) adaptive coefficients
 from a warm start and the points of a scrambled Halton sequence (Owen
-2017).  Both are numpy ports of scipy's, to the bit (_nelder_mead,
-_halton), so calibration needs numpy only.  The starts step in lockstep:
-each round prices the points of every live start in one kernel call on the
-chain's layout, built once, and each start takes the path it takes alone.
+2017).  Both are ports of scipy's, to the bit (_nelder_mead on Python
+floats, _halton on numpy), so calibration needs numpy only.  The starts
+step in lockstep: each round prices the points of every live start in one
+kernel call on the chain's layout, built once, and each start takes the
+path it takes alone.
 """
 
 from __future__ import annotations
@@ -347,13 +348,13 @@ class _ModelSpec:
     box_low: tuple[float, ...]
     box_high: tuple[float, ...]
     to_z: Callable[[Sequence[float]], np.ndarray]
-    to_params: Callable[[np.ndarray], StableModelParams]
+    to_params: Callable[[Sequence[float]], StableModelParams]
     warm: Callable[[CalibrationReport | None, OptionChain], tuple[float, ...]]
     embed: Callable[[CalibrationReport], StableModelParams] | None
     report: Callable[[StableModelParams], tuple[float, float]]
 
 
-def _stable_params(z: np.ndarray) -> StableModelParams:
+def _stable_params(z: Sequence[float]) -> StableModelParams:
     alpha = _alpha_from_z(z[0])
     mu = -math.exp(z[2])
     return StableModelParams.from_beta(
@@ -444,12 +445,17 @@ def _halton(d: int, n: int, seed: int) -> np.ndarray:
 
 
 def _nelder_mead(
-    x0: np.ndarray,
-) -> Generator[np.ndarray, list[float], tuple[np.ndarray, float, int, bool]]:
+    x0: Sequence[float],
+) -> Generator[list[list[float]], list[float], tuple[list[float], float, int, bool]]:
     """Nelder-Mead from x0 with Gao & Han's (2012) adaptive coefficients:
     scipy.optimize.minimize(method="Nelder-Mead") with options maxiter
-    _MAXITER, xatol _XATOL, fatol _FATOL and adaptive=True, line for line,
+    _MAXITER, xatol _XATOL, fatol _FATOL and adaptive=True, to the bit,
     written as a generator so that several runs can share objective calls.
+
+    The simplex and its points are lists of Python floats, formed in scipy's
+    order of operations: the centroid sums the vertices from vertex 0 on,
+    then divides by N; a trial point is formed coordinate by coordinate.
+    The simplex is sorted with np.argsort, as scipy sorts it.
 
     It yields the points it needs, one per row: the N+1 vertices of the
     initial simplex, then one trial point per step, or the N points of a
@@ -457,35 +463,36 @@ def _nelder_mead(
     (x, fun, iterations, success); success is False when the run stops at
     _MAXITER iterations.
     """
+    x0 = [float(v) for v in x0]
     dim = len(x0)
     rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
     nonzdelt, zdelt = 0.05, 0.00025
-    sim = np.empty((dim + 1, dim))
-    sim[0] = x0
+    sim = [x0]
     for k in range(dim):
-        y = np.array(x0, copy=True)
+        y = list(x0)
         y[k] = (1 + nonzdelt) * y[k] if y[k] != 0 else zdelt
-        sim[k + 1] = y
-    fsim = np.full((dim + 1,), np.inf)
-    fsim[:] = yield sim
+        sim.append(y)
+    fsim = yield sim
     # scipy sorts the initial simplex twice
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = np.argsort(fsim).tolist()
+        sim, fsim = [sim[i] for i in ind], [fsim[i] for i in ind]
     iterations = 1
     while iterations < _MAXITER:
-        if (
-            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _XATOL
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL
-        ):
+        best, worst = sim[0], sim[-1]
+        if all(
+            abs(v - b) <= _XATOL for vertex in sim[1:] for v, b in zip(vertex, best)
+        ) and all(abs(fsim[0] - f) <= _FATOL for f in fsim[1:]):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / dim
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        (fxr,) = yield xr[None]
+        xbar = list(sim[0])
+        for vertex in sim[1:-1]:
+            xbar = [s + v for s, v in zip(xbar, vertex)]
+        xbar = [s / dim for s in xbar]
+        xr = [(1 + rho) * c - rho * w for c, w in zip(xbar, worst)]
+        (fxr,) = yield [xr]
         if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            (fxe,) = yield xe[None]
+            xe = [(1 + rho * chi) * c - rho * chi * w for c, w in zip(xbar, worst)]
+            (fxe,) = yield [xe]
             if fxe < fxr:
                 sim[-1], fsim[-1] = xe, fxe
             else:
@@ -495,26 +502,25 @@ def _nelder_mead(
         else:
             if fxr < fsim[-1]:
                 # outside contraction
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                (fxc,) = yield xc[None]
+                xc = [(1 + psi * rho) * c - psi * rho * w for c, w in zip(xbar, worst)]
+                (fxc,) = yield [xc]
                 shrink = not fxc <= fxr
                 if not shrink:
                     sim[-1], fsim[-1] = xc, fxc
             else:
                 # inside contraction
-                xcc = (1 - psi) * xbar + psi * sim[-1]
-                (fxcc,) = yield xcc[None]
+                xcc = [(1 - psi) * c + psi * w for c, w in zip(xbar, worst)]
+                (fxcc,) = yield [xcc]
                 shrink = not fxcc < fsim[-1]
                 if not shrink:
                     sim[-1], fsim[-1] = xcc, fxcc
             if shrink:
-                for j in range(1, dim + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                sim[1:] = [[b + sigma * (v - b) for v, b in zip(vertex, best)]
+                           for vertex in sim[1:]]
                 fsim[1:] = yield sim[1:]
         iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = np.argsort(fsim).tolist()
+        sim, fsim = [sim[i] for i in ind], [fsim[i] for i in ind]
     return sim[0], float(np.min(fsim)), iterations, iterations < _MAXITER
 
 
@@ -641,7 +647,7 @@ def _fit_rung(
     """
     evaluations = inf_evaluations = 0
 
-    def objective(points: list[np.ndarray]) -> list[float]:
+    def objective(points: list[list[float]]) -> list[float]:
         nonlocal evaluations, inf_evaluations
         values = [math.inf] * len(points)
         models: dict[int, StableModelParams] = {}
@@ -671,7 +677,7 @@ def _fit_rung(
     # the points each live start asks for, by start; the first are its
     # initial simplex, its own point first
     asks = {i: next(run) for i, run in enumerate(runs)}
-    results: dict[int, tuple[np.ndarray, float, int, bool]] = {}
+    results: dict[int, tuple[list[float], float, int, bool]] = {}
     first = True
     while asks:
         values = iter(objective([z for points in asks.values() for z in points]))

@@ -34,16 +34,17 @@ not an expectation.  The term table is always the paper's lattice.
 
 A model fails alone, in one of two places, and each model's prices are the
 bits of a call with that model alone.  Its input is checked first
-(_require_priceable, _engine): mu >= 0, a po that underflows to 0 or whose
-scale po**(-1/alpha) overflows, or a drift mu_fmls that overflows, is a
-DomainError.  Then one strict stop rule, applied per model and pair, stops
-after two consecutive columns whose worst-strike absolute value is at most
-the tolerance (on the FMLS series only from column floor(max |L - po|) on,
-where (L - po)**n/n! peaks); without such a pair by column max_column, or if
-a summed column overflows (an FMLS tail that overflows is inf),
-ConvergenceError.  No engine raises.  Most models stop within half of
-max_column, so the columns are built that far first, and again up to
-max_column only for the models that neither stop nor overflow there.
+(_require_priceable, _engine): mu >= 0, a po that underflows to 0 or
+overflows to inf, a scale po**(-1/alpha) that overflows, or a drift mu_fmls
+that overflows, is a DomainError.  Then one strict stop rule, applied per
+model and pair, stops after two consecutive columns whose worst-strike
+absolute value is at most the tolerance (on the FMLS series only from
+column floor(max |L - po|) on, where (L - po)**n/n! peaks); without such a
+pair by column max_column, or if a summed column overflows (an FMLS tail
+that overflows is inf), ConvergenceError.  No engine raises.  Most models
+stop within half of max_column, so the columns are built that far first,
+and again up to max_column only for the models that neither stop nor
+overflow there.
 """
 
 from __future__ import annotations
@@ -136,14 +137,17 @@ class TermTable:
 
 
 def _require_priceable(params: StableModelParams, pos: Sequence[float]) -> None:
-    """Reject mu >= 0, then a po = -mu*tau in pos that underflows to 0 or
-    whose scale po**(-1/alpha) overflows (the least po has the largest)."""
+    """Reject mu >= 0, then a po = -mu*tau in pos that underflows to 0,
+    overflows to inf, or whose scale po**(-1/alpha) overflows (the least po
+    has the largest)."""
     if params.mu >= 0.0:
         raise DomainError(
             f"mu must be negative for pricing (fractional powers of -mu*tau), got {params.mu}"
         )
     if 0.0 in pos:
         raise DomainError(f"-mu*tau underflows to 0 at mu={params.mu}")
+    if math.inf in pos:
+        raise DomainError(f"-mu*tau overflows at mu={params.mu}")
     try:
         min(pos) ** (-1.0 / params.alpha)
     except OverflowError:

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stablepricer import (
     CalibrateConfig,
@@ -37,7 +38,10 @@ from stablepricer import (
 from scipy import optimize
 from scipy.stats import qmc
 from stablepricer.calibrate import (
+    _FATOL,
+    _MAXITER,
     _SPECS,
+    _XATOL,
     CalibrationReport,
     _alpha_from_z,
     _bs_member,
@@ -551,6 +555,8 @@ class TestOptimizer:
             }[case]
 
             def error(z):
+                # the port yields its points as lists of floats
+                z = np.asarray(z, dtype=float)
                 if z[0] > 0.9:
                     return math.inf
                 value = scale * float(
@@ -569,6 +575,44 @@ class TestOptimizer:
         assert fun == expected.fun
         assert nit == expected.nit
         assert success == expected.success
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        dim=st.integers(1, 3),
+        start=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+        shift=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+        rosenbrock=st.booleans(),
+        digits=st.sampled_from([None, 0, 1, 3]),
+        cut=st.one_of(st.none(), st.floats(-0.5, 1.5)),
+    )
+    def test_nelder_mead_is_scipys_on_random_problems(
+        self, dim, start, shift, rosenbrock, digits, cut
+    ):
+        # shifted quadratics, or Rosenbrock's valley from 2-d on, rounded so
+        # that values tie and cut off by an inf region past z[0] = cut
+        def error(z):
+            z = np.asarray(z, dtype=float)
+            if cut is not None and z[0] > cut:
+                return math.inf
+            if rosenbrock and dim > 1:
+                terms = 100.0 * (z[1:] - z[:-1] ** 2) ** 2 + (1.0 - z[:-1]) ** 2
+            else:
+                terms = (z - shift[:dim]) ** 2
+            value = float(sum(terms))
+            return value if digits is None else round(value, digits)
+
+        x0 = np.array(start[:dim])
+        # scipy's convergence test subtracts inf from inf on an inf simplex
+        with np.errstate(invalid="ignore"):
+            expected = optimize.minimize(
+                error, x0, method="Nelder-Mead",
+                options=dict(maxiter=_MAXITER, xatol=_XATOL, fatol=_FATOL, adaptive=True),
+            )
+        x, fun, nit, success = _drive(_nelder_mead(x0), error)
+        # to the bit, signed zeros and NaN included
+        assert np.array(x).tobytes() == expected.x.tobytes()
+        assert np.float64(fun).tobytes() == np.float64(expected.fun).tobytes()
+        assert (nit, success) == (expected.nit, expected.success)
 
     def test_rung_lays_out_its_chain_once(self, monkeypatch):
         # every round of a rung prices on the layout its chain keeps

@@ -48,7 +48,8 @@ def run_fresh(script: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=60,  # a hang fails the test instead of stalling the suite
     )
 
 
@@ -266,6 +267,16 @@ class TestPrice:
         )
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.startswith("error: discounted strike K")
+        assert done.stderr.count("\n") == 1
+
+    def test_overflowing_po_is_domain_error(self):
+        # -mu*tau overflows to inf, where the FMLS tail's sum would never stop
+        done = run_main_fresh(
+            "price", "--spot", "100", "--strike", "100", "--rate", "0",
+            "--maturity", "1e200", "--alpha", "1.6", "--beta", "-1", "--sigma", "1e100",
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: -mu*tau overflows at mu=")
         assert done.stderr.count("\n") == 1
 
     def test_rate_maturity_overflow_is_domain_error(self):

@@ -237,8 +237,12 @@ class TestTermValues:
             (StableModelParams.fmls(1.5, 1e-200), 1e-30, r"-mu\*tau underflows to 0"),
             # (-mu*tau)**(-1/alpha) overflows at alpha 1.01
             (StableModelParams(1.01, 0.0, 0.2, -1e-320), 1.0, r"\(-1/alpha\) overflows"),
+            # -mu*tau overflows to inf, where the FMLS tail's sum would never
+            # stop and the lattice's columns are not finite
+            (StableModelParams(1.6, 0.0, 0.2, -1e200), 1e200, r"-mu\*tau overflows"),
+            (StableModelParams.fmls(1.6, 1e100), 1e200, r"-mu\*tau overflows"),
         ],
-        ids=["lattice", "fmls", "scale"],
+        ids=["lattice", "fmls", "scale", "lattice-overflow", "fmls-overflow"],
     )
     def test_underflowing_po_rejected(self, params, maturity, message):
         contract = OptionContract(100.0, 100.0, 0.0, maturity)
