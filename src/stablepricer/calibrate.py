@@ -640,10 +640,10 @@ def _fit_rung(
     scrambled Halton points of its box (_halton).  The starts step in
     lockstep: each round prices the points every live start asks for in one
     kernel call on the chain's layout, built once per chain, and each start
-    follows the path it would follow alone.  A start whose first point is inf is dropped.  The leaner
-    optimum, embedded exactly by the spec, is a candidate too, which
-    guarantees the aggregated errors nest across the ladder.  The lowest
-    aggregated error wins; ties keep the earliest candidate, in start order.
+    follows the path it would follow alone.  A start whose first point is inf
+    is dropped.  The leaner optimum, embedded exactly by the spec, is a candidate
+    too, which guarantees the aggregated errors nest across the ladder.  The
+    lowest aggregated error wins; ties keep the earliest candidate, in start order.
     """
     evaluations = inf_evaluations = 0
 

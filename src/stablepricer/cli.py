@@ -210,7 +210,9 @@ def cmd_mc(args: argparse.Namespace) -> int:
         series = fmls_call(
             args.alpha, args.sigma, contract, tolerance=args.tol
         ).price
-        gap = abs(price - series) / std_error
+        diff = abs(price - series)
+        # std_error is 0 when every path finishes out of the money
+        gap = diff / std_error if std_error else (math.inf if diff else 0.0)
         print(f"series={fmt(series)} abs_diff_over_se={fmt(gap)}")
     return 0
 

@@ -12,8 +12,8 @@ to theta through core.beta_to_theta; a standard skewed variate (the usual
 trigonometric transformation, scale 1) equals the Feller-standardized one
 times s1_scale_factor(alpha, beta).
 
-The sampler fills its blocks on one thread per usable core, with the same
-bits on any number of cores and no setting for it.
+The sampler draws blocks and transforms equal shares of them on one thread
+per usable core: the same bits on any number of cores, and no setting.
 """
 
 from __future__ import annotations
@@ -198,6 +198,11 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _share(first: int, size: int, worker: int, workers: int) -> tuple[int, int]:
+    """A worker's equal share [lo, hi) of the round of `size` draws from `first`."""
+    return first + size * worker // workers, first + size * (worker + 1) // workers
+
+
 def sample_stable(config: SamplerConfig) -> np.ndarray:
     """I.i.d. standard stable draws via the trigonometric transformation.
 
@@ -207,49 +212,71 @@ def sample_stable(config: SamplerConfig) -> np.ndarray:
     B = atan(beta*tan(pi*alpha/2))/alpha and scale = s1_scale_factor.
     Deterministic given the seed, independent of block partitioning.
 
-    The blocks run on one thread per usable core, each filled in place in
-    the result, so the draws are the same bits on any number of cores; the
-    calling thread takes a share, and runs alone on one block or one core.
+    Of W threads, one per usable core, worker j draws blocks j, j + W, ...
+    and in each round of W blocks transforms the j-th of W equal shares: its
+    own block in a full round, in the last also draws of other workers.  The
+    transform is element by element, so the bits are the same on any number
+    of cores; the calling thread is worker 0, alone on one block or core.
     """
-    alpha, beta = config.alpha, config.beta
-    bt = beta * _tan_half(alpha)
-    b = math.atan(bt) / alpha
+    alpha, beta, count = config.alpha, config.beta, config.count
+    b = math.atan(beta * _tan_half(alpha)) / alpha
     scale = s1_scale_factor(alpha, beta)
     inv_alpha = 1.0 / alpha
     exp_w = (1.0 - alpha) / alpha
-    out = np.empty(config.count)
-    blocks = -(-config.count // _BLOCK_SIZE)
+    out = np.empty(count)
+    blocks = -(-count // _BLOCK_SIZE)
     workers = min(blocks, _usable_cores())
-    # allocated on the calling thread: a worker's own malloc arena would keep it
-    scratch = np.empty((workers, 2, min(config.count, _BLOCK_SIZE)))
+    width = min(count, _BLOCK_SIZE)
+    half = max(1, width // 2)
+    # allocated here, since a worker thread's malloc arena would keep it: per
+    # worker the exponentials of the block it drew last and two temporaries
+    scratch = np.empty((workers, width + 2 * half))
+    drawn = [threading.Event() for _ in range(blocks)]
     failures: list[BaseException | None] = [None] * workers
 
+    def transform(worker: int, block: int, lo: int, hi: int) -> None:
+        # per element the operations of the formula above, in place
+        for i in range(lo, hi, half):
+            u = out[i : min(i + half, hi)]
+            au, c = (scratch[worker, j : j + u.size] for j in (width, width + half))
+            u -= 0.5
+            u *= math.pi
+            np.add(u, b, out=au)
+            au *= alpha
+            np.subtract(u, au, out=c)
+            np.cos(c, out=c)
+            np.sin(au, out=au)
+            au *= scale
+            np.cos(u, out=u)
+            u **= inv_alpha
+            au /= u
+            c /= scratch[block % workers, i - block * _BLOCK_SIZE :][: u.size]
+            c **= exp_w
+            np.multiply(au, c, out=u)
+
     def share(worker: int) -> None:
-        # blocks worker, worker + workers, ...; per element the operations
-        # of the formula above, in place
         try:
-            for block in range(worker, blocks, workers):
-                x = out[block * _BLOCK_SIZE : (block + 1) * _BLOCK_SIZE]
-                au, c = (row[: x.size] for row in scratch[worker])
-                gen = _block_generator(config.seed, block)
-                u = gen.random(out=x)
-                u -= 0.5
-                u *= math.pi
-                np.add(u, b, out=au)
-                au *= alpha
-                np.subtract(u, au, out=c)
-                np.cos(c, out=c)
-                np.sin(au, out=au)
-                au *= scale
-                np.cos(u, out=u)
-                u **= inv_alpha
-                au /= u
-                w = gen.standard_exponential(out=u)
-                c /= w
-                c **= exp_w
-                np.multiply(au, c, out=x)
+            for first in range(0, count, workers * _BLOCK_SIZE):
+                own = first // _BLOCK_SIZE + worker
+                if own < blocks:
+                    gen = _block_generator(config.seed, own)
+                    x = gen.random(out=out[own * _BLOCK_SIZE : (own + 1) * _BLOCK_SIZE])
+                    gen.standard_exponential(out=scratch[worker, : x.size])
+                    drawn[own].set()
+                lo, hi = _share(first, min(count - first, workers * _BLOCK_SIZE), worker, workers)
+                # the worker's own block, when in its share, is the last one there
+                for block in reversed(range(lo // _BLOCK_SIZE, -(-hi // _BLOCK_SIZE))):
+                    if block != own:
+                        drawn[block].wait()
+                        if failures[block % workers] is not None:  # the caller raises it
+                            return
+                    start = block * _BLOCK_SIZE
+                    transform(worker, block, max(lo, start), min(hi, start + _BLOCK_SIZE))
         except BaseException as exc:
             failures[worker] = exc
+        finally:  # so that no worker waits on a block this one will never draw
+            for block in range(worker, blocks, workers):
+                drawn[block].set()
 
     # numpy 2 keeps its error state in a context variable, which a new
     # thread does not inherit

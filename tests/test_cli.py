@@ -551,6 +551,28 @@ class TestMc:
         assert lines[1].startswith("series=")
         assert "abs_diff_over_se=" in lines[1]
 
+    OUT_OF_THE_MONEY = [
+        "--spot", "100", "--strike", "115", "--rate", "0", "--maturity", "0.1",
+        "--alpha", "1.9", "--sigma", "0.1", "--paths", "20", "--check",
+    ]
+
+    def test_check_with_every_path_out_of_the_money(self):
+        # every payoff is 0, so std_error is 0 and the series price is
+        # infinitely many standard errors away, with no traceback
+        done = run_main_fresh("mc", *self.OUT_OF_THE_MONEY)
+        assert (done.returncode, done.stderr) == (0, "")
+        lines = done.stdout.splitlines()
+        assert lines[0] == "price=0 std_error=0"
+        assert lines[1].startswith("series=") and lines[1].endswith(" abs_diff_over_se=inf")
+
+    def test_check_zero_std_error_and_equal_prices(self, capsys, monkeypatch):
+        class Zero:
+            price = 0.0
+
+        monkeypatch.setattr("stablepricer.cli.fmls_call", lambda *args, **kwargs: Zero)
+        code, out, _ = run(capsys, "mc", *self.OUT_OF_THE_MONEY)
+        assert (code, out) == (0, "price=0 std_error=0\nseries=0 abs_diff_over_se=0\n")
+
 
 def write_chain_csv(path, chain):
     lines = ["as_of,spot,rate,maturity,strike,side,market_price"]

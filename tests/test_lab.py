@@ -250,45 +250,54 @@ class TestThreadedSampler:
     # serial loop's whatever the count of cores
     BLOCK = 1 << 16
 
-    @pytest.mark.parametrize("cores", [1, 2, 4])
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
     @pytest.mark.parametrize("alpha, beta", [(1.6, -1.0), (1.6, 0.0), (1.6, 0.5), (2.0, 0.0)])
     def test_same_bits_as_serial_loop(self, monkeypatch, cores, alpha, beta):
-        # a short switch interval interleaves the workers' Python steps
+        # a short switch interval interleaves the workers' Python steps; the
+        # counts end in full and in partial rounds, 100000 is the benchmark's
         _use_cores(monkeypatch, cores)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        block = self.BLOCK
         try:
-            for count in (1, self.BLOCK - 1, self.BLOCK, self.BLOCK + 1, 3 * self.BLOCK + 1):
+            for count in (
+                1, block - 1, block, block + 1, 100_000, 2 * block, 3 * block + 1, 5 * block + 17,
+            ):
                 config = SamplerConfig(alpha=alpha, beta=beta, count=count, seed=count)
                 assert np.array_equal(sample_stable(config), reference_sample_stable(config))
         finally:
             sys.setswitchinterval(interval)
 
     def test_mc_same_on_one_and_two_cores(self, monkeypatch):
-        # and equal to the payoff statistics of the serial draws, formed
-        # with full-size temporaries and numpy's var
-        alpha, sigma, paths, seed = 1.7, 0.2, 200_000, 3
+        # and on three, at 1e5 paths as in the benchmark and at 2e5; equal
+        # to the payoff statistics of the serial draws, formed with
+        # full-size temporaries and numpy's var
+        alpha, sigma, seed = 1.7, 0.2, 3
         contract = TestMonteCarlo.CONTRACT
-        results = []
-        for cores in (1, 2):
-            _use_cores(monkeypatch, cores)
-            results.append(mc_price_fmls(alpha, sigma, contract, paths=paths, seed=seed))
-        draws = reference_sample_stable(SamplerConfig(alpha, -1.0, paths, seed))
-        tau, growth = contract.maturity, (contract.rate + mu_fmls(alpha, sigma)) * contract.maturity
-        y = sigma * tau ** (1.0 / alpha) * draws
-        payoff = np.maximum(contract.spot * np.exp(growth + y) - contract.strike, 0.0)
-        disc = math.exp(-contract.rate * tau)
-        serial = (
-            disc * float(payoff.mean()),
-            disc * math.sqrt(float(payoff.var(ddof=1)) / paths),
-        )
-        assert results == [serial, serial]
+        for paths in (100_000, 200_000):
+            results = []
+            for cores in (1, 2, 3):
+                _use_cores(monkeypatch, cores)
+                results.append(mc_price_fmls(alpha, sigma, contract, paths=paths, seed=seed))
+            draws = reference_sample_stable(SamplerConfig(alpha, -1.0, paths, seed))
+            tau = contract.maturity
+            growth = (contract.rate + mu_fmls(alpha, sigma)) * tau
+            y = sigma * tau ** (1.0 / alpha) * draws
+            payoff = np.maximum(contract.spot * np.exp(growth + y) - contract.strike, 0.0)
+            disc = math.exp(-contract.rate * tau)
+            serial = (
+                disc * float(payoff.mean()),
+                disc * math.sqrt(float(payoff.var(ddof=1)) / paths),
+            )
+            assert results == [serial, serial, serial]
 
     def test_blocks_split_over_usable_cores(self, monkeypatch):
         # worker j of 3 takes blocks j, j + 3, ...; the caller is worker 0
         _use_cores(monkeypatch, 3)
         makers = {}
-        _record_blocks(monkeypatch, lambda block: makers.update({block: threading.current_thread()}))
+        _record_blocks(
+            monkeypatch, lambda block: makers.update({block: threading.current_thread()})
+        )
         before = threading.active_count()
         sample_stable(SamplerConfig(alpha=1.6, beta=0.0, count=5 * self.BLOCK, seed=0))
         assert threading.active_count() == before
@@ -300,7 +309,10 @@ class TestThreadedSampler:
     def test_one_block_or_core_runs_on_caller(self, monkeypatch, cores, blocks):
         _use_cores(monkeypatch, cores)
         threads = set()
-        _record_blocks(monkeypatch, lambda block: threads.add((threading.current_thread(), threading.active_count())))
+        _record_blocks(
+            monkeypatch,
+            lambda block: threads.add((threading.current_thread(), threading.active_count())),
+        )
         before = threading.active_count()
         sample_stable(SamplerConfig(alpha=1.6, beta=0.0, count=blocks * self.BLOCK, seed=0))
         assert threads == {(threading.current_thread(), before)}
@@ -323,6 +335,43 @@ class TestThreadedSampler:
             sample_stable(SamplerConfig(alpha=1.6, beta=0.0, count=4 * self.BLOCK, seed=0))
         assert threading.active_count() == before
         assert sorted(made) == [1 - failing, 3 - failing]
+
+    def test_failed_block_in_another_share_raises_without_hanging(self, monkeypatch):
+        # the last round is blocks 0 and 1 (1000 draws), so worker 1's share
+        # reaches into block 0, which the caller fails to draw: worker 1 must
+        # give up on it rather than wait for it or read it
+        _use_cores(monkeypatch, 2)
+        _record_blocks(monkeypatch, lambda block: None, fail=0)
+        raised = []
+
+        def call():
+            try:
+                sample_stable(SamplerConfig(alpha=1.6, beta=0.0, count=self.BLOCK + 1000, seed=0))
+            except RuntimeError as exc:
+                raised.append(str(exc))
+
+        before = threading.active_count()
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive()
+        assert raised == ["block 0 failed"]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_shares_partition_each_round(self, workers):
+        # equal shares to one element, in order and covering the round; in a
+        # full round each is the worker's own block
+        first = 3 * workers * self.BLOCK
+        for size in {1, workers + 1, self.BLOCK + 1000, workers * self.BLOCK - 1}:
+            shares = [lab._share(first, size, j, workers) for j in range(workers)]
+            bounds = [first] + [hi for _, hi in shares]
+            assert [lo for lo, _ in shares] == bounds[:-1] and bounds[-1] == first + size
+            lengths = [hi - lo for lo, hi in shares]
+            assert min(lengths) >= 0 and max(lengths) - min(lengths) <= 1
+        assert [lab._share(first, workers * self.BLOCK, j, workers) for j in range(workers)] == [
+            (first + j * self.BLOCK, first + (j + 1) * self.BLOCK) for j in range(workers)
+        ]
 
     def test_workers_see_callers_error_state(self, monkeypatch):
         # numpy 2 keeps np.errstate in a context variable, which a thread
