@@ -29,7 +29,8 @@ from a warm start and the points of a scrambled Halton sequence (Owen
 floats, _halton on numpy), so calibration needs numpy only.  The starts
 step in lockstep: each round prices the points of every live start in one
 kernel call on the chain's layout, built once, and each start takes the
-path it takes alone.
+path it takes alone, so a forked worker process can run about half of a
+rung's Halton starts on a second core with the same reports (see _ladder).
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ import io
 import csv
 import math
 import os
+import pickle
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Generator, Sequence
@@ -49,6 +52,7 @@ from .core import (
     DomainError,
     OptionContract,
     StableModelParams,
+    _usable_cores,
     theta_to_beta,
 )
 from .pricer import _chain_layout, _model_calls, price_call_strikes
@@ -542,8 +546,10 @@ class CalibrateConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.starts < 1:
-            raise DomainError(f"starts must be >= 1, got {self.starts}")
+        if isinstance(self.starts, bool) or not isinstance(self.starts, int) or self.starts < 1:
+            raise DomainError(f"starts must be an int >= 1, got {self.starts!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise DomainError(f"seed must be a non-negative int, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -626,25 +632,19 @@ def objective_params(params: StableModelParams, chain: OptionChain) -> float:
         return math.inf
 
 
-def _fit_rung(
-    chain: OptionChain,
-    spec: _ModelSpec,
-    config: CalibrateConfig,
-    leaner: CalibrationReport | None,
-) -> CalibrationReport:
-    """Fit one model family, warm-started from the next-leaner family's fit.
+def _box_starts(spec: _ModelSpec, config: CalibrateConfig, indices: range) -> dict:
+    """The scrambled Halton points of the spec's box, by start index from 1."""
+    low, high = np.array(spec.box_low), np.array(spec.box_high)
+    box = low + _halton(len(low), config.starts, config.seed) * (high - low)
+    return {i: box[i - 1] for i in indices}
 
-    Multi-start Nelder-Mead (_nelder_mead) in the spec's unconstrained
-    coordinates (log sigma for bs and carrwu, log(-mu) for stable;
-    alpha = 1.5 + 0.5 sin z; atanh beta), from the spec's warm start and the
-    scrambled Halton points of its box (_halton).  The starts step in
-    lockstep: each round prices the points every live start asks for in one
-    kernel call on the chain's layout, built once per chain, and each start
-    follows the path it would follow alone.  A start whose first point is inf
-    is dropped.  The leaner optimum, embedded exactly by the spec, is a candidate
-    too, which guarantees the aggregated errors nest across the ladder.  The
-    lowest aggregated error wins; ties keep the earliest candidate, in start order.
-    """
+
+def _lockstep(chain: OptionChain, spec: _ModelSpec, starts: dict) -> tuple[dict, int, int]:
+    """Nelder-Mead (_nelder_mead) from each start x of `starts` in lockstep:
+    each round prices the points every live start asks for in one kernel call
+    on the chain's layout, built once per chain, and each start follows the
+    path it would follow alone.  A start whose first point is inf is dropped.
+    Returns (x, fun, iterations, success) by start, the evaluations, the inf ones."""
     evaluations = inf_evaluations = 0
 
     def objective(points: list[list[float]]) -> list[float]:
@@ -662,21 +662,10 @@ def _fit_rung(
         inf_evaluations += values.count(math.inf)
         return values
 
-    candidates: list[_Candidate] = []
-    if spec.embed is not None:
-        embedded = spec.embed(leaner)
-        error = objective_params(embedded, chain)
-        evaluations += 1
-        inf_evaluations += error == math.inf
-        candidates.append(_Candidate(error, embedded, leaner.converged))
-
-    # warm start first, then quasi-random starts spread over the box
-    low, high = np.array(spec.box_low), np.array(spec.box_high)
-    box = low + _halton(len(low), config.starts, config.seed) * (high - low)
-    runs = [_nelder_mead(spec.to_z(x)) for x in (spec.warm(leaner, chain), *box)]
+    runs = {i: _nelder_mead(spec.to_z(x)) for i, x in starts.items()}
     # the points each live start asks for, by start; the first are its
     # initial simplex, its own point first
-    asks = {i: next(run) for i, run in enumerate(runs)}
+    asks = {i: next(run) for i, run in runs.items()}
     results: dict[int, tuple[list[float], float, int, bool]] = {}
     first = True
     while asks:
@@ -691,6 +680,89 @@ def _fit_rung(
             except StopIteration as done:
                 results[i] = done.value
         first = False
+    return results, evaluations, inf_evaluations
+
+
+class _Worker:
+    """A forked process that sends down a pipe the _lockstep result of Halton
+    starts 1 to `share` of each rung in `kinds`, or its exception.  It ends in
+    os._exit: it never returns into the caller's frames nor flushes its stdio;
+    _ladder kills and reaps it on every way out."""
+
+    def __init__(self, chain: OptionChain, kinds: list[str], config: CalibrateConfig, share: int):
+        self.share, self.status = share, None
+        read, write = os.pipe()
+        self._pid = os.fork()
+        if self._pid == 0:
+            try:
+                os.close(read)
+                pipe = open(write, "wb")  # the kernel closes it at exit
+                for spec in (_SPECS[kind] for kind in kinds):
+                    starts = _box_starts(spec, config, range(1, share + 1))
+                    try:
+                        message = _lockstep(chain, spec, starts)
+                    except BaseException as exc:
+                        message = exc
+                    pipe.write(pickle.dumps(message))
+                    pipe.flush()
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(write)
+        self._pipe = open(read, "rb")
+
+    def receive(self, spec: _ModelSpec) -> tuple[dict, int, int]:
+        try:
+            message = pickle.load(self._pipe)
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError(f"calibration worker exited with status {self.close()} "
+                               f"before sending its {spec.name!r} starts") from None
+        if isinstance(message, BaseException):
+            raise message
+        return message
+
+    def close(self) -> int:
+        """Kill (SIGKILL, 9 on POSIX) and reap the worker, once; its status."""
+        if self.status is None:
+            self._pipe.close()
+            os.kill(self._pid, 9)
+            self.status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+        return self.status
+
+
+def _fit_rung(
+    chain: OptionChain,
+    spec: _ModelSpec,
+    config: CalibrateConfig,
+    leaner: CalibrationReport | None,
+    worker: _Worker | None = None,
+) -> CalibrationReport:
+    """Fit one model family, warm-started from the next-leaner family's fit.
+
+    Multi-start Nelder-Mead (_lockstep) in the spec's unconstrained
+    coordinates (log sigma for bs and carrwu, log(-mu) for stable;
+    alpha = 1.5 + 0.5 sin z; atanh beta), from the spec's warm start (start
+    0) and the scrambled Halton points of its box (starts 1 to config.starts).
+    The worker, if any, runs Halton starts 1 to worker.share and this call
+    the others; results merge by start index and counts add up, so the
+    report is the same.  The leaner optimum, embedded exactly by the spec,
+    is a candidate too, which guarantees the aggregated errors nest across
+    the ladder.  The lowest aggregated error wins; ties keep the earliest
+    candidate, in start order.
+    """
+    box = _box_starts(spec, config, range(worker.share + 1 if worker else 1, config.starts + 1))
+    starts = {0: spec.warm(leaner, chain), **box}
+    results, evaluations, inf_evaluations = _lockstep(chain, spec, starts)
+    candidates: list[_Candidate] = []
+    if spec.embed is not None:
+        embedded = spec.embed(leaner)
+        error = objective_params(embedded, chain)
+        evaluations += 1
+        inf_evaluations += error == math.inf
+        candidates.append(_Candidate(error, embedded, leaner.converged))
+    theirs, evals, infs = worker.receive(spec) if worker else ({}, 0, 0)
+    results.update(theirs)
+    evaluations, inf_evaluations = evaluations + evals, inf_evaluations + infs
 
     iterations = 0
     for i in sorted(results):
@@ -723,16 +795,30 @@ def _fit_rung(
 def _ladder(
     chain: OptionChain, config: CalibrateConfig | None, last: str | None
 ) -> dict[str, CalibrationReport]:
-    """Fit the families of _SPECS in order, up to and including `last`."""
+    """Fit the families of _SPECS in order, up to and including `last`.
+
+    On two or more usable cores a forked _Worker runs Halton starts 1 to
+    ceil((starts + 2) / 2) of every rung, never the last: half the work with
+    the warm start counted as the two Halton starts it lasts, and the odd one,
+    as this process also prices the embedded candidate.  The reports are the
+    same, and nothing sets this.  There is no worker without os.fork or from
+    Python 3.12, where a fork with threads (numpy's BLAS pool) warns.
+    """
     if config is None:
         config = CalibrateConfig()
-    reports: dict[str, CalibrationReport] = {}
-    leaner: CalibrationReport | None = None
-    for kind, spec in _SPECS.items():
-        leaner = reports[kind] = _fit_rung(chain, spec, config, leaner)
-        if kind == last:
-            break
-    return reports
+    kinds = list(_SPECS)[: list(_SPECS).index(last) + 1 if last else None]
+    forks = _usable_cores() > 1 and hasattr(os, "fork") and sys.version_info < (3, 12)
+    share = min((config.starts + 3) // 2, config.starts - 1) if forks else 0
+    worker = _Worker(chain, kinds, config, share) if share else None
+    try:
+        reports: dict[str, CalibrationReport] = {}
+        leaner: CalibrationReport | None = None
+        for kind in kinds:
+            leaner = reports[kind] = _fit_rung(chain, _SPECS[kind], config, leaner, worker)
+        return reports
+    finally:
+        if worker:
+            worker.close()
 
 
 def calibrate_all(

@@ -11,6 +11,7 @@ beta=-1 -> theta=alpha-2).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 # the largest -rate*maturity whose discount exp(-rate*maturity) is finite
@@ -211,3 +212,11 @@ class OptionContract:
 def log_moneyness(contract: OptionContract) -> float:
     """log(S/K) + r*tau; zero exactly at S = K*exp(-r*tau)."""
     return math.log(contract.spot / contract.strike) + contract.rate * contract.maturity
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on, read afresh on each call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1

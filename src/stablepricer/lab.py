@@ -21,7 +21,6 @@ from __future__ import annotations
 import contextvars
 import functools
 import math
-import os
 import threading
 import warnings
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ from .core import (
     _check_alpha,
     _check_beta,
     _tan_half,
+    _usable_cores,
     mu_fmls,
     validate_feller_takayasu,
 )
@@ -188,14 +188,6 @@ def s1_scale_factor(alpha: float, beta: float) -> float:
 def _block_generator(seed: int, block_index: int) -> np.random.Generator:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _usable_cores() -> int:
-    """The cores this process may run on, read afresh on each call."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _share(first: int, size: int, worker: int, workers: int) -> tuple[int, int]:

@@ -9,7 +9,10 @@ import importlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +31,7 @@ from stablepricer import (
     calibrate,
     calibrate_all,
     filter_quotes,
+    fmls_call,
     load_chain,
     mu_fmls,
     price_call,
@@ -289,6 +293,17 @@ class TestConfigAndReport:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             CalibrateConfig(starts=0)
+
+    @pytest.mark.parametrize("starts", [2.0, True, "3", None])
+    def test_starts_must_be_an_int(self, starts):
+        with pytest.raises(DomainError, match="starts must be an int"):
+            CalibrateConfig(starts=starts)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, False, "0", None])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        # numpy's default_rng rejects a negative seed with a ValueError
+        with pytest.raises(DomainError, match="seed must be a non-negative int"):
+            CalibrateConfig(seed=seed)
 
     def test_payload_keys_and_json_round_trip(self):
         chain = small_chain(StableModelParams.fmls(1.6, 0.2))
@@ -661,3 +676,193 @@ class TestOptimizer:
             report = _fit_rung(chain, spec, config, leaner)
             assert report == _fit_alone(chain, spec, config, leaner), spec.name
             leaner = report
+
+
+def _use_cores(monkeypatch, cores: int) -> None:
+    """Make the package see `cores` usable cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
+def _count_forks(monkeypatch) -> list[int]:
+    """Wrap os.fork; the list it returns grows by one per fork."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _fmls_chain() -> OptionChain:
+    """The benchmark's FMLS chain: its carrwu ladder stops before stable."""
+    quotes = []
+    for tau in (0.5, 1.0):
+        for strike in np.linspace(80.0, 120.0, 8).tolist():
+            contract = OptionContract(100.0, strike, 0.01, tau)
+            price = fmls_call(1.6, 0.2, contract, tolerance=1e-10).price
+            side = "put" if strike < 100.0 else "call"
+            if side == "put":
+                price -= contract.forward()
+            quotes.append(OptionQuote(100.0, 0.01, tau, strike, side, price))
+    return OptionChain("fmls", tuple(quotes))
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or sys.version_info >= (3, 12),
+    reason="the calibration worker is forked, on Python before 3.12",
+)
+class TestWorker:
+    @pytest.mark.parametrize(
+        "cores, starts, kept",
+        [(2, 1, [0, 1]), (2, 2, [0, 2]), (2, 3, [0, 3]), (2, 5, [0, 5]), (2, 6, [0, 5, 6]),
+         (2, 8, [0, 6, 7, 8]), (1, 5, [0, 1, 2, 3, 4, 5])],
+    )
+    def test_split_counts_the_warm_start_as_two(self, monkeypatch, cores, starts, kept):
+        # the worker runs Halton starts 1 to ceil((starts + 2) / 2), but never
+        # the last; this process records only the starts it runs itself
+        _use_cores(monkeypatch, cores)
+        lockstep, runs = calibrate_module._lockstep, []
+
+        def recording(chain, spec, starts):
+            runs.append(sorted(starts))
+            return lockstep(chain, spec, starts)
+
+        monkeypatch.setattr(calibrate_module, "_lockstep", recording)
+        config = CalibrateConfig(starts=starts, seed=1)
+        calibrate(small_chain(StableModelParams.fmls(1.6, 0.2)), "bs", config)
+        assert runs == [kept]
+
+    @pytest.mark.parametrize("case", ["acceptance 7", "inf chain", "fmls carrwu"])
+    def test_same_reports_on_one_and_two_cores(self, monkeypatch, case):
+        if case == "acceptance 7":
+            chain = synthetic_chain(
+                StableModelParams.from_beta(1.5, -0.8, 0.2), 100.0, 0.01,
+                (0.5, 0.75, 1.0, 1.25), np.linspace(80.0, 120.0, 10),
+            )
+        elif case == "inf chain":
+            # the benchmark's INF_CHAIN: its stable rung crosses the region
+            # where the objective is inf
+            chain = synthetic_chain(
+                StableModelParams.from_beta(1.7, -0.3, 0.15), 100.0, 0.01,
+                (0.5, 1.0), np.linspace(80.0, 120.0, 8),
+            )
+        else:
+            chain = _fmls_chain()
+        forks = _count_forks(monkeypatch)
+        reports = {}
+        for cores in (1, 2):
+            _use_cores(monkeypatch, cores)
+            if case == "fmls carrwu":
+                reports[cores] = repr(calibrate(chain, "carrwu"))
+            else:
+                reports[cores] = repr(calibrate_all(chain))
+            assert _no_child_left()
+        assert reports[1] == reports[2]
+        assert len(forks) == 1
+
+    def test_ties_keep_start_order_across_the_split(self, monkeypatch):
+        # as in test_lockstep_equals_each_start_alone, with errors rounded so
+        # that starts tie; the worker runs starts 1 and 2, this process 0 and 3
+        _use_cores(monkeypatch, 2)
+        batch, alone = calibrate_module._aggregated_errors, objective_params
+        monkeypatch.setattr(
+            calibrate_module, "_aggregated_errors",
+            lambda models, chain: [round(e, 2) for e in batch(models, chain)],
+        )
+        monkeypatch.setattr(
+            calibrate_module, "objective_params",
+            lambda params, chain: round(alone(params, chain), 2),
+        )
+        chain = small_chain(StableModelParams.from_beta(1.5, -0.8, 0.2))
+        config = CalibrateConfig(starts=3, seed=1)
+        reports, leaner = calibrate_all(chain, config), None
+        for kind, spec in _SPECS.items():
+            assert reports[kind] == _fit_alone(chain, spec, config, leaner), spec.name
+            leaner = reports[kind]
+
+    def test_one_halton_start_forks_nothing(self, monkeypatch):
+        _use_cores(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        calibrate_all(small_chain(StableModelParams.fmls(1.6, 0.2)), CalibrateConfig(starts=1))
+        assert forks == []
+
+    @pytest.mark.parametrize("error", [ConvergenceError, KeyboardInterrupt])
+    def test_no_child_left_when_the_caller_raises(self, monkeypatch, error):
+        _use_cores(monkeypatch, 2)
+        chain = small_chain(StableModelParams.fmls(1.6, 0.2))
+        if error is ConvergenceError:
+            # no start gives a finite error, so the bs rung finds no candidate
+            monkeypatch.setattr(
+                calibrate_module, "_aggregated_errors",
+                lambda models, chain: [math.inf] * len(models),
+            )
+        else:
+            # the carrwu rung's embedded candidate, which only the caller prices
+            def interrupt(params, chain):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(calibrate_module, "objective_params", interrupt)
+        with pytest.raises(error):
+            calibrate_all(chain, QUICK)
+        assert _no_child_left()
+
+    def test_worker_failure_reaches_the_caller(self, monkeypatch):
+        # the fork inherits the patch; only the worker runs starts without
+        # the warm start 0
+        _use_cores(monkeypatch, 2)
+        lockstep = calibrate_module._lockstep
+
+        def failing(chain, spec, starts):
+            if 0 not in starts and spec.name == "CarrWu":
+                raise ArithmeticError(f"no {spec.name} in the worker")
+            return lockstep(chain, spec, starts)
+
+        monkeypatch.setattr(calibrate_module, "_lockstep", failing)
+        with pytest.raises(ArithmeticError, match="^no CarrWu in the worker$"):
+            calibrate_all(small_chain(StableModelParams.fmls(1.6, 0.2)), QUICK)
+        assert _no_child_left()
+
+    def test_worker_exit_is_named(self, monkeypatch):
+        _use_cores(monkeypatch, 2)
+        lockstep = calibrate_module._lockstep
+
+        def exiting(chain, spec, starts):
+            if 0 not in starts:
+                os._exit(3)
+            return lockstep(chain, spec, starts)
+
+        monkeypatch.setattr(calibrate_module, "_lockstep", exiting)
+        message = "exited with status 3 before sending its 'BS' starts"
+        with pytest.raises(RuntimeError, match=message):
+            calibrate_all(small_chain(StableModelParams.fmls(1.6, 0.2)), QUICK)
+        assert _no_child_left()
+
+    def test_unflushed_output_printed_once(self):
+        # stdout on a pipe is block-buffered: the fork copies the unflushed
+        # text, which only the caller may write out
+        script = (
+            "import os\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "from stablepricer import CalibrateConfig, StableModelParams, calibrate_all\n"
+            "from stablepricer import synthetic_chain\n"
+            "params = StableModelParams.fmls(1.6, 0.2)\n"
+            "chain = synthetic_chain(params, 100.0, 0.01, [0.5], [90.0, 100.0, 110.0])\n"
+            "print('unflushed', end=' ')\n"
+            "calibrate_all(chain, CalibrateConfig(starts=2))\n"
+            "print(len(forks))\n"
+        )
+        src = os.path.dirname(os.path.dirname(calibrate_module.__file__))
+        paths = filter(None, (src, os.environ.get("PYTHONPATH")))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        env.pop("PYTHONUNBUFFERED", None)  # which would make stdout write through
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "unflushed 1\n", "")

@@ -665,6 +665,15 @@ class TestCalibrate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--starts", "0")])
+    def test_bad_optimizer_setting_exit_code(self, chain_files, flag, value):
+        # in a fresh interpreter, so that stderr shows any traceback
+        done = run_main_fresh(
+            "calibrate", "--chain", chain_files[0], "--model", "bs", flag, value
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
     def test_multi_file_aggregate(self, capsys, chain_files):
         code, out, _ = run(
             capsys, "calibrate", "--chain", *chain_files,

@@ -13,6 +13,7 @@ Oracles used here:
 """
 
 import math
+import os
 import sys
 import threading
 import time
@@ -228,7 +229,7 @@ class TestSampler:
 
 def _use_cores(monkeypatch, cores: int) -> None:
     """Make lab see `cores` usable cores."""
-    monkeypatch.setattr(lab.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
 
 
 def _record_blocks(monkeypatch, record, fail=None):
