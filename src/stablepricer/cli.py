@@ -180,8 +180,8 @@ def cmd_density(args: argparse.Namespace) -> int:
     if args.points < 1:
         raise DomainError(f"--points must be >= 1, got {args.points}")
     xmin = -args.xmax if args.xmin is None else args.xmin
-    if not math.isfinite(xmin + args.xmax):
-        raise DomainError("--xmin and --xmax must be finite")
+    if not math.isfinite(args.xmax - xmin):
+        raise DomainError(f"the span --xmax - --xmin must be finite, got {args.xmax - xmin!r}")
     grid = density_grid(
         args.alpha, theta, np.linspace(xmin, args.xmax, args.points)
     )

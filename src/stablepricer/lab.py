@@ -93,6 +93,8 @@ def stable_density(alpha: float, theta: float, x: float | np.ndarray) -> float |
     where the integrand decays without oscillating (README, Density lab).  Each
     point climbs Gauss-Legendre rules of 64, 128, ... nodes until two agree to
     1e-9, and is summed on its own, so an array's values equal the float calls.
+    A rule is summed as sum w e^{Re z} cos(Im z + phi) = Re[e^{i phi} sum w e^z],
+    in real arithmetic, within about 2e-16 of the complex sum (_ray_rule).
     """
     _check_diamond(alpha, theta)
     x = np.asarray(x, dtype=float)
@@ -115,20 +117,30 @@ def stable_density(alpha: float, theta: float, x: float | np.ndarray) -> float |
 
 def _ray_rule(alpha: float, theta: float, xs: np.ndarray, nodes: int) -> np.ndarray:
     """The rule in r = R u**3 on [0, R] at each point, x < 0 by g(x; theta) =
-    g(-x; -theta); each point's terms are summed in their own row."""
+    g(-x; -theta); each point's terms are summed in their own row.
+
+    The density is (R/pi) Re[e^{i phi} sum_j w_j e^{z_j}], and as |e^{i phi}| = 1,
+    Re[e^{i phi} sum w e^z] = sum w e^{Re z} cos(Im z + phi): one real exp and one
+    cos per node, and no complex number formed."""
     side = np.where(xs < 0.0, -theta, theta)
-    turn = np.exp(1j * np.pi * (1.0 + side) / (4.0 * alpha))  # e^{i phi}
-    tilt = np.exp(1j * np.pi * (1.0 - side) / 4.0)  # e^{i (alpha phi - side pi/2)}
-    grow = 1j * np.abs(xs) * turn  # the exponent is grow r - tilt r**alpha
-    # each term of its real part passes -40 at its own cut, so their sum by the nearer
-    cut = 40.0 / np.maximum(-grow.real, 40.0 * (tilt.real / 40.0) ** (1.0 / alpha))
+    phi = np.pi * (1.0 + side) / (4.0 * alpha)
+    tilt = np.pi * (1.0 - side) / 4.0  # alpha phi - side pi/2
+    # the exponent is z = i |x| e^{i phi} r - e^{i tilt} r**alpha
+    grow_re, grow_im = -np.abs(xs) * np.sin(phi), np.abs(xs) * np.cos(phi)
+    tilt_re, tilt_im = np.cos(tilt), np.sin(tilt)
+    # each term of Re z passes -40 at its own cut, so their sum by the nearer
+    cut = 40.0 / np.maximum(-grow_re, 40.0 * (tilt_re / 40.0) ** (1.0 / alpha))
     u, w = _gauss_legendre(nodes)
-    sums = np.empty(xs.size, dtype=complex)
+    u_alpha, cut_alpha = u**alpha, cut**alpha  # r**alpha = R**alpha (u**3)**alpha
+    lin_re, lin_im = grow_re * cut, grow_im * cut
+    pow_re, pow_im = tilt_re * cut_alpha, tilt_im * cut_alpha
+    sums = np.empty(xs.size)
     rows = max(1, (1 << 16) // nodes)  # points per block of at most 2**16 terms
     for b in (slice(i, i + rows) for i in range(0, xs.size, rows)):
-        r = cut[b, None] * u
-        sums[b] = (np.exp(grow[b, None] * r - tilt[b, None] * r**alpha) * w).sum(axis=1)
-    return (turn * cut * sums).real / np.pi
+        re = lin_re[b, None] * u - pow_re[b, None] * u_alpha
+        im = lin_im[b, None] * u - pow_im[b, None] * u_alpha + phi[b, None]
+        sums[b] = (np.exp(re, out=re) * np.cos(im, out=im) * w).sum(axis=1)
+    return cut * sums / np.pi
 
 
 @functools.cache

@@ -25,6 +25,7 @@ from stablepricer.core import (
 )
 from stablepricer.lab import (
     SamplerConfig,
+    _gauss_legendre,
     effective_support,
     s1_scale_factor,
     sample_stable,
@@ -260,6 +261,38 @@ def series_density(alpha: float, theta: float, xs) -> np.ndarray:
                 raise ArithmeticError(f"no density series settles at x={x}")
             out.append(float(total / mp.pi))
     return np.array(out)
+
+
+def reference_ray_rule(alpha: float, theta: float, xs: np.ndarray, nodes: int) -> np.ndarray:
+    """The rule in r = R u**3 on [0, R] at each point, x < 0 by g(x; theta) =
+    g(-x; -theta); each point's terms are summed in their own row."""
+    side = np.where(xs < 0.0, -theta, theta)
+    turn = np.exp(1j * np.pi * (1.0 + side) / (4.0 * alpha))  # e^{i phi}
+    tilt = np.exp(1j * np.pi * (1.0 - side) / 4.0)  # e^{i (alpha phi - side pi/2)}
+    grow = 1j * np.abs(xs) * turn  # the exponent is grow r - tilt r**alpha
+    # each term of its real part passes -40 at its own cut, so their sum by the nearer
+    cut = 40.0 / np.maximum(-grow.real, 40.0 * (tilt.real / 40.0) ** (1.0 / alpha))
+    u, w = _gauss_legendre(nodes)
+    sums = np.empty(xs.size, dtype=complex)
+    rows = max(1, (1 << 16) // nodes)  # points per block of at most 2**16 terms
+    for b in (slice(i, i + rows) for i in range(0, xs.size, rows)):
+        r = cut[b, None] * u
+        sums[b] = (np.exp(grow[b, None] * r - tilt[b, None] * r**alpha) * w).sum(axis=1)
+    return (turn * cut * sums).real / np.pi
+
+
+def ray_rule_size(alpha: float, theta: float, xs: np.ndarray, nodes: int) -> np.ndarray:
+    """(R/pi) sum_j w_j e^{Re z_j} at each point: the sum of the absolute
+    values of reference_ray_rule's terms, the scale of its rounding error."""
+    side = np.where(xs < 0.0, -theta, theta)
+    turn = np.exp(1j * np.pi * (1.0 + side) / (4.0 * alpha))
+    tilt = np.exp(1j * np.pi * (1.0 - side) / 4.0)
+    grow = 1j * np.abs(xs) * turn
+    cut = 40.0 / np.maximum(-grow.real, 40.0 * (tilt.real / 40.0) ** (1.0 / alpha))
+    u, w = _gauss_legendre(nodes)
+    r = cut[:, None] * u
+    exponent = (grow[:, None] * r - tilt[:, None] * r**alpha).real
+    return cut / np.pi * (np.exp(exponent) * w).sum(axis=1)
 
 
 def sampler_ks_pvalue(

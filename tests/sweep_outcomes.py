@@ -1,5 +1,6 @@
-"""Print the outcomes of a seeded sweep of the pricer and the calibration,
-one line per case, so that two checkouts can be compared with diff.
+"""Print the outcomes of a seeded sweep of the pricer, the calibration and
+the density lab, one line per case, so that two checkouts can be compared
+with diff.
 
     PYTHONPATH=src python tests/sweep_outcomes.py > after.txt
 
@@ -10,8 +11,9 @@ price (call and put) and price_call_strikes on chains whose
 fails: the FMLS series, the lattice, alpha = 2, a drift off the FMLS line,
 mu > 0, an overflowing FMLS tail, lattice series and scale
 (-mu*tau)**(-1/alpha), an underflowing -mu*tau, and bad chains.  It ends
-with acceptance 7's ladder and the five calibrate operations of the
-benchmark at seeds 1 to 3.  A failure is a DomainError or a
+with acceptance 7's ladder, the five calibrate operations of the
+benchmark at seeds 1 to 3, and 41 density points and grids across the
+diamond, one of which runs out of nodes.  A failure is a DomainError or a
 ConvergenceError; any other exception ends the run with a traceback and a
 non-zero exit status, which CI checks.  This is not a pytest module; it
 takes about ten seconds.
@@ -127,6 +129,19 @@ def main(seed: int = 20, cases: int = 4000) -> None:
     for seed in (1, 2, 3):
         for op in workloads.build_calibrate(seed).ops:
             print("calibrate", seed, op.name, op.call())
+    # the density lab across the diamond, edges included, and near its lower
+    # edge at alpha = 1.01, where the node ladder runs out
+    for case in range(40):
+        alpha = rng.choice([2.0, rng.uniform(1.05, 2.0), rng.uniform(1.05, 2.0)])
+        theta = rng.choice([-1.0, 1.0, rng.uniform(-1.0, 1.0)]) * (2.0 - alpha)
+        if case % 2:
+            half = 10.0 ** rng.uniform(-1.0, 3.0)
+            xs = np.linspace(-half, half * rng.uniform(0.5, 2.0), rng.randint(2, 9))
+            print("density_grid", case, _outcome(lambda: sp.density_grid(alpha, theta, xs).values))
+        else:
+            x = rng.choice([0.0, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 4.0)])
+            print("density", case, _outcome(lambda: sp.stable_density(alpha, theta, x)))
+    print("density edge", _outcome(lambda: sp.stable_density(1.01, 1.01 - 2.0, 0.5)))
 
 
 if __name__ == "__main__":

@@ -507,6 +507,16 @@ class TestDensityAndSample:
             assert out == ""
             assert "must be finite" in err
 
+    def test_density_span_overflow_is_domain_error(self):
+        # each bound is finite, but their span overflows; numpy's linspace
+        # would warn twice on it, and the grid would not be increasing
+        done = run_main_fresh(
+            "density", "--alpha", "1.5", "--theta", "0", "--xmax", "1e308", "--points", "3"
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: the span --xmax - --xmin must be finite, got inf\n"
+        assert "RuntimeWarning" not in done.stderr
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_density_points_below_one(self, capsys, points):
         code, out, err = run(

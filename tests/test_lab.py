@@ -20,6 +20,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from stablepricer import (
@@ -39,6 +40,8 @@ from stablepricer.lab import s1_scale_factor
 
 from _support import (
     gaussian_pdf_var2,
+    ray_rule_size,
+    reference_ray_rule,
     reference_sample_stable,
     sampler_ks_pvalue,
     series_density,
@@ -159,6 +162,31 @@ class TestContourRule:
         scalar = np.array([stable_density(1.05, 0.9025, float(x)) for x in xs])
         assert scalar.tobytes() == grid.tobytes()
         assert stable_density(1.05, 0.9025, xs[::7]).tobytes() == grid[::7].tobytes()
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        alpha=st.floats(1.1, 2.0),
+        skew=st.one_of(st.sampled_from([-0.95, 0.95]), st.floats(-0.95, 0.95)),
+        xs=st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]),
+                          st.floats(-3.0, 4.0)),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        nodes=st.sampled_from([64, 128]),
+    )
+    @example(alpha=1.1, skew=-0.95, xs=[0.0, 1e4, -1e4], nodes=64)
+    @example(alpha=2.0, skew=0.0, xs=[0.0, 1e4, -1e4], nodes=128)
+    def test_real_rule_matches_complex_rule(self, alpha, skew, xs, nodes):
+        # theta from 0.95 of the way to the lower edge to 0.95 of the way to the upper
+        theta, xs = skew * (2.0 - alpha), np.array(xs)
+        got = lab._ray_rule(alpha, theta, xs, nodes)
+        want = reference_ray_rule(alpha, theta, xs, nodes)
+        bound = 1e-14 * ray_rule_size(alpha, theta, xs, nodes)
+        assert (np.abs(got - want) <= bound).all(), (got, want, bound)
 
     def test_unsettled_ladder_raises(self):
         # on the lower edge at alpha = 1.01 the ray's sector is 0.016 rad wide
