@@ -52,6 +52,7 @@ from .core import (
     DomainError,
     OptionContract,
     StableModelParams,
+    _check_int,
     _usable_cores,
     theta_to_beta,
 )
@@ -546,10 +547,8 @@ class CalibrateConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if isinstance(self.starts, bool) or not isinstance(self.starts, int) or self.starts < 1:
-            raise DomainError(f"starts must be an int >= 1, got {self.starts!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise DomainError(f"seed must be a non-negative int, got {self.seed!r}")
+        _check_int("starts", self.starts, 1)
+        _check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

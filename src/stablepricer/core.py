@@ -11,6 +11,7 @@ beta=-1 -> theta=alpha-2).
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -58,6 +59,17 @@ def _check_spot_ratio(spot: float, low_strike: float, high_strike: float) -> Non
     # ln(S/K) needs S/K inside float range at every strike, low to high
     if spot / high_strike == 0.0 or spot / low_strike == math.inf:
         raise DomainError("spot / strike leaves float range (it overflows or underflows)")
+
+
+def _check_int(name: str, value: object, least: int) -> None:
+    """Reject a count or seed that operator.index refuses, a bool, or one below least."""
+    try:
+        fits = not isinstance(value, bool) and operator.index(value) >= least
+    except TypeError:
+        fits = False
+    if not fits:
+        rule = f"an int >= {least}" if least else "a non-negative int"
+        raise DomainError(f"{name} must be {rule}, got {value!r}")
 
 
 def _check_beta(beta: float) -> None:

@@ -33,6 +33,7 @@ from .core import (
     OptionContract,
     _check_alpha,
     _check_beta,
+    _check_int,
     _tan_half,
     _usable_cores,
     mu_fmls,
@@ -74,8 +75,8 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
         _check_beta(self.beta)
-        if self.count < 1:
-            raise DomainError(f"count must be >= 1, got {self.count}")
+        _check_int("count", self.count, 1)
+        _check_int("seed", self.seed, 0)
 
 
 def _check_diamond(alpha: float, theta: float) -> None:
@@ -93,6 +94,7 @@ def stable_density(alpha: float, theta: float, x: float | np.ndarray) -> float |
     where the integrand decays without oscillating (README, Density lab).  Each
     point climbs Gauss-Legendre rules of 64, 128, ... nodes until two agree to
     1e-9, and is summed on its own, so an array's values equal the float calls.
+    The ladder compares raw values; a value settled below 0 (rounding) is 0.
     A rule is summed as sum w e^{Re z} cos(Im z + phi) = Re[e^{i phi} sum w e^z],
     in real arithmetic, within about 2e-16 of the complex sum (_ray_rule).
     """
@@ -106,7 +108,7 @@ def stable_density(alpha: float, theta: float, x: float | np.ndarray) -> float |
     for nodes in (128, 256, 512, 1024):
         fine = _ray_rule(alpha, theta, xs[todo], nodes)
         settled = np.abs(fine - coarse) <= 1e-9
-        out[todo[settled]] = fine[settled]
+        out[todo[settled]] = np.maximum(fine[settled], 0.0)  # a density is never < 0
         todo, coarse = todo[~settled], fine[~settled]
         if todo.size == 0:
             return float(out[0]) if x.ndim == 0 else out
@@ -198,7 +200,7 @@ def s1_scale_factor(alpha: float, beta: float) -> float:
 
 
 def _block_generator(seed: int, block_index: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block_index], dtype=np.uint64)
+    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, block_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -316,8 +318,7 @@ def mc_price_fmls(
     _check_alpha(alpha)
     if contract.side != "call":
         raise DomainError("mc_price_fmls prices call contracts")
-    if paths < 2:
-        raise DomainError(f"paths must be >= 2, got {paths}")
+    _check_int("paths", paths, 2)
     mu = mu_fmls(alpha, sigma)
     # the draws become the payoffs in place, with no full-size temporary
     payoff = sample_stable(

@@ -26,9 +26,10 @@ or calibration chain; price lays out its one strike directly.  One driver
 models at once, with one weight table per model: _model_calls's models,
 price_call_strikes's one model, or price's one strike (a put is
 C - (S - Kd)).  Each model picks its engine (_engine), one (scalars,
-columns) entry: the FMLS series (_FMLS) on the FMLS line with the
-martingale drift, where the call is a risk-neutral expectation, and the
-lattice (_LATTICE) everywhere else, alpha = 2 included.  Off the FMLS line
+columns) entry whose builder takes the layout and returns its columns and
+their reach: the FMLS series (_FMLS) on the FMLS line with the martingale
+drift, where the call is a risk-neutral expectation, and the lattice
+(_LATTICE, no reach) everywhere else, alpha = 2 included.  Off the FMLS line
 with alpha < 2, E[S_T] is infinite and a call is the paper's lattice value,
 not an expectation.  The term table is always the paper's lattice.
 
@@ -38,13 +39,13 @@ bits of a call with that model alone.  Its input is checked first
 overflows to inf, a scale po**(-1/alpha) that overflows, or a drift mu_fmls
 that overflows, is a DomainError.  Then one strict stop rule, applied per
 model and pair, stops after two consecutive columns whose worst-strike
-absolute value is at most the tolerance (on the FMLS series only from
-column floor(max |L - po|) on, where (L - po)**n/n! peaks); without such a
-pair by column max_column, or if a summed column overflows (an FMLS tail
-that overflows is inf), ConvergenceError.  No engine raises.  Most models
-stop within half of max_column, so the columns are built that far first,
-and again up to max_column only for the models that neither stop nor
-overflow there.
+absolute value is at most the tolerance (only from the column the
+builder names as reach: on the FMLS series floor(max |L - po|), where
+(L - po)**n/n! peaks); without such a pair by column max_column, or if a
+summed column overflows (an FMLS tail that overflows is inf),
+ConvergenceError.  No engine raises.  Most models stop within half of
+max_column, so the columns are built that far first, and again up to
+max_column only for the models that neither stop nor overflow there.
 """
 
 from __future__ import annotations
@@ -312,21 +313,17 @@ def _lattice_scalars(p: StableModelParams, pos: Sequence[float]) -> tuple:
 
 
 def _columns(
-    scalars: tuple,
-    spot: float,
-    kd: np.ndarray,
-    lm: np.ndarray,
-    counts: Sequence[int],
-    max_column: int,
-) -> np.ndarray:
-    """Lattice columns n = -1..max_column (rows), one per strike, of the
-    models whose _lattice_scalars are stacked in scalars.
+    scalars: tuple, layout: _ChainLayout, max_column: int
+) -> tuple[np.ndarray, None]:
+    """Lattice columns n = -1..max_column (rows), one per layout strike, of
+    the models whose _lattice_scalars are stacked in scalars, and no reach.
 
     Row 0 is the forward term rho*(S - Kd); row k, column n = k-1, is
     h_k/k! * (S*y+**k - Kd*y-**k) (see the module docstring).  Rows past the
     stop may overflow; _summed checks only the rows it sums.
     """
     alpha, theta, log_norm, rho, po, scale = scalars
+    spot, _, counts, _, kd, lm, _ = layout
     po, scale = _per_strike((po, scale), counts, -1)
     size = kd.size
     sign, log_h = _weights(alpha, theta, log_norm, max_column + 1)
@@ -340,7 +337,7 @@ def _columns(
         spot * legs[..., :size] - kd * legs[..., size:],
         out=columns[..., 1:, :],
     )
-    return columns
+    return columns, None
 
 
 def _fmls_tail(alpha: float, po: float) -> float:
@@ -374,16 +371,12 @@ def _fmls_scalars(p: StableModelParams, pos: Sequence[float]) -> tuple:
 
 
 def _fmls_columns(
-    scalars: tuple,
-    spot: float,
-    kd: np.ndarray,
-    lm: np.ndarray,
-    counts: Sequence[int],
-    max_column: int,
-) -> np.ndarray:
-    """FMLS columns n = 0..max_column (rows), one per strike, of the models
-    whose _fmls_scalars are stacked in scalars: models on the FMLS line
-    (theta = alpha-2, mu = mu_fmls).
+    scalars: tuple, layout: _ChainLayout, max_column: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """FMLS columns n = 0..max_column (rows), one per strike of the layout,
+    of the models whose _fmls_scalars are stacked in scalars: models on the
+    FMLS line (theta = alpha-2, mu = mu_fmls); and the reach per model and
+    pair, floor(max |x|) over the pair's strikes, where x**n/n! peaks.
 
     Carr & Wu's drift-shifted series, C = (Kd/alpha) * sum_n c_n * x**n/n!
     with x = L - po = L + mu*tau.  c_0 is the tail sum_{j>=1} po**(j/alpha) /
@@ -391,6 +384,7 @@ def _fmls_columns(
     reflected coefficient, c_n = c_{n-1} + alpha * h_{n-1} * po**(-(n-1)/alpha).
     """
     alpha, theta, log_norm, tail, po, log_po = scalars
+    _, _, counts, firsts, kd, lm, _ = layout
     sign, log_h = _weights(alpha, theta, log_norm, max_column - 1)
     exponents = np.arange(1.0, max_column) / alpha
     # one row of coefficients per pair (a pair axis of length 1 for one
@@ -409,13 +403,15 @@ def _fmls_columns(
     )
     columns = _strike_major(x.shape[:-1], max_column + 1, kd.size)
     np.multiply(c * powers, (kd / alpha)[..., None, :], out=columns)
-    return columns
+    reach = np.floor(np.maximum.reduceat(np.abs(x), firsts, axis=-1))
+    return columns, reach.reshape(-1, len(counts))
 
 
 # A series engine: scalars(params, pos), one model's floats and per-pair
 # values (_per_pair) from its checked po = -mu*tau per pair, which never
-# raises, and columns(scalars, spot, kd, lm, counts, max_column), the
-# columns of the models whose scalars _by_model stacks.
+# raises, and columns(scalars, layout, max_column), the columns of the models
+# whose scalars _by_model stacks, over the layout's strikes, and their reach:
+# None, or per model and pair the column from which a quiet pair counts.
 _LATTICE = (_lattice_scalars, _columns)
 _FMLS = (_fmls_scalars, _fmls_columns)
 
@@ -502,12 +498,12 @@ def _summed(
         raise DomainError(f"tolerance must be positive, got {tolerance}")
     if max_column < 1:
         raise DomainError(f"max_column must be >= 1, got {max_column}")
-    spot, pairs, counts, firsts, kd, lm, _ = layout
+    firsts = layout.firsts
     outcomes: list[list[np.ndarray] | Exception] = [[] for _ in models]
-    pending: dict[tuple[Callable, Callable], list[tuple[int, tuple, list[float]]]] = {}
+    pending: dict[tuple[Callable, Callable], list[tuple[int, tuple]]] = {}
     for i, params in enumerate(models):
         try:
-            pos = [-params.mu * t for _, t in pairs]
+            pos = [-params.mu * t for _, t in layout.pairs]
             _require_priceable(params, pos)
             engine = _engine(params)
             row = engine[0](params, pos)
@@ -516,38 +512,27 @@ def _summed(
             # the error
             outcomes[i] = exc.with_traceback(None)
         else:
-            pending.setdefault(engine, []).append((i, row, pos))
+            pending.setdefault(engine, []).append((i, row))
     for cap in (_first_cap(max_column), max_column):
         unstopped: dict[tuple[Callable, Callable], list] = {}
         for engine, group in pending.items():
-            members, rows, pos = zip(*group)
+            members, rows = zip(*group)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                columns = engine[1](_by_model(list(rows)), spot, kd, lm, counts, cap)
+                columns, reach = engine[1](_by_model(list(rows)), layout, cap)
             if columns.ndim == 2:
                 columns = columns[None]
-            # each row's worst strike, per model and pair (one pair: a plain
-            # max, which costs less than reduceat)
-            magnitude = np.abs(columns)
-            if len(counts) == 1:
-                worst = magnitude.max(axis=2, keepdims=True)
-            else:
-                worst = np.maximum.reduceat(magnitude, firsts, axis=2)
+            # each row's worst strike, per model and pair
+            worst = np.maximum.reduceat(np.abs(columns), firsts, axis=2)
             quiet = worst <= tolerance
             quiet_pairs = quiet[:, 1:] & quiet[:, :-1]
-            reach = np.zeros((len(members), len(counts)))
-            if engine is _FMLS:
-                # Carr & Wu's columns carry x**n/n!, x = L - po, which grows up
-                # to n = |x|: a quiet pair counts from column floor(max |x|) on
-                x = lm - _per_strike(np.array(pos), counts, -1)
-                reach = np.floor(np.maximum.reduceat(np.abs(x), firsts, axis=-1))
-                if reach.any():
-                    quiet_pairs &= np.arange(quiet_pairs.shape[1])[:, None] >= reach[:, None]
+            if reach is not None:  # a quiet pair counts only from column reach on
+                quiet_pairs &= np.arange(quiet_pairs.shape[1])[:, None] >= reach[:, None]
             # argmin finds the first row that opens a quiet pair or is not
             # finite (max propagates nan, so a row's worst is finite exactly
             # when the row is): the stop, if that row opens a quiet pair
             stops = (np.isfinite(worst[:, :-1]) > quiet_pairs).argmin(axis=1)
             for k, (i, model_stops) in enumerate(zip(members, stops.tolist())):
-                for pair, (first, n, stop) in enumerate(zip(firsts, counts, model_stops)):
+                for pair, (first, n, stop) in enumerate(zip(firsts, layout.counts, model_stops)):
                     if not quiet_pairs[k, stop, pair]:
                         block = columns[k, :, first : first + n]
                         if cap < max_column and np.isfinite(block).all():
@@ -555,7 +540,8 @@ def _summed(
                             outcomes[i] = []
                             unstopped.setdefault(engine, []).append(group[k])
                         else:
-                            outcomes[i] = _rejected(block, tolerance, cap, first, reach[k, pair])
+                            start = 0 if reach is None else reach[k, pair]
+                            outcomes[i] = _rejected(block, tolerance, cap, first, start)
                         break
                     outcomes[i].append(columns[k, : stop + 2, first : first + n])
         pending = unstopped

@@ -536,6 +536,14 @@ class TestDensityAndSample:
         assert lines[0] == "draw"
         assert len(lines) == 65
 
+    def test_sample_negative_seed_exit_code(self):
+        # in a fresh interpreter, so that stderr shows any traceback
+        done = run_main_fresh(
+            "sample", "--alpha", "1.6", "--beta", "-0.5", "--count", "64", "--seed", "-1"
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: seed must be a non-negative int, got -1\n"
+
     def test_sample_seed_changes_output(self, capsys):
         base = ["sample", "--alpha", "1.6", "--beta", "-0.5", "--count", "64"]
         _, out1, _ = run(capsys, *base, "--seed", "1")

@@ -73,6 +73,19 @@ class TestDensity:
             b = stable_density(1.5, -0.3, -x)
             assert a == pytest.approx(b, rel=1e-10)
 
+    def test_never_negative(self):
+        # the far light tail of a skewed law, where the rules settle on
+        # rounding-level values of either sign: the negative ones read 0,
+        # every other value is the settled rule's, bit for bit
+        alpha, theta, xs = 1.3, -0.7, np.linspace(-60.0, 60.0, 241)
+        values = stable_density(alpha, theta, xs)
+        rules = [lab._ray_rule(alpha, theta, xs, nodes) for nodes in (64, 128, 256, 512, 1024)]
+        settled = np.abs(np.diff(rules, axis=0)) <= 1e-9
+        raw = np.choose(settled.argmax(axis=0), rules[1:])
+        assert raw[xs == 7.5] < 0.0
+        assert np.array_equal(values, np.maximum(raw, 0.0))
+        assert stable_density(alpha, theta, 7.5) == 0.0
+
     def test_power_tail_ratio(self):
         # far out, g(2x)/g(x) approaches 2**-(1+alpha) on both tails
         alpha, theta = 1.5, -0.4
@@ -227,6 +240,22 @@ class TestSampler:
             SamplerConfig(alpha=1.5, beta=1.5, count=10, seed=0)
         with pytest.raises(DomainError):
             SamplerConfig(alpha=1.5, beta=0.0, count=0, seed=0)
+
+    @pytest.mark.parametrize("count", [0, 1.5, 10.0, True, "10", None])
+    def test_count_must_be_a_positive_int(self, count):
+        with pytest.raises(DomainError, match="count must be an int >= 1"):
+            SamplerConfig(alpha=1.5, beta=0.0, count=count, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, False, "0", None])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        # a seed of -1 would otherwise draw the variates of seed 2**64 - 1
+        with pytest.raises(DomainError, match="seed must be a non-negative int"):
+            SamplerConfig(alpha=1.5, beta=0.0, count=10, seed=seed)
+
+    def test_numpy_int_settings_draw_as_python_ints(self):
+        ints = SamplerConfig(alpha=1.6, beta=-0.5, count=100, seed=7)
+        numpy_ints = SamplerConfig(alpha=1.6, beta=-0.5, count=np.int64(100), seed=np.int64(7))
+        assert np.array_equal(sample_stable(numpy_ints), sample_stable(ints))
 
     def test_deterministic(self):
         cfg = SamplerConfig(alpha=1.6, beta=-0.5, count=5000, seed=42)
@@ -451,3 +480,8 @@ class TestMonteCarlo:
     def test_validation(self):
         with pytest.raises(DomainError):
             mc_price_fmls(1.7, 0.2, self.CONTRACT, paths=1)
+
+    @pytest.mark.parametrize("paths, seed", [(1000.5, 0), (1000, -1), (1000, 0.5)])
+    def test_paths_and_seed_must_be_ints(self, paths, seed):
+        with pytest.raises(DomainError, match="(paths|seed) must be a"):
+            mc_price_fmls(1.7, 0.2, self.CONTRACT, paths=paths, seed=seed)

@@ -315,9 +315,7 @@ class TestKernelMatchesTable:
         layout = _chain_layout(spot, rate, maturity, np.array([contract.strike]))
         po = -params.mu * maturity
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            columns = build(
-                scalars(params, [po]), spot, layout.kd, layout.lm, [1], n_max
-            )[:, 0]
+            columns = build(scalars(params, [po]), layout, n_max)[0][:, 0]
         lm = log_moneyness(contract)
         y_up, y_down = (lm + po) * po ** (-1 / alpha), (lm - po) * po ** (-1 / alpha)
         rho = (alpha - params.theta) / (2 * alpha)
@@ -1006,10 +1004,10 @@ class TestTwoPasses:
         for name in ("_LATTICE", "_FMLS"):
             scalars, columns = getattr(pricer_module, name)
 
-            def build(stacked, spot, kd, lm, counts, cap, columns=columns):
+            def build(stacked, layout, cap, columns=columns):
                 # po = -mu*tau is field 4 of both engines' scalars
                 builds.append((columns.__name__, cap, sorted(np.ravel(stacked[4]).tolist())))
-                return columns(stacked, spot, kd, lm, counts, cap)
+                return columns(stacked, layout, cap)
 
             monkeypatch.setattr(pricer_module, name, (scalars, build))
         return builds
@@ -1104,6 +1102,29 @@ class TestEngine:
     )
     def test_model_picks_the_series(self, params, engine):
         assert _engine(params) is engine
+
+    def test_reach_comes_from_the_builder(self, monkeypatch):
+        # an engine equal to _FMLS but not the same object keeps the FMLS
+        # stop's start column, which its builder names, not the driver
+        params, tolerance = StableModelParams.fmls(1.6, 0.2), 1e-8
+        deep = OptionContract(100.0, 1e-10, 0.0, 1.0)
+        with pytest.raises(ConvergenceError) as alone:
+            price(params, deep, tolerance)
+        engine = pricer_module._engine
+
+        def copied(params):
+            scalars, columns = engine(params)
+            return (scalars, columns)  # a tuple literal: tuple(t) is t itself
+
+        monkeypatch.setattr(pricer_module, "_engine", copied)
+        assert copied(params) == _FMLS and copied(params) is not _FMLS
+        with pytest.raises(ConvergenceError) as caught:
+            price(params, deep, tolerance)
+        assert (str(caught.value), caught.value.strike_index) == (
+            str(alone.value), alone.value.strike_index
+        )
+        with pytest.raises(ConvergenceError, match="a quiet pair counts only from column 73"):
+            price(params, OptionContract(100.0, 1e-30, 0.0, 1.0), tolerance=1e-3, max_column=8)
 
     def test_overflowing_drift_rejected(self):
         # on the FMLS line the engine compares mu with mu_fmls, whose
