@@ -1,5 +1,7 @@
 """Option pricing under stable log-price dynamics via a residue series."""
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     ConvergenceError,
     DomainError,
@@ -52,46 +54,9 @@ from .calibrate import (
     synthetic_chain,
 )
 
+# every public name bound above, except the submodules the imports bind too
 __all__ = [
-    "ConvergenceError",
-    "DomainError",
-    "OptionContract",
-    "StableModelParams",
-    "beta_to_theta",
-    "log_moneyness",
-    "mu_fmls",
-    "theta_to_beta",
-    "validate_feller_takayasu",
-    "PriceResult",
-    "TermIndex",
-    "TermTable",
-    "price",
-    "price_call",
-    "price_call_strikes",
-    "price_put",
-    "residue_term",
-    "term_table",
-    "term_table_csv",
-    "black_scholes",
-    "bs_equivalent_vol",
-    "fmls_call",
-    "DensityGrid",
-    "SamplerConfig",
-    "density_grid",
-    "effective_support",
-    "mc_price_fmls",
-    "s1_scale_factor",
-    "sample_stable",
-    "stable_density",
-    "CalibrateConfig",
-    "CalibrationReport",
-    "OptionChain",
-    "OptionQuote",
-    "aggregated_error",
-    "calibrate",
-    "calibrate_all",
-    "filter_quotes",
-    "load_chain",
-    "report_payload",
-    "synthetic_chain",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -41,7 +41,7 @@ import math
 import os
 import pickle
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Generator, Sequence
 
@@ -184,11 +184,11 @@ def load_chain(source: str | os.PathLike | io.TextIOBase) -> OptionChain:
     for row in reader:
         line = reader.line_num
         raw = {c: (row.get(c) or "").strip() for c in _CSV_COLUMNS}
-        fields: dict[str, float] = {}
+        numbers: dict[str, float] = {}
         bad = False
         for name in ("spot", "rate", "maturity", "strike", "market_price"):
             try:
-                fields[name] = float(raw[name])
+                numbers[name] = float(raw[name])
             except ValueError:
                 problems.append(f"row {line}: invalid {name} value {raw[name]!r}")
                 bad = True
@@ -199,7 +199,7 @@ def load_chain(source: str | os.PathLike | io.TextIOBase) -> OptionChain:
         if bad:
             continue
         try:
-            quotes.append(OptionQuote(side=side, **fields))
+            quotes.append(OptionQuote(side=side, **numbers))
         except DomainError as exc:
             problems.append(f"row {line}: {exc}")
             continue
@@ -583,26 +583,18 @@ class CalibrationReport:
 def report_payload(
     report: CalibrationReport, precision: int | None = None
 ) -> dict:
-    """Report as a JSON-ready dict (floats rounded to `precision`
-    significant digits when given, full precision otherwise)."""
-
-    def fmt(x: float) -> float:
-        return x if precision is None else float(f"%.{precision}g" % x)
-
-    return {
-        "model": report.model,
-        "sigma": fmt(report.sigma),
-        "alpha": fmt(report.alpha),
-        "beta": fmt(report.beta),
-        "beta_identified": report.beta_identified,
-        "mu": fmt(report.mu),
-        "aggregated_error": fmt(report.aggregated_error),
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "quotes": report.quotes,
-        "evaluations": report.evaluations,
-        "inf_evaluations": report.inf_evaluations,
-    }
+    """Report as a JSON-ready dict, its fields in order with beta_identified
+    after beta (float fields rounded to `precision` significant digits when
+    given, full precision otherwise)."""
+    payload = {}
+    for field in fields(report):
+        value = getattr(report, field.name)
+        if precision is not None and field.type == "float":
+            value = float(f"%.{precision}g" % value)
+        payload[field.name] = value
+        if field.name == "beta":
+            payload["beta_identified"] = report.beta_identified
+    return payload
 
 
 @dataclass(frozen=True)

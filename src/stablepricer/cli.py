@@ -33,7 +33,7 @@ from .core import (
     mu_fmls,
 )
 from .lab import SamplerConfig, density_grid, mc_price_fmls, sample_stable
-from .pricer import price, term_table, term_table_csv
+from .pricer import _MAX_COLUMN, _TOLERANCE, price, term_table, term_table_csv
 from .reference import black_scholes, fmls_call
 
 
@@ -274,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_market_flags(p)
     _add_model_flags(p)
     p.add_argument("--side", choices=("call", "put"), default="call")
-    p.add_argument("--tol", type=float, default=1e-4, help="series tolerance")
-    p.add_argument("--max-column", type=int, default=64)
+    p.add_argument("--tol", type=float, default=_TOLERANCE, help="series tolerance")
+    p.add_argument("--max-column", type=int, default=_MAX_COLUMN)
     p.add_argument(
         "--check",
         action="store_true",
@@ -299,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--max-column", type=int, default=64)
+    p.add_argument("--tol", type=float, default=_TOLERANCE)
+    p.add_argument("--max-column", type=int, default=_MAX_COLUMN)
     p.add_argument("--out", default=None)
     common(p)
     p.set_defaults(func=cmd_curve)
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--paths", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=float, default=_TOLERANCE)
     p.add_argument(
         "--check",
         action="store_true",

@@ -77,6 +77,9 @@ class SamplerConfig:
         _check_beta(self.beta)
         _check_int("count", self.count, 1)
         _check_int("seed", self.seed, 0)
+        # a Philox key word holds 64 bits: a larger seed would alias a smaller one
+        if int(self.seed) >= 2**64:
+            raise DomainError(f"seed must be an int below 2**64, got {self.seed!r}")
 
 
 def _check_diamond(alpha: float, theta: float) -> None:
@@ -200,7 +203,7 @@ def s1_scale_factor(alpha: float, beta: float) -> float:
 
 
 def _block_generator(seed: int, block_index: int) -> np.random.Generator:
-    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, block_index], dtype=np.uint64)
+    key = np.array([int(seed), block_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

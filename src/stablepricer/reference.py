@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .core import DomainError, OptionContract, StableModelParams, log_moneyness
-from .pricer import PriceResult, price
+from .pricer import _MAX_COLUMN, _TOLERANCE, PriceResult, price
 
 
 def _norm_cdf(x: float) -> float:
@@ -46,8 +46,8 @@ def fmls_call(
     alpha: float,
     sigma: float,
     contract: OptionContract,
-    tolerance: float = 1e-4,
-    max_column: int = 64,
+    tolerance: float = _TOLERANCE,
+    max_column: int = _MAX_COLUMN,
 ) -> PriceResult:
     """Price under maximal negative skewness (theta = alpha-2, mu = mu_fmls).
 

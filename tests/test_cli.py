@@ -544,6 +544,14 @@ class TestDensityAndSample:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: seed must be a non-negative int, got -1\n"
 
+    def test_sample_seed_beyond_64_bits_exit_code(self):
+        done = run_main_fresh(
+            "sample", "--alpha", "1.6", "--beta", "-0.5", "--count", "64",
+            "--seed", str(2**64),
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: seed must be an int below 2**64, got {2**64}\n"
+
     def test_sample_seed_changes_output(self, capsys):
         base = ["sample", "--alpha", "1.6", "--beta", "-0.5", "--count", "64"]
         _, out1, _ = run(capsys, *base, "--seed", "1")

@@ -252,6 +252,15 @@ class TestSampler:
         with pytest.raises(DomainError, match="seed must be a non-negative int"):
             SamplerConfig(alpha=1.5, beta=0.0, count=10, seed=seed)
 
+    def test_seed_must_fit_the_key_word(self):
+        # a Philox key word holds 64 bits, so seed 2**64 would draw seed 0's
+        # variates; the largest seed it holds draws
+        with pytest.raises(DomainError, match=r"seed must be an int below 2\*\*64"):
+            SamplerConfig(alpha=1.6, beta=-0.5, count=5, seed=2**64)
+        top = SamplerConfig(alpha=1.6, beta=-0.5, count=5, seed=2**64 - 1)
+        zero = SamplerConfig(alpha=1.6, beta=-0.5, count=5, seed=0)
+        assert not np.array_equal(sample_stable(top), sample_stable(zero))
+
     def test_numpy_int_settings_draw_as_python_ints(self):
         ints = SamplerConfig(alpha=1.6, beta=-0.5, count=100, seed=7)
         numpy_ints = SamplerConfig(alpha=1.6, beta=-0.5, count=np.int64(100), seed=np.int64(7))
@@ -481,7 +490,10 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             mc_price_fmls(1.7, 0.2, self.CONTRACT, paths=1)
 
-    @pytest.mark.parametrize("paths, seed", [(1000.5, 0), (1000, -1), (1000, 0.5)])
+    # seed 2**64 would otherwise price with seed 0's draws
+    @pytest.mark.parametrize(
+        "paths, seed", [(1000.5, 0), (1000, -1), (1000, 0.5), (1000, 2**64)]
+    )
     def test_paths_and_seed_must_be_ints(self, paths, seed):
         with pytest.raises(DomainError, match="(paths|seed) must be a"):
             mc_price_fmls(1.7, 0.2, self.CONTRACT, paths=paths, seed=seed)

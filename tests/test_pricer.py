@@ -578,16 +578,25 @@ class TestBatch:
             price_call_strikes(params, 100.0, 0.0, 1.0, np.array([]))
         with pytest.raises(DomainError):
             price_call_strikes(params, 100.0, 0.0, 1.0, np.array([-5.0]))
-        for max_column in (0, -1):
-            with pytest.raises(DomainError, match="max_column must be >= 1"):
+        for max_column in (0, -1, 10.5, True):
+            with pytest.raises(DomainError, match="max_column must be an int >= 1"):
                 price_call_strikes(
                     params, 100.0, 0.0, 1.0, np.array([95.0]), max_column=max_column
                 )
-        for tolerance in (0.0, -1.0):
+        for tolerance in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(DomainError, match="tolerance must be positive"):
                 price_call_strikes(
                     params, 100.0, 0.0, 1.0, np.array([95.0]), tolerance=tolerance
                 )
+        # price and term_table check their column caps in the same way
+        contract = OptionContract(100.0, 95.0, 0.0, 1.0)
+        with pytest.raises(DomainError, match="max_column must be an int >= 1"):
+            price(params, contract, max_column=10.5)
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            price(params, contract, tolerance=math.nan)
+        for n_max in (2.5, True, -2):
+            with pytest.raises(DomainError, match="n_max must be an int >= -1"):
+                term_table(params, contract, n_max)
         strikes = np.array([95.0, 100.0, 105.0])
         with pytest.raises(DomainError, match="aligned with strikes"):
             price_call_strikes(params, 100.0, [0.0, 0.01], 1.0, strikes)
@@ -1135,7 +1144,8 @@ class TestEngine:
 
     def test_engine_choice_stays_in_pricer(self):
         # no other module wires pricer's columns or summation by hand; an
-        # option chain keeps its own layout and prices its rounds on it
+        # option chain keeps its own layout and prices its rounds on it, and
+        # the CLI and reference take the stop rule's defaults from pricer
         package = Path(pricer_module.__file__).parent
         imported = [
             (path.name, alias.name)
@@ -1148,7 +1158,9 @@ class TestEngine:
             if alias.name.startswith("_")
         ]
         assert imported == [
-            ("calibrate.py", "_chain_layout"), ("calibrate.py", "_model_calls")
+            ("calibrate.py", "_chain_layout"), ("calibrate.py", "_model_calls"),
+            ("cli.py", "_MAX_COLUMN"), ("cli.py", "_TOLERANCE"),
+            ("reference.py", "_MAX_COLUMN"), ("reference.py", "_TOLERANCE"),
         ]
 
 

@@ -8,16 +8,24 @@ its per-layer metrics empty.  These tests only read perfbench.
 
 The CLI builds every model and contract in one place each, and no module
 calls price_call or price_put, the side-named aliases of price.
+
+The package exports every name its __init__ imports from its submodules, and
+no module.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 
+import stablepricer
 import stablepricer.cli
 from stablepricer import StableModelParams, aggregated_error, synthetic_chain
 from stablepricer.pricer import price_call_strikes
@@ -105,3 +113,41 @@ def test_no_module_uses_the_side_aliases():
         if name in ("price_call", "price_put")
     ]
     assert used == []
+
+
+def test_exports_are_the_imported_names():
+    # __all__ is derived from the names bound in __init__; it holds each name
+    # the submodule imports there bind, once, and none of the submodules
+    init = Path(stablepricer.__file__)
+    imported = [
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert sorted(stablepricer.__all__) == sorted(imported)
+    assert len(set(imported)) == len(imported)
+    for name in stablepricer.__all__:
+        assert not isinstance(getattr(stablepricer, name), ModuleType), name
+    # the function, which the benchmark's tracer wraps, not its submodule
+    assert inspect.isfunction(stablepricer.calibrate)
+    assert stablepricer.calibrate is sys.modules["stablepricer.calibrate"].calibrate
+
+
+def test_star_import_binds_the_exports():
+    # in a new interpreter, whose package has imported only what
+    # `import stablepricer` imports
+    env = dict(os.environ)
+    src = str(Path(stablepricer.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    script = (
+        "names = {}\n"
+        "exec('from stablepricer import *', names)\n"
+        "print(' '.join(sorted(set(names) - {'__builtins__'})))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.split() == sorted(stablepricer.__all__)
