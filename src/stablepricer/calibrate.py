@@ -586,6 +586,8 @@ def report_payload(
     """Report as a JSON-ready dict, its fields in order with beta_identified
     after beta (float fields rounded to `precision` significant digits when
     given, full precision otherwise)."""
+    if precision is not None:
+        _check_int("precision", precision, 0)
     payload = {}
     for field in fields(report):
         value = getattr(report, field.name)

@@ -56,6 +56,7 @@ class DensityGrid:
     theta: float
 
     def to_csv(self, precision: int = 6) -> str:
+        _check_int("precision", precision, 0)
         fmt = f"%.{precision}g"
         lines = ["abscissa,density"]
         for x, v in zip(self.abscissae, self.values):
@@ -99,7 +100,8 @@ def stable_density(alpha: float, theta: float, x: float | np.ndarray) -> float |
     1e-9, and is summed on its own, so an array's values equal the float calls.
     The ladder compares raw values; a value settled below 0 (rounding) is 0.
     A rule is summed as sum w e^{Re z} cos(Im z + phi) = Re[e^{i phi} sum w e^z],
-    in real arithmetic, within about 2e-16 of the complex sum (_ray_rule).
+    in real arithmetic, within about 2e-16 of the complex sum (_ray_rule), with
+    cos x = 2/(1 + t*t) - 1 from t = tan(x/2), which numpy vectorises (_cos).
     """
     _check_diamond(alpha, theta)
     x = np.asarray(x, dtype=float)
@@ -126,7 +128,7 @@ def _ray_rule(alpha: float, theta: float, xs: np.ndarray, nodes: int) -> np.ndar
 
     The density is (R/pi) Re[e^{i phi} sum_j w_j e^{z_j}], and as |e^{i phi}| = 1,
     Re[e^{i phi} sum w e^z] = sum w e^{Re z} cos(Im z + phi): one real exp and one
-    cos per node, and no complex number formed."""
+    half-angle cosine (_cos) per node, and no complex number formed."""
     side = np.where(xs < 0.0, -theta, theta)
     phi = np.pi * (1.0 + side) / (4.0 * alpha)
     tilt = np.pi * (1.0 - side) / 4.0  # alpha phi - side pi/2
@@ -144,8 +146,21 @@ def _ray_rule(alpha: float, theta: float, xs: np.ndarray, nodes: int) -> np.ndar
     for b in (slice(i, i + rows) for i in range(0, xs.size, rows)):
         re = lin_re[b, None] * u - pow_re[b, None] * u_alpha
         im = lin_im[b, None] * u - pow_im[b, None] * u_alpha + phi[b, None]
-        sums[b] = (np.exp(re, out=re) * np.cos(im, out=im) * w).sum(axis=1)
+        sums[b] = (np.exp(re, out=re) * _cos(im) * w).sum(axis=1)
     return cut * sums / np.pi
+
+
+def _cos(x: np.ndarray) -> np.ndarray:
+    """Overwrite x with cos x = 2/(1 + t*t) - 1, t = tan(x/2), and return it:
+    within 3.3e-16 of np.cos for |x| <= 1e4 and -1 at tan's poles, in a quarter
+    of its time where numpy vectorises float64 tan (README, Density lab)."""
+    x *= 0.5
+    np.tan(x, out=x)
+    x *= x
+    x += 1.0
+    np.divide(2.0, x, out=x)
+    x -= 1.0
+    return x
 
 
 @functools.cache
@@ -198,6 +213,8 @@ def effective_support(alpha: float, theta: float, tail_mass: float = 1e-7) -> fl
 
 def s1_scale_factor(alpha: float, beta: float) -> float:
     """Scale relating the standard skewed variate to the Feller-standard one."""
+    _check_alpha(alpha)
+    _check_beta(beta)
     bt = beta * _tan_half(alpha)
     return (1.0 + bt * bt) ** (1.0 / (2.0 * alpha))
 
@@ -219,7 +236,8 @@ def sample_stable(config: SamplerConfig) -> np.ndarray:
           * (cos(U - alpha*(U+B)) / W)**((1-alpha)/alpha)
     with U uniform on (-pi/2, pi/2), W unit exponential,
     B = atan(beta*tan(pi*alpha/2))/alpha and scale = s1_scale_factor.
-    Deterministic given the seed, independent of block partitioning.
+    sin x = 2t/(1 + t*t) and cos x (_cos) come from t = tan(x/2), which numpy
+    vectorises: a draw moves by about 3e-16/cos relative where a cos nears 0.
 
     Of W threads, one per usable core, worker j draws blocks j, j + W, ...
     and in each round of W blocks transforms the j-th of W equal shares: its
@@ -252,15 +270,18 @@ def sample_stable(config: SamplerConfig) -> np.ndarray:
             u *= math.pi
             np.add(u, b, out=au)
             au *= alpha
-            np.subtract(u, au, out=c)
-            np.cos(c, out=c)
-            np.sin(au, out=au)
-            au *= scale
-            np.cos(u, out=u)
-            u **= inv_alpha
-            au /= u
+            _cos(np.subtract(u, au, out=c))
             c /= scratch[block % workers, i - block * _BLOCK_SIZE :][: u.size]
             c **= exp_w
+            _cos(u)
+            u **= inv_alpha
+            c /= u
+            au *= 0.5
+            np.tan(au, out=au)
+            np.multiply(au, au, out=u)
+            u += 1.0
+            au *= 2.0 * scale
+            au /= u
             np.multiply(au, c, out=u)
 
     def share(worker: int) -> None:

@@ -670,6 +670,7 @@ def term_table_csv(table: TermTable, precision: int = 6) -> str:
     value (cells outside the triangle stay empty), and the final row
     labeled "Call" holds the cumulative column sums.
     """
+    _check_int("precision", precision, 0)
     n_max = table.n_max
     fmt = f"%.{precision}g"
     lines = ["," + ",".join(str(n) for n in range(-1, n_max + 1))]

@@ -311,32 +311,56 @@ def sampler_ks_pvalue(
     return float(result.pvalue)
 
 
-def reference_sample_stable(config: SamplerConfig) -> np.ndarray:
-    """The stable sampler as one serial loop over its 65536-draw blocks,
-    each from Philox keyed by (seed, block): the bits lab.sample_stable
-    must reproduce on any number of cores."""
-    alpha, beta = config.alpha, config.beta
-    bt = beta * math.tan(math.pi * (alpha - 2.0) / 2.0)
-    b = math.atan(bt) / alpha
-    scale = s1_scale_factor(alpha, beta)
-    inv_alpha = 1.0 / alpha
-    exp_w = (1.0 - alpha) / alpha
+def sampler_blocks(config: SamplerConfig):
+    """(first, U, W) of each 65536-draw block of lab.sample_stable, in one
+    serial loop: U = pi (V - 1/2) and W from Philox keyed by (seed, block)."""
     block_size = 1 << 16
-    out = np.empty(config.count)
-    for block in range(0, config.count, block_size):
-        size = min(block_size, config.count - block)
-        key = np.array([config.seed & 0xFFFFFFFFFFFFFFFF, block // block_size], dtype=np.uint64)
+    for first in range(0, config.count, block_size):
+        size = min(block_size, config.count - first)
+        key = np.array([config.seed, first // block_size], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key))
-        u = math.pi * (gen.random(size) - 0.5)
-        w = gen.standard_exponential(size)
-        au = alpha * (u + b)
-        x = (
-            scale
-            * np.sin(au)
-            / np.cos(u) ** inv_alpha
-            * (np.cos(u - au) / w) ** exp_w
+        yield first, math.pi * (gen.random(size) - 0.5), gen.standard_exponential(size)
+
+
+def sampler_constants(config: SamplerConfig) -> tuple[float, float, float, float]:
+    """B, scale, 1/alpha and (1 - alpha)/alpha of the transform."""
+    alpha, beta = config.alpha, config.beta
+    b = math.atan(beta * math.tan(math.pi * (alpha - 2.0) / 2.0)) / alpha
+    return b, s1_scale_factor(alpha, beta), 1.0 / alpha, (1.0 - alpha) / alpha
+
+
+def half_angle_cos(x: np.ndarray) -> np.ndarray:
+    """cos x = 2/(1 + t*t) - 1 with t = tan(x/2)."""
+    t = np.tan(x / 2.0)
+    return 2.0 / (1.0 + t * t) - 1.0
+
+
+def reference_sample_stable(config: SamplerConfig) -> np.ndarray:
+    """The stable sampler as one serial loop over its blocks, in the order of
+    lab.sample_stable's transform, with sin x = 2t/(1 + t*t) and
+    half_angle_cos: the bits it must reproduce on any number of cores."""
+    b, scale, inv_alpha, exp_w = sampler_constants(config)
+    out = np.empty(config.count)
+    for first, u, w in sampler_blocks(config):
+        au = config.alpha * (u + b)
+        c = (half_angle_cos(u - au) / w) ** exp_w / half_angle_cos(u) ** inv_alpha
+        t = np.tan(au / 2.0)
+        out[first : first + u.size] = 2.0 * scale * t / (1.0 + t * t) * c
+    return out
+
+
+def sincos_sample_stable(config: SamplerConfig) -> np.ndarray:
+    """The sampler's draws from the same (U, W) by np.sin and np.cos:
+
+    X = scale sin(alpha (U + B)) / cos(U)**(1/alpha)
+          * (cos(U - alpha (U + B)) / W)**((1 - alpha)/alpha)."""
+    b, scale, inv_alpha, exp_w = sampler_constants(config)
+    out = np.empty(config.count)
+    for first, u, w in sampler_blocks(config):
+        au = config.alpha * (u + b)
+        out[first : first + u.size] = (
+            scale * np.sin(au) / np.cos(u) ** inv_alpha * (np.cos(u - au) / w) ** exp_w
         )
-        out[block : block + size] = x
     return out
 
 

@@ -12,13 +12,17 @@ fails: the FMLS series, the lattice, alpha = 2, a drift off the FMLS line,
 mu > 0, an overflowing FMLS tail, lattice series and scale
 (-mu*tau)**(-1/alpha), an underflowing -mu*tau, and bad chains.  It ends
 with acceptance 7's ladder, the five calibrate operations of the
-benchmark at seeds 1 to 3, and 41 density points and grids across the
-diamond, one of which runs out of nodes.  A failure is a DomainError or a
+benchmark at seeds 1 to 3, 41 density points and grids across the
+diamond, one of which runs out of nodes, and the sampler: the SHA-256 of
+its draws with the first, middle and last as reprs, at counts 1 to
+3*65536 + 1 around its block and round edges and at (alpha, beta) edges,
+and mc_price_fmls at 1e5 paths.  A failure is a DomainError or a
 ConvergenceError; any other exception ends the run with a traceback and a
 non-zero exit status, which CI checks.  This is not a pytest module; it
 takes about ten seconds.
 """
 
+import hashlib
 import random
 import sys
 from pathlib import Path
@@ -142,6 +146,24 @@ def main(seed: int = 20, cases: int = 4000) -> None:
             x = rng.choice([0.0, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 4.0)])
             print("density", case, _outcome(lambda: sp.stable_density(alpha, theta, x)))
     print("density edge", _outcome(lambda: sp.stable_density(1.01, 1.01 - 2.0, 0.5)))
+    # the sampler on one thread per usable core, where a block and a round of
+    # blocks end, and the Monte-Carlo price of its draws
+    for alpha, beta in [(1.01, -1.0), (1.05, 1.0), (2.0, 0.0), (2.0, 1.0),
+                        (rng.uniform(1.05, 2.0), rng.uniform(-1.0, 1.0)),
+                        (rng.uniform(1.05, 2.0), rng.uniform(-1.0, 1.0))]:
+        for count in (1, 65535, 65536, 65537, 100_000, 3 * 65536 + 1):
+            seed = rng.randrange(2**64)
+            draws = sp.sample_stable(sp.SamplerConfig(alpha, beta, count, seed))
+            digest = hashlib.sha256(draws.tobytes()).hexdigest()
+            few = [float(draws[i]) for i in (0, count // 2, -1)]
+            print("sample", alpha, beta, count, seed, digest, few)
+    for alpha, strike in [(1.3, 90.0), (1.6, 100.0), (1.9, 120.0), (2.0, 100.0)]:
+        sigma = rng.uniform(0.05, 0.3)
+        contract = sp.OptionContract(100.0, strike, *rng.choice(PAIRS))
+        seed = rng.randrange(2**32)
+        print("mc", alpha, sigma, contract, seed, _outcome(
+            lambda: sp.mc_price_fmls(alpha, sigma, contract, 100_000, seed)
+        ))
 
 
 if __name__ == "__main__":

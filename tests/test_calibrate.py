@@ -321,6 +321,19 @@ class TestConfigAndReport:
         rounded = report_payload(report, precision=3)
         assert rounded["sigma"] == float(f"{report.sigma:.3g}")
 
+    @pytest.mark.parametrize("precision", [-1, 2.5, True])
+    def test_payload_precision_must_be_a_non_negative_int(self, precision):
+        # -1 and 2.5 would otherwise raise "unsupported format character";
+        # None keeps full precision
+        report = CalibrationReport(
+            model="BlackScholes", sigma=0.2, alpha=2.0, beta=0.0, mu=-0.04,
+            aggregated_error=1.0, iterations=1, converged=True, quotes=16,
+            evaluations=1, inf_evaluations=0,
+        )
+        with pytest.raises(DomainError, match="precision must be a non-negative int"):
+            report_payload(report, precision=precision)
+        assert report_payload(report, precision=None)["sigma"] == 0.2
+
     @pytest.mark.parametrize(
         "alpha, identified",
         # the first is the stable rung's alpha on a Black-Scholes chain

@@ -43,8 +43,11 @@ from _support import (
     ray_rule_size,
     reference_ray_rule,
     reference_sample_stable,
+    sampler_blocks,
+    sampler_constants,
     sampler_ks_pvalue,
     series_density,
+    sincos_sample_stable,
 )
 
 
@@ -150,6 +153,13 @@ class TestDensity:
         assert lines[0] == "abscissa,density"
         assert len(lines) == 4
         assert lines[2].startswith("0,")
+
+    @pytest.mark.parametrize("precision", [-1, 2.5, True, None])
+    def test_grid_csv_precision_must_be_a_non_negative_int(self, precision):
+        # -1 and 2.5 would otherwise raise "unsupported format character"
+        grid = density_grid(1.8, 0.1, np.array([-1.0, 0.0, 1.0]))
+        with pytest.raises(DomainError, match="precision must be a non-negative int"):
+            grid.to_csv(precision=precision)
 
 
 class TestContourRule:
@@ -291,6 +301,78 @@ class TestSampler:
     def test_s1_scale_factor_symmetric_case(self):
         assert s1_scale_factor(1.7, 0.0) == 1.0
         assert s1_scale_factor(2.0, -1.0) == 1.0
+
+    # unchecked, these returned 8.2e15, 1.0, 1.0, nan and 2.154
+    @pytest.mark.parametrize(
+        "alpha, beta", [(1.0, 0.5), (0.5, 0.0), (2.5, 0.0), (math.nan, 0.0), (1.5, -3.0)]
+    )
+    def test_s1_scale_factor_checks_its_domain(self, alpha, beta):
+        with pytest.raises(DomainError, match="(alpha|beta) must lie in"):
+            s1_scale_factor(alpha, beta)
+
+
+def _draw_bounds(config: SamplerConfig) -> np.ndarray:
+    """Per draw, the relative error the half-angle sampler may carry: 1e-14,
+    plus 4.4e-16, the half-angle cosine's absolute error, times each
+    cosine's exponent in the draw over that cosine."""
+    b, _, inv_alpha, exp_w = sampler_constants(config)
+    u = np.concatenate([u for _, u, _ in sampler_blocks(config)])
+    au = config.alpha * (u + b)
+    return 1e-14 + 4.4e-16 * (inv_alpha / np.abs(np.cos(u)) + abs(exp_w) / np.abs(np.cos(u - au)))
+
+
+class TestHalfAngleTrig:
+    # lab takes sin x = 2t/(1 + t*t) and cos x = 2/(1 + t*t) - 1 from
+    # t = tan(x/2).  Where cos x nears 0, t is near +-1 and 2/(1 + t*t) near 1,
+    # a multiple of 2**-53: cos x is off by up to about 3e-16 absolute, so a
+    # draw loses digits as 1/cos U or 1/cos(U - alpha (U + B)) grows.  There
+    # the float U = pi (v - 1/2) already sits up to ulp(pi/2)/2 from the real
+    # one, which moves the draw by about 1.1e-16/cos U relative, whichever
+    # formula takes it: the new one loses digits only where its input has.
+    # The bound is per draw, as one flat figure would pass or fail with the
+    # seed: 4e6 uniforms come within about 4e-7 of cos U = 0.
+
+    def test_cos_matches_numpy_to_4_5e_16(self):
+        rng = np.random.default_rng(0)
+        x = np.concatenate([rng.uniform(-1e4, 1e4, 100_000), np.linspace(-7.0, 7.0, 100_001)])
+        assert np.abs(lab._cos(x.copy()) - np.cos(x)).max() <= 4.5e-16
+
+    def test_cos_is_minus_one_at_the_poles_of_tan(self):
+        x = np.array([math.pi, -math.pi, 3 * math.pi, -3 * math.pi])
+        assert lab._cos(x).tolist() == [-1.0] * 4
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.3, 1.6, 1.8, 2.0])
+    def test_sampler_against_sin_and_cos(self, alpha):
+        # 2e5 draws at each of five betas; at 1e-11 and below wherever both
+        # cosines are at least 1e-4
+        for beta in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            config = SamplerConfig(alpha, beta, 200_000, seed=int(100 * alpha) + int(10 * beta))
+            got, want = sample_stable(config), sincos_sample_stable(config)
+            error = np.abs(got - want) / np.abs(want)
+            assert (error <= _draw_bounds(config)).all()
+            assert np.quantile(error, 0.999) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "alpha, beta", [(1.05, 1.0), (1.3, -1.0), (1.6, 0.0), (2.0, 0.5), (1.8, -0.5)]
+    )
+    def test_sampler_against_forty_digits(self, alpha, beta):
+        # the transform in 40 digits at the sampler's own U, W and B; np.sin
+        # and np.cos hold 4e-15 on every draw here
+        import mpmath as mp
+
+        config = SamplerConfig(alpha, beta, 1000, seed=int(100 * alpha))
+        b, scale, _, _ = sampler_constants(config)
+        ((_, us, ws),) = sampler_blocks(config)
+        with mp.workdps(40):
+            a, exact = mp.mpf(alpha), []
+            for u, w in zip(us.tolist(), ws.tolist()):
+                au = a * (u + mp.mpf(b))
+                x = scale * mp.sin(au) / mp.cos(u) ** (1 / a)
+                exact.append(float(x * (mp.cos(u - au) / w) ** ((1 - a) / a)))
+        exact = np.array(exact)
+        assert (np.abs(sincos_sample_stable(config) - exact) <= 4e-15 * np.abs(exact)).all()
+        error = np.abs(sample_stable(config) - exact) / np.abs(exact)
+        assert (error <= _draw_bounds(config)).all()
 
 
 def _use_cores(monkeypatch, cores: int) -> None:

@@ -1193,3 +1193,10 @@ class TestTermTableCsv:
         assert wide != narrow
         assert "215.207087835" in wide
         assert "215" in narrow
+
+    @pytest.mark.parametrize("precision", [-1, 2.5, True, None])
+    def test_precision_must_be_a_non_negative_int(self, precision):
+        # -1 and 2.5 would otherwise raise "unsupported format character"
+        table = term_table(golden_params(), golden_contract(), 2)
+        with pytest.raises(DomainError, match="precision must be a non-negative int"):
+            term_table_csv(table, precision=precision)
