@@ -29,8 +29,8 @@ from a warm start and the points of a scrambled Halton sequence (Owen
 floats, _halton on numpy), so calibration needs numpy only.  The starts
 step in lockstep: each round prices the points of every live start in one
 kernel call on the chain's layout, built once, and each start takes the
-path it takes alone, so a forked worker process can run about half of a
-rung's Halton starts on a second core with the same reports (see _ladder).
+path it takes alone, so a forked worker process can run the last rung's
+Halton starts on a second core with the same reports (see _ladder).
 """
 
 from __future__ import annotations
@@ -164,10 +164,11 @@ def load_chain(source: str | os.PathLike | io.TextIOBase) -> OptionChain:
 
     Expected header: as_of,spot,rate,maturity,strike,side,market_price.
     All rows must share one as_of (one chain per file).  Malformed rows are
-    reported together in a single DomainError, one diagnostic per row.
+    reported together in a single DomainError, one diagnostic per row.  A
+    path is read as UTF-8, with or without a byte-order mark.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", newline="") as handle:
+        with open(source, "r", newline="", encoding="utf-8-sig") as handle:
             return load_chain(handle)
 
     reader = csv.DictReader(source)
@@ -625,11 +626,11 @@ def objective_params(params: StableModelParams, chain: OptionChain) -> float:
         return math.inf
 
 
-def _box_starts(spec: _ModelSpec, config: CalibrateConfig, indices: range) -> dict:
+def _box_starts(spec: _ModelSpec, config: CalibrateConfig) -> dict:
     """The scrambled Halton points of the spec's box, by start index from 1."""
     low, high = np.array(spec.box_low), np.array(spec.box_high)
     box = low + _halton(len(low), config.starts, config.seed) * (high - low)
-    return {i: box[i - 1] for i in indices}
+    return dict(enumerate(box, 1))
 
 
 def _lockstep(chain: OptionChain, spec: _ModelSpec, starts: dict) -> tuple[dict, int, int]:
@@ -677,39 +678,36 @@ def _lockstep(chain: OptionChain, spec: _ModelSpec, starts: dict) -> tuple[dict,
 
 
 class _Worker:
-    """A forked process that sends down a pipe the _lockstep result of Halton
-    starts 1 to `share` of each rung in `kinds`, or its exception.  It ends in
+    """A forked process that sends down a pipe, in one message, the _lockstep
+    result of every Halton start of `spec`, or its exception.  It ends in
     os._exit: it never returns into the caller's frames nor flushes its stdio;
     _ladder kills and reaps it on every way out."""
 
-    def __init__(self, chain: OptionChain, kinds: list[str], config: CalibrateConfig, share: int):
-        self.share, self.status = share, None
+    def __init__(self, chain: OptionChain, spec: _ModelSpec, config: CalibrateConfig):
+        self.spec, self.status = spec, None
         read, write = os.pipe()
         self._pid = os.fork()
         if self._pid == 0:
             try:
                 os.close(read)
-                pipe = open(write, "wb")  # the kernel closes it at exit
-                for spec in (_SPECS[kind] for kind in kinds):
-                    starts = _box_starts(spec, config, range(1, share + 1))
-                    try:
-                        message = _lockstep(chain, spec, starts)
-                    except BaseException as exc:
-                        message = exc
+                try:
+                    message = _lockstep(chain, spec, _box_starts(spec, config))
+                except BaseException as exc:
+                    message = exc
+                with open(write, "wb") as pipe:
                     pipe.write(pickle.dumps(message))
-                    pipe.flush()
                 os._exit(0)
             finally:
                 os._exit(1)
         os.close(write)
         self._pipe = open(read, "rb")
 
-    def receive(self, spec: _ModelSpec) -> tuple[dict, int, int]:
+    def receive(self) -> tuple[dict, int, int]:
         try:
             message = pickle.load(self._pipe)
         except (EOFError, pickle.UnpicklingError):
             raise RuntimeError(f"calibration worker exited with status {self.close()} "
-                               f"before sending its {spec.name!r} starts") from None
+                               f"before sending its {self.spec.name!r} starts") from None
         if isinstance(message, BaseException):
             raise message
         return message
@@ -736,15 +734,14 @@ def _fit_rung(
     coordinates (log sigma for bs and carrwu, log(-mu) for stable;
     alpha = 1.5 + 0.5 sin z; atanh beta), from the spec's warm start (start
     0) and the scrambled Halton points of its box (starts 1 to config.starts).
-    The worker, if any, runs Halton starts 1 to worker.share and this call
-    the others; results merge by start index and counts add up, so the
-    report is the same.  The leaner optimum, embedded exactly by the spec,
-    is a candidate too, which guarantees the aggregated errors nest across
-    the ladder.  The lowest aggregated error wins; ties keep the earliest
-    candidate, in start order.
+    A worker, if given, runs the Halton starts and this call the warm start;
+    results merge by start index and counts add up, so the report is the
+    same.  The leaner optimum, embedded exactly by the spec, is a candidate
+    too, which guarantees the aggregated errors nest across the ladder.  The
+    lowest aggregated error wins; ties keep the earliest candidate, in start
+    order.
     """
-    box = _box_starts(spec, config, range(worker.share + 1 if worker else 1, config.starts + 1))
-    starts = {0: spec.warm(leaner, chain), **box}
+    starts = {0: spec.warm(leaner, chain), **({} if worker else _box_starts(spec, config))}
     results, evaluations, inf_evaluations = _lockstep(chain, spec, starts)
     candidates: list[_Candidate] = []
     if spec.embed is not None:
@@ -753,7 +750,7 @@ def _fit_rung(
         evaluations += 1
         inf_evaluations += error == math.inf
         candidates.append(_Candidate(error, embedded, leaner.converged))
-    theirs, evals, infs = worker.receive(spec) if worker else ({}, 0, 0)
+    theirs, evals, infs = worker.receive() if worker else ({}, 0, 0)
     results.update(theirs)
     evaluations, inf_evaluations = evaluations + evals, inf_evaluations + infs
 
@@ -790,24 +787,25 @@ def _ladder(
 ) -> dict[str, CalibrationReport]:
     """Fit the families of _SPECS in order, up to and including `last`.
 
-    On two or more usable cores a forked _Worker runs Halton starts 1 to
-    ceil((starts + 2) / 2) of every rung, never the last: half the work with
-    the warm start counted as the two Halton starts it lasts, and the odd one,
-    as this process also prices the embedded candidate.  The reports are the
-    same, and nothing sets this.  There is no worker without os.fork or from
-    Python 3.12, where a fork with threads (numpy's BLAS pool) warns.
+    A ladder of two or more rungs on two or more usable cores forks a
+    _Worker for the last rung's Halton starts, which depend on no leaner
+    fit; this process runs every other start and prices the embedded
+    candidates.  A one-rung ladder forks nothing, as the fork costs it more
+    than the worker saves.  The reports are the same, and nothing sets this.
+    There is no worker without os.fork or from Python 3.12, where a fork
+    with threads (numpy's BLAS pool) warns.
     """
     if config is None:
         config = CalibrateConfig()
     kinds = list(_SPECS)[: list(_SPECS).index(last) + 1 if last else None]
     forks = _usable_cores() > 1 and hasattr(os, "fork") and sys.version_info < (3, 12)
-    share = min((config.starts + 3) // 2, config.starts - 1) if forks else 0
-    worker = _Worker(chain, kinds, config, share) if share else None
+    worker = _Worker(chain, _SPECS[kinds[-1]], config) if forks and len(kinds) > 1 else None
     try:
         reports: dict[str, CalibrationReport] = {}
         leaner: CalibrationReport | None = None
         for kind in kinds:
-            leaner = reports[kind] = _fit_rung(chain, _SPECS[kind], config, leaner, worker)
+            mine = worker if kind == kinds[-1] else None
+            leaner = reports[kind] = _fit_rung(chain, _SPECS[kind], config, leaner, mine)
         return reports
     finally:
         if worker:

@@ -152,6 +152,19 @@ class TestLoadChain:
         with pytest.raises(DomainError, match="mixes observation dates"):
             load_chain(io.StringIO(text))
 
+    def test_byte_order_mark(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark
+        text = self.HEADER + (
+            "2026-01-05,100,0.01,1.0,95,call,9.1\n"
+            "2026-01-05,100,0.01,1.0,105,put,7.3\n"
+        )
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        chain = load_chain(marked)
+        assert chain == load_chain(plain) == load_chain(io.StringIO(text))
+        assert calibrate(chain, "bs", QUICK) == calibrate(load_chain(plain), "bs", QUICK)
+
     def test_empty_file(self):
         with pytest.raises(DomainError, match="no header"):
             load_chain(io.StringIO(""))
@@ -730,57 +743,75 @@ def _fmls_chain() -> OptionChain:
     reason="the calibration worker is forked, on Python before 3.12",
 )
 class TestWorker:
-    @pytest.mark.parametrize(
-        "cores, starts, kept",
-        [(2, 1, [0, 1]), (2, 2, [0, 2]), (2, 3, [0, 3]), (2, 5, [0, 5]), (2, 6, [0, 5, 6]),
-         (2, 8, [0, 6, 7, 8]), (1, 5, [0, 1, 2, 3, 4, 5])],
-    )
-    def test_split_counts_the_warm_start_as_two(self, monkeypatch, cores, starts, kept):
-        # the worker runs Halton starts 1 to ceil((starts + 2) / 2), but never
-        # the last; this process records only the starts it runs itself
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("starts", [1, 2, 5, 8])
+    @pytest.mark.parametrize("last", ["bs", "carrwu", "stable"])
+    def test_which_process_runs_which_starts(self, monkeypatch, tmp_path, last, starts, cores):
+        # on two cores the worker runs Halton starts 1 to N of the last rung
+        # of a ladder of two or more rungs, and this process every other
+        # start; each process appends the starts it runs to one file
         _use_cores(monkeypatch, cores)
-        lockstep, runs = calibrate_module._lockstep, []
+        forks = _count_forks(monkeypatch)
+        lockstep, log, caller = calibrate_module._lockstep, tmp_path / "runs", os.getpid()
 
         def recording(chain, spec, starts):
-            runs.append(sorted(starts))
+            with open(log, "a") as handle:
+                print(json.dumps([os.getpid() == caller, spec.name, sorted(starts)]), file=handle)
             return lockstep(chain, spec, starts)
 
         monkeypatch.setattr(calibrate_module, "_lockstep", recording)
         config = CalibrateConfig(starts=starts, seed=1)
-        calibrate(small_chain(StableModelParams.fmls(1.6, 0.2)), "bs", config)
-        assert runs == [kept]
+        calibrate(small_chain(StableModelParams.fmls(1.6, 0.2)), last, config)
+        runs = [json.loads(line) for line in log.read_text().splitlines()]
+        names = [spec.name for spec in _SPECS.values()][: list(_SPECS).index(last) + 1]
+        every = list(range(starts + 1))
+        if cores == 2 and len(names) > 1:
+            here = [[name, every] for name in names[:-1]] + [[names[-1], [0]]]
+            there = [[names[-1], every[1:]]]
+        else:
+            here, there = [[name, every] for name in names], []
+        assert [run[1:] for run in runs if run[0]] == here
+        assert [run[1:] for run in runs if not run[0]] == there
+        assert len(forks) == len(there)
+        assert _no_child_left()
 
-    @pytest.mark.parametrize("case", ["acceptance 7", "inf chain", "fmls carrwu"])
+    @pytest.mark.parametrize(
+        "case", ["acceptance 7", "inf chain", "fmls carrwu", "bs", "starts 1", "starts 8"]
+    )
     def test_same_reports_on_one_and_two_cores(self, monkeypatch, case):
-        if case == "acceptance 7":
-            chain = synthetic_chain(
-                StableModelParams.from_beta(1.5, -0.8, 0.2), 100.0, 0.01,
-                (0.5, 0.75, 1.0, 1.25), np.linspace(80.0, 120.0, 10),
-            )
-        elif case == "inf chain":
+        if case == "inf chain":
             # the benchmark's INF_CHAIN: its stable rung crosses the region
             # where the objective is inf
             chain = synthetic_chain(
                 StableModelParams.from_beta(1.7, -0.3, 0.15), 100.0, 0.01,
                 (0.5, 1.0), np.linspace(80.0, 120.0, 8),
             )
-        else:
+        elif case == "fmls carrwu":
             chain = _fmls_chain()
+        else:
+            chain = synthetic_chain(
+                StableModelParams.from_beta(1.5, -0.8, 0.2), 100.0, 0.01,
+                (0.5, 0.75, 1.0, 1.25), np.linspace(80.0, 120.0, 10),
+            )
+        model = {"fmls carrwu": "carrwu", "bs": "bs"}.get(case)
+        config = {"starts 1": CalibrateConfig(starts=1), "starts 8": CalibrateConfig(starts=8)}.get(case)
         forks = _count_forks(monkeypatch)
         reports = {}
         for cores in (1, 2):
             _use_cores(monkeypatch, cores)
-            if case == "fmls carrwu":
-                reports[cores] = repr(calibrate(chain, "carrwu"))
+            if model:
+                reports[cores] = repr(calibrate(chain, model, config))
             else:
-                reports[cores] = repr(calibrate_all(chain))
+                reports[cores] = repr(calibrate_all(chain, config))
             assert _no_child_left()
         assert reports[1] == reports[2]
-        assert len(forks) == 1
+        # a one-rung ladder forks nothing
+        assert len(forks) == (model != "bs")
 
     def test_ties_keep_start_order_across_the_split(self, monkeypatch):
         # as in test_lockstep_equals_each_start_alone, with errors rounded so
-        # that starts tie; the worker runs starts 1 and 2, this process 0 and 3
+        # that starts tie; the worker runs the stable rung's starts 1 to 3,
+        # this process its start 0 and every start of bs and carrwu
         _use_cores(monkeypatch, 2)
         batch, alone = calibrate_module._aggregated_errors, objective_params
         monkeypatch.setattr(
@@ -798,10 +829,10 @@ class TestWorker:
             assert reports[kind] == _fit_alone(chain, spec, config, leaner), spec.name
             leaner = reports[kind]
 
-    def test_one_halton_start_forks_nothing(self, monkeypatch):
+    def test_one_rung_ladder_forks_nothing(self, monkeypatch):
         _use_cores(monkeypatch, 2)
         forks = _count_forks(monkeypatch)
-        calibrate_all(small_chain(StableModelParams.fmls(1.6, 0.2)), CalibrateConfig(starts=1))
+        calibrate(small_chain(StableModelParams.fmls(1.6, 0.2)), "bs")
         assert forks == []
 
     @pytest.mark.parametrize("error", [ConvergenceError, KeyboardInterrupt])
@@ -826,17 +857,17 @@ class TestWorker:
 
     def test_worker_failure_reaches_the_caller(self, monkeypatch):
         # the fork inherits the patch; only the worker runs starts without
-        # the warm start 0
+        # the warm start 0, and it runs the last rung's
         _use_cores(monkeypatch, 2)
         lockstep = calibrate_module._lockstep
 
         def failing(chain, spec, starts):
-            if 0 not in starts and spec.name == "CarrWu":
+            if 0 not in starts:
                 raise ArithmeticError(f"no {spec.name} in the worker")
             return lockstep(chain, spec, starts)
 
         monkeypatch.setattr(calibrate_module, "_lockstep", failing)
-        with pytest.raises(ArithmeticError, match="^no CarrWu in the worker$"):
+        with pytest.raises(ArithmeticError, match="^no AlphaBetaStable in the worker$"):
             calibrate_all(small_chain(StableModelParams.fmls(1.6, 0.2)), QUICK)
         assert _no_child_left()
 
@@ -850,7 +881,7 @@ class TestWorker:
             return lockstep(chain, spec, starts)
 
         monkeypatch.setattr(calibrate_module, "_lockstep", exiting)
-        message = "exited with status 3 before sending its 'BS' starts"
+        message = "exited with status 3 before sending its 'AlphaBetaStable' starts"
         with pytest.raises(RuntimeError, match=message):
             calibrate_all(small_chain(StableModelParams.fmls(1.6, 0.2)), QUICK)
         assert _no_child_left()

@@ -714,6 +714,17 @@ class TestCalibrate:
         assert payload["aggregate"]["sigma"]["mean"] == pytest.approx(0.25, abs=0.005)
         assert payload["aggregate"]["sigma"]["std"] >= 0.0
 
+    def test_byte_order_mark(self, capsys, chain_files, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(chain_files[0]).read_bytes())
+        plain, with_mark = (
+            run(capsys, "calibrate", "--chain", path, "--model", "bs", "--starts", "2")
+            for path in (chain_files[0], str(marked))
+        )
+        assert plain[0] == 0
+        assert with_mark == plain
+
     def test_out_writes_identical_json(self, capsys, chain_files, tmp_path):
         path = tmp_path / "report.json"
         code, _, _ = run(
