@@ -165,14 +165,22 @@ def load_chain(source: str | os.PathLike | io.TextIOBase) -> OptionChain:
     Expected header: as_of,spot,rate,maturity,strike,side,market_price.
     All rows must share one as_of (one chain per file).  Malformed rows are
     reported together in a single DomainError, one diagnostic per row.  A
-    path is read as UTF-8, with or without a byte-order mark.
+    path is read as UTF-8, with or without a byte-order mark; bytes that are
+    not UTF-8, or a field past csv's size limit, are a DomainError too.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", newline="", encoding="utf-8-sig") as handle:
             return load_chain(handle)
 
     reader = csv.DictReader(source)
-    header = reader.fieldnames
+    try:
+        header = reader.fieldnames
+        rows = [(reader.line_num, row) for row in reader]
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"chain file is not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        # reader.reader counts the lines it was handed, the failing one too
+        raise DomainError(f"malformed chain file: row {reader.reader.line_num}: {exc}") from None
     if header is None:
         raise DomainError("empty chain file: no header row")
     missing = [c for c in _CSV_COLUMNS if c not in header]
@@ -182,8 +190,7 @@ def load_chain(source: str | os.PathLike | io.TextIOBase) -> OptionChain:
     problems: list[str] = []
     quotes: list[OptionQuote] = []
     as_of_values: list[str] = []
-    for row in reader:
-        line = reader.line_num
+    for line, row in rows:
         raw = {c: (row.get(c) or "").strip() for c in _CSV_COLUMNS}
         numbers: dict[str, float] = {}
         bad = False

@@ -59,13 +59,23 @@ def _add_market_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_skew_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
+    group = parser.add_mutually_exclusive_group(required=required)
+    group.add_argument("--theta", type=float, help="asymmetry (Feller form)")
+    group.add_argument("--beta", type=float, help="skewness (common form)")
+
+
+def _add_series_flags(parser: argparse.ArgumentParser, max_column: bool = True) -> None:
+    parser.add_argument("--tol", type=float, default=_TOLERANCE, help="series tolerance")
+    if max_column:
+        parser.add_argument("--max-column", type=int, default=_MAX_COLUMN)
+
+
 def _add_model_flags(parser: argparse.ArgumentParser, sweep: bool = False) -> None:
     """Model flags; for a sweep, alpha and the skew may be the swept axis."""
     parser.add_argument("--alpha", type=float, required=not sweep, help="stability index")
     parser.add_argument("--sigma", type=float, required=True, help="scale parameter")
-    group = parser.add_mutually_exclusive_group(required=not sweep)
-    group.add_argument("--theta", type=float, help="asymmetry (Feller form)")
-    group.add_argument("--beta", type=float, help="skewness (common form)")
+    _add_skew_flags(parser, required=not sweep)
     parser.add_argument(
         "--mu",
         type=float,
@@ -262,35 +272,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--precision",
-            type=int,
-            default=6,
-            help="significant digits for numeric output (default 6)",
-        )
-
     p = sub.add_parser("price", help="price one European option")
     _add_market_flags(p)
     _add_model_flags(p)
     p.add_argument("--side", choices=("call", "put"), default="call")
-    p.add_argument("--tol", type=float, default=_TOLERANCE, help="series tolerance")
-    p.add_argument("--max-column", type=int, default=_MAX_COLUMN)
+    _add_series_flags(p)
     p.add_argument(
         "--check",
         action="store_true",
         help="cross-check against Black-Scholes at vol sqrt(-2*mu) (alpha=2, theta=0)",
     )
-    common(p)
-    p.set_defaults(func=cmd_price)
 
     p = sub.add_parser("table", help="emit the (n, m) term table as CSV")
     _add_market_flags(p)
     _add_model_flags(p)
     p.add_argument("--nmax", type=int, required=True, help="last n-column")
-    p.add_argument("--out", default=None, help="write CSV here instead of stdout")
-    common(p)
-    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("curve", help="price along a sweep of theta, alpha or spot")
     _add_market_flags(p)
@@ -299,32 +295,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
-    p.add_argument("--tol", type=float, default=_TOLERANCE)
-    p.add_argument("--max-column", type=int, default=_MAX_COLUMN)
-    p.add_argument("--out", default=None)
-    common(p)
-    p.set_defaults(func=cmd_curve)
+    _add_series_flags(p)
 
     p = sub.add_parser("density", help="stable density on a grid as CSV")
     p.add_argument("--alpha", type=float, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--theta", type=float)
-    group.add_argument("--beta", type=float)
+    _add_skew_flags(p)
     p.add_argument("--xmin", type=float, default=None)
     p.add_argument("--xmax", type=float, default=10.0)
     p.add_argument("--points", type=int, default=201)
-    p.add_argument("--out", default=None)
-    common(p)
-    p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("sample", help="stable variates as CSV")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    common(p)
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("mc", help="Monte-Carlo FMLS call price")
     _add_market_flags(p)
@@ -332,15 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--paths", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=_TOLERANCE)
+    _add_series_flags(p, max_column=False)
     p.add_argument(
         "--check",
         action="store_true",
         help="also print the drift-shifted FMLS series price (fmls_call) "
         "and |MC - series| / std_error",
     )
-    common(p)
-    p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("calibrate", help="fit model parameters to chain CSVs")
     p.add_argument("--chain", nargs="+", required=True, help="chain CSV path(s)")
@@ -348,12 +330,20 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--calls-only", action="store_true")
     group.add_argument("--puts-only", action="store_true")
-    p.add_argument("--starts", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    common(p)
-    p.set_defaults(func=cmd_calibrate)
+    p.add_argument("--starts", type=int, default=CalibrateConfig.starts)
+    p.add_argument("--seed", type=int, default=CalibrateConfig.seed)
 
+    # the flags every command ends with; main runs cmd_<command>
+    for name, p in sub.choices.items():
+        if name not in ("price", "mc"):  # the commands that write through _emit
+            written = "JSON" if name == "calibrate" else "CSV"
+            p.add_argument("--out", default=None, help=f"write {written} here instead of stdout")
+        p.add_argument(
+            "--precision",
+            type=int,
+            default=6,
+            help="significant digits for numeric output (default 6)",
+        )
     return parser
 
 
@@ -363,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.precision < 0:
         parser.error(f"argument --precision: must be >= 0, got {args.precision}")
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -198,6 +198,8 @@ def effective_support(alpha: float, theta: float, tail_mass: float = 1e-7) -> fl
         log_erfc = math.log(math.erfc(y))
         y += (log_erfc - math.log(tail_mass)) * math.exp(y * y + log_erfc) * math.sqrt(math.pi) / 2
     gaussian_l = 2.0 * y
+    if alpha == 2.0:  # the diamond is theta = 0 here, and sin(pi) is not 0 in floats
+        return gaussian_l
     coeff = (
         2.0
         * math.gamma(1.0 + alpha)
@@ -205,8 +207,6 @@ def effective_support(alpha: float, theta: float, tail_mass: float = 1e-7) -> fl
         * math.sin(math.pi * alpha / 2.0)
         * math.cos(math.pi * theta / 2.0)
     )
-    if coeff <= 0.0:
-        return gaussian_l
     power_l = (coeff / (alpha * tail_mass)) ** (1.0 / alpha)
     return max(gaussian_l, power_l)
 

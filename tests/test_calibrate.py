@@ -52,6 +52,7 @@ from stablepricer.calibrate import (
     _fit_rung,
     _halton,
     _heuristic_vol,
+    _lockstep,
     _nelder_mead,
     _z_from_alpha,
     objective_params,
@@ -164,6 +165,19 @@ class TestLoadChain:
         chain = load_chain(marked)
         assert chain == load_chain(plain) == load_chain(io.StringIO(text))
         assert calibrate(chain, "bs", QUICK) == calibrate(load_chain(plain), "bs", QUICK)
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes((self.HEADER + "café,100,0.01,1.0,95,call,9.1\n").encode("latin-1"))
+        with pytest.raises(DomainError, match="chain file is not UTF-8 text: .* byte 0xe9"):
+            load_chain(path)
+
+    def test_field_past_the_csv_limit_names_its_row(self):
+        text = self.HEADER + "d,100,0.01,1.0,95,call,9.1\n" + "d," + "1" * 200_000 + "\n"
+        with pytest.raises(
+            DomainError, match=r"^malformed chain file: row 3: field larger than field limit"
+        ):
+            load_chain(io.StringIO(text))
 
     def test_empty_file(self):
         with pytest.raises(DomainError, match="no header"):
@@ -677,6 +691,12 @@ class TestOptimizer:
         # lays out only the chain of its embedded candidate's one
         # aggregated_error call
         assert counts == [1, 1, 1]
+
+    def test_lockstep_drops_a_start_that_is_no_model(self):
+        # a log vol of 800 overflows math.exp, so neither point of the start's
+        # initial simplex is a model: both are inf and the start is dropped
+        chain = small_chain(StableModelParams.from_beta(1.7, -0.3, 0.15))
+        assert _lockstep(chain, _SPECS["bs"], {1: (800.0,)}) == ({}, 2, 2)
 
     @pytest.mark.parametrize("rounded", [False, True], ids=["exact", "ties"])
     def test_lockstep_equals_each_start_alone(self, rounded, monkeypatch):

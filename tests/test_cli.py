@@ -5,6 +5,7 @@ non-convergence), --out byte-identity, determinism under fixed seeds, and
 the calibrate JSON schema.
 """
 
+import importlib
 import json
 import math
 import os
@@ -482,6 +483,27 @@ class TestCurve:
             assert code == 2
             assert "must be finite" in err
 
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            (["--alpha", "1.5", "--sweep", "theta", "--start", "0.4", "--stop", "0"],
+             "--stop must be >= --start"),
+            (["--sweep", "theta", "--start", "0", "--stop", "0.4"],
+             "--sweep theta requires --alpha"),
+            (["--theta", "0", "--sweep", "spot", "--start", "90", "--stop", "110"],
+             "--sweep spot requires --alpha"),
+            (["--sweep", "alpha", "--start", "1.2", "--stop", "2"],
+             "--sweep alpha requires one of --theta or --beta"),
+            (["--alpha", "1.5", "--sweep", "spot", "--start", "90", "--stop", "110"],
+             "--sweep spot requires one of --theta or --beta"),
+        ],
+        ids=["stop-below-start", "theta-no-alpha", "spot-no-alpha", "alpha-no-skew",
+             "spot-no-skew"],
+    )
+    def test_sweep_axis_checks(self, capsys, flags, error):
+        code, out, err = run(capsys, "curve", *self.BASE, *flags, "--step", "0.2")
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
 
 class TestDensityAndSample:
     def test_density_gaussian_value(self, capsys):
@@ -660,6 +682,25 @@ class TestCalibrate:
         assert code == 0
         assert json.loads(out)["quotes"] == 6  # strikes at/above spot, 2 maturities
 
+    def test_puts_only_filters_quotes(self, capsys, chain_files):
+        code, out, _ = run(
+            capsys, "calibrate", "--chain", chain_files[0],
+            "--model", "bs", "--starts", "2", "--puts-only",
+        )
+        assert code == 0
+        assert json.loads(out)["quotes"] == 4  # strikes below spot, 2 maturities
+
+    def test_non_convergence_warning(self, capsys, chain_files, monkeypatch):
+        # two Nelder-Mead iterations per start leave every start unfinished
+        monkeypatch.setattr(importlib.import_module("stablepricer.calibrate"), "_MAXITER", 2)
+        code, out, _ = run(
+            capsys, "calibrate", "--chain", chain_files[0], "--model", "bs", "--starts", "2",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["converged"] is False
+        assert payload["warning"] == "optimizer did not converge"
+
     def test_filter_flags_mutually_exclusive(self, chain_files):
         with pytest.raises(SystemExit) as err:
             main(["calibrate", "--chain", chain_files[0], "--model", "bs",
@@ -676,6 +717,26 @@ class TestCalibrate:
         code, _, err = run(capsys, "calibrate", "--chain", str(bad), "--model", "bs")
         assert code == 2
         assert "row 3" in err
+
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            (b"caf\xe9,100,0.01,1.0,95,call,9.1\n", "error: chain file is not UTF-8 text: "),
+            (b"d,100,0.01,1.0,95,call," + b"9" * 200_000 + b"\n",
+             "error: malformed chain file: row 3: field larger than field limit"),
+        ],
+        ids=["not-utf8", "field-past-csv-limit"],
+    )
+    def test_unreadable_chain_is_one_error_line(self, tmp_path, row, error):
+        # in a fresh interpreter, so that stderr shows any traceback
+        path = tmp_path / "chain.csv"
+        path.write_bytes(
+            b"as_of,spot,rate,maturity,strike,side,market_price\n"
+            b"d,100,0.01,1.0,95,call,9.1\n" + row
+        )
+        done = run_main_fresh("calibrate", "--chain", str(path), "--model", "bs")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith(error) and done.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("case", ["missing chain", "directory chain", "bad out"])
     def test_file_error_exit_code(self, capsys, tmp_path, case):

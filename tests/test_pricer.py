@@ -1164,6 +1164,20 @@ class TestEngine:
         ]
 
 
+class TestTermTableErrors:
+    def test_put_is_rejected(self):
+        contract = OptionContract(4300.0, 4000.0, 0.01, 1.0, "put")
+        with pytest.raises(DomainError, match="term_table requires a call contract"):
+            term_table(golden_params(), contract, 3)
+
+    def test_overflowing_terms_name_their_column(self):
+        # (-mu*tau)**(-1/alpha) is about 1e297 at alpha = 1.01, so the terms
+        # of column 2 overflow
+        params = StableModelParams(1.01, 0.0, 0.2, -1e-300)
+        with pytest.raises(ConvergenceError, match="series terms overflowed at column 2$"):
+            term_table(params, golden_contract(), 10)
+
+
 class TestTermTableCsv:
     def test_layout(self):
         table = term_table(golden_params(), golden_contract(), 3)
