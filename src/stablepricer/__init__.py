@@ -17,6 +17,7 @@ from .pricer import (
     PriceResult,
     TermIndex,
     TermTable,
+    fmls_call,
     price,
     price_call,
     price_call_strikes,
@@ -25,11 +26,7 @@ from .pricer import (
     term_table,
     term_table_csv,
 )
-from .reference import (
-    black_scholes,
-    bs_equivalent_vol,
-    fmls_call,
-)
+from .reference import black_scholes, bs_equivalent_vol
 from .lab import (
     DensityGrid,
     SamplerConfig,

@@ -11,12 +11,13 @@ pricing error over a chain:
                  (alpha, beta, mu), sigma reported as the scale the
                  martingale tie mu = mu_fmls(alpha, sigma) implies.
 
-Every family is priced by the kernel of price_call_strikes, which picks
-the series from the model: the FMLS expectation on the carrwu line
-(beta = -1 with the martingale drift), the lattice elsewhere.  A point prices the same in every
-family that contains it, so the leaner model's optimum is a feasible point
-of each richer family.  The richer fits always evaluate that embedded point
-as a candidate, which guarantees the aggregated errors nest:
+The ladder prices through _model_calls on the chain's cached layout, and
+aggregated_error (the embedded candidate) through price_call_strikes: one
+kernel, whose series the model picks, the FMLS expectation on the carrwu
+line (beta = -1, martingale drift) and the lattice elsewhere.  A point
+prices the same in every family that contains it, so the leaner optimum
+is a feasible point of each richer family.  The richer fits always
+evaluate it as a candidate, so the aggregated errors nest:
 AE(stable) <= AE(carrwu) <= AE(bs).
 
 Each family is one entry of the model-spec table ``_SPECS`` (start box,

@@ -1,8 +1,8 @@
 """Command-line front end: pricing, term tables, curves, density/sampler
 output, Monte-Carlo checks, and chain calibration.
 
-Exit codes: 0 success, 2 usage, domain or file error, 3 numerical
-non-convergence.
+Exit codes: 0 success, 2 usage, domain, file or out-of-memory error, 3
+numerical non-convergence.
 All numeric output uses 6 significant digits by default (--precision to
 override); every command is deterministic given its flags (and --seed).
 """
@@ -33,8 +33,16 @@ from .core import (
     mu_fmls,
 )
 from .lab import SamplerConfig, density_grid, mc_price_fmls, sample_stable
-from .pricer import _MAX_COLUMN, _TOLERANCE, price, term_table, term_table_csv
-from .reference import black_scholes, fmls_call
+from .pricer import _MAX_COLUMN, _TOLERANCE, fmls_call, price, term_table, term_table_csv
+from .reference import black_scholes
+
+# the most points curve and density price or evaluate in one run
+_MAX_POINTS = 10**6
+
+_LATTICE_WARNING = (
+    "warning: the price is a lattice value at alpha < 2, not a risk-neutral "
+    "expectation (that needs theta = alpha - 2 and mu = mu_fmls)"
+)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -128,6 +136,8 @@ def cmd_price(args: argparse.Namespace) -> int:
             "the price is an analytic continuation",
             file=sys.stderr,
         )
+    elif result.engine == "lattice" and params.alpha < 2.0:
+        print(_LATTICE_WARNING, file=sys.stderr)
     if args.check:
         if params.alpha == 2.0 and params.theta == 0.0:
             # the series reads sigma only through mu, so it is Black-Scholes at this vol
@@ -160,11 +170,15 @@ def cmd_curve(args: argparse.Namespace) -> int:
         raise DomainError("--sweep theta fixes the skew axis; drop --theta/--beta")
     if args.sweep in ("alpha", "spot") and args.theta is None and args.beta is None:
         raise DomainError(f"--sweep {args.sweep} requires one of --theta or --beta")
-    count = int(math.floor((args.stop - args.start) / args.step + 1e-9)) + 1
-    grid = [args.start + i * args.step for i in range(count)]
+    steps = (args.stop - args.start) / args.step + 1e-9  # inf if the span overflows
+    count = math.floor(steps) + 1 if steps < math.inf else steps
+    if count > _MAX_POINTS:
+        raise DomainError(f"the sweep has {count} points, more than {_MAX_POINTS}")
     fmt = _fmt(args.precision)
     lines = [f"{args.sweep},price,in_diamond,status"]
-    for x in grid:
+    lattice = False
+    for i in range(count):
+        x = args.start + i * args.step
         point = argparse.Namespace(**{**vars(args), args.sweep: x})
         try:
             result = price(
@@ -177,11 +191,14 @@ def cmd_curve(args: argparse.Namespace) -> int:
                 f"{fmt(x)},{fmt(result.price)},"
                 f"{str(result.diamond_flag).lower()},ok"
             )
+            lattice |= result.engine == "lattice" and point.alpha < 2.0
         except ConvergenceError:
             lines.append(f"{fmt(x)},,,non-convergent")
         except DomainError:
             lines.append(f"{fmt(x)},,,domain-error")
     _emit("\n".join(lines) + "\n", args.out)
+    if lattice:
+        print(_LATTICE_WARNING, file=sys.stderr)
     return 0
 
 
@@ -189,6 +206,8 @@ def cmd_density(args: argparse.Namespace) -> int:
     theta = _resolve_theta(args)
     if args.points < 1:
         raise DomainError(f"--points must be >= 1, got {args.points}")
+    if args.points > _MAX_POINTS:
+        raise DomainError(f"--points must be <= {_MAX_POINTS}, got {args.points}")
     xmin = -args.xmax if args.xmin is None else args.xmin
     if not math.isfinite(args.xmax - xmin):
         raise DomainError(f"the span --xmax - --xmin must be finite, got {args.xmax - xmin!r}")
@@ -356,6 +375,9 @@ def main(argv: list[str] | None = None) -> int:
         return globals()[f"cmd_{args.command}"](args)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"error: non-convergence: {exc}", file=sys.stderr)

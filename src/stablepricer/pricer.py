@@ -114,6 +114,10 @@ class PriceResult:
             diamond; False marks an analytic continuation.
         via_parity: True when the value was derived from a call price
             through put-call parity.
+        engine: the series that summed the call: "fmls", Carr & Wu's, or
+            "lattice", which at alpha < 2 is not a risk-neutral expectation.
+        expectation_finite: True where E[S_T] is finite, on theta = alpha-2
+            (alpha = 2, theta = 0 included).
     """
 
     price: float
@@ -121,6 +125,8 @@ class PriceResult:
     truncation_estimate: float
     diamond_flag: bool
     via_parity: bool = False
+    engine: str = "lattice"
+    expectation_finite: bool = False
 
 
 @dataclass(frozen=True)
@@ -598,11 +604,31 @@ def price(
         truncation_estimate=float(abs(used[-1])),
         diamond_flag=params.in_diamond,
         via_parity=put,
+        engine="fmls" if _engine(params) == _FMLS else "lattice",
+        expectation_finite=params.theta == params.alpha - 2.0,
     )
 
 
 # one function under the names callers use for either side
 price_call = price_put = price
+
+
+def fmls_call(
+    alpha: float,
+    sigma: float,
+    contract: OptionContract,
+    tolerance: float = _TOLERANCE,
+    max_column: int = _MAX_COLUMN,
+) -> PriceResult:
+    """Price under maximal negative skewness (theta = alpha-2, mu = mu_fmls).
+
+    price on StableModelParams.fmls(alpha, sigma), for a call or a put by
+    the contract's side: for alpha < 2 the risk-neutral expectation from
+    Carr & Wu's series, at alpha = 2 Black-Scholes.  Put contracts are
+    priced through parity, P = C - (S - K*exp(-r*tau)).  It raises what
+    price raises.
+    """
+    return price(StableModelParams.fmls(alpha, sigma), contract, tolerance, max_column)
 
 
 def term_table(

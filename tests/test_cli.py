@@ -69,6 +69,22 @@ HALF_YEAR = GOLDEN_FLAGS[:7] + ["0.5"]
 UNDERFLOW = GOLDEN_FLAGS[8:-2] + ["--mu=-5e-324"]
 SCALE_OVERFLOW = ["--alpha", "1.01", "--theta", "0", "--sigma", "0.2", "--mu=-1e-320"]
 
+# the one stderr line of price and curve when a price is a lattice value at
+# alpha < 2, and so not a risk-neutral expectation
+LATTICE_WARNING = (
+    "warning: the price is a lattice value at alpha < 2, not a risk-neutral "
+    "expectation (that needs theta = alpha - 2 and mu = mu_fmls)\n"
+)
+DIAMOND_WARNING = (
+    "warning: (alpha, theta) outside the Feller-Takayasu diamond; "
+    "the price is an analytic continuation\n"
+)
+# a market where from_beta(1.7, -0.3, 0.15), off the FMLS line, prices at 8.0352
+OFF_LINE_MARKET = [
+    "--spot", "100", "--strike", "110", "--rate", "0.01", "--maturity", "0.5",
+    "--sigma", "0.15",
+]
+
 
 SCIPY_MODULES = (
     "def scipy_modules():\n"
@@ -135,7 +151,8 @@ class TestPrice:
         assert code == 0
         assert out.startswith("price=989.541 ")
         assert "columns_used=16" in out
-        assert err == ""
+        # the paper's golden model is off the FMLS line
+        assert err == LATTICE_WARNING
 
     def test_precision_round_trip(self, capsys):
         code, out, _ = run(capsys, "price", *GOLDEN_FLAGS, "--precision", "17")
@@ -319,6 +336,31 @@ class TestPrice:
         assert code == 0
         assert "outside the Feller-Takayasu diamond" in err
 
+    @pytest.mark.parametrize(
+        "model, out, err",
+        [
+            (["--alpha", "1.7", "--beta", "-0.3"],
+             "price=8.03521 columns_used=14 truncation_estimate=6.54231e-06\n",
+             LATTICE_WARNING),
+            # on the FMLS line, but not with its martingale drift
+            (["--alpha", "1.7", "--beta", "-1", "--mu", "-0.01"],
+             "price=2.33464 columns_used=24 truncation_estimate=6.06469e-05\n",
+             LATTICE_WARNING),
+            (["--alpha", "1.7", "--beta", "-1"],
+             "price=2.49914 columns_used=12 truncation_estimate=3.79781e-06\n", ""),
+            (["--alpha", "2", "--theta", "0"],
+             "price=2.63407 columns_used=12 truncation_estimate=1.33461e-05\n", ""),
+            # one warning line: the diamond's says enough
+            (["--alpha", "1.7", "--theta", "-0.7"],
+             "price=11.8398 columns_used=14 truncation_estimate=8.62312e-06\n",
+             DIAMOND_WARNING),
+        ],
+        ids=["off-line", "other-drift", "fmls", "alpha-two", "outside-diamond"],
+    )
+    def test_warning_when_not_an_expectation(self, model, out, err):
+        done = run_main_fresh("price", *OFF_LINE_MARKET, *model)
+        assert (done.returncode, done.stdout, done.stderr) == (0, out, err)
+
 
 class TestTable:
     def test_layout(self, capsys):
@@ -462,6 +504,58 @@ class TestCurve:
             seen.add(cells[3])
         assert seen == statuses
 
+    @pytest.mark.parametrize(
+        "flags, out, err",
+        [
+            (["--alpha", "1.7", "--sweep", "theta", "--start", "-0.3", "--stop", "0.3",
+              "--step", "0.3"],
+             "theta,price,in_diamond,status\n-0.3,9.48879,true,ok\n"
+             "0,7.37339,true,ok\n0.3,5.52148,true,ok\n",
+             LATTICE_WARNING),
+            (["--beta", "-1", "--sweep", "alpha", "--start", "1.6", "--stop", "2",
+              "--step", "0.2"],
+             "alpha,price,in_diamond,status\n1.6,2.51416,true,ok\n"
+             "1.8,2.51571,true,ok\n2,2.63407,true,ok\n",
+             ""),
+        ],
+        ids=["lattice", "expectations"],
+    )
+    def test_one_warning_per_run(self, flags, out, err):
+        done = run_main_fresh("curve", *OFF_LINE_MARKET, *flags)
+        assert (done.returncode, done.stdout, done.stderr) == (0, out, err)
+
+    @pytest.mark.parametrize(
+        "start, stop, step, count",
+        [
+            ("-0.5", "0.5", "1e-9", "1000000000"),
+            ("0", "1", "1e-6", "1000001"),
+            # the span over the step overflows
+            ("0", "1", "5e-324", "inf"),
+        ],
+        ids=["1e9", "bound-plus-one", "overflow"],
+    )
+    def test_too_many_points_refused(self, start, stop, step, count):
+        done = run_main_fresh(
+            "curve", *self.BASE, "--alpha", "1.5", "--sweep", "theta",
+            f"--start={start}", "--stop", stop, "--step", step,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", f"error: the sweep has {count} points, more than 1000000\n"
+        )
+
+    def test_point_bound_is_one_constant(self, capsys, monkeypatch):
+        monkeypatch.setattr("stablepricer.cli._MAX_POINTS", 3)
+        sweep = [*self.BASE, "--alpha", "1.5", "--sweep", "theta", "--start", "0"]
+        code, out, _ = run(capsys, "curve", *sweep, "--stop", "0.2", "--step", "0.1")
+        assert (code, len(out.splitlines())) == (0, 4)
+        code, out, err = run(capsys, "curve", *sweep, "--stop", "0.3", "--step", "0.1")
+        assert (code, out, err) == (2, "", "error: the sweep has 4 points, more than 3\n")
+        density = ["density", "--alpha", "1.5", "--theta", "0", "--points"]
+        code, out, _ = run(capsys, *density, "3")
+        assert (code, len(out.splitlines())) == (0, 4)
+        code, out, err = run(capsys, *density, "4")
+        assert (code, out, err) == (2, "", "error: --points must be <= 3, got 4\n")
+
     def test_sweep_validation(self, capsys):
         code, _, err = run(
             capsys, "curve", *self.BASE, "--alpha", "1.5", "--theta", "-0.4",
@@ -546,6 +640,32 @@ class TestDensityAndSample:
         )
         assert (code, out) == (2, "")
         assert err == f"error: --points must be >= 1, got {points}\n"
+
+    @pytest.mark.parametrize("points", ["1000001", "300000000"])
+    def test_density_points_above_the_bound(self, points):
+        done = run_main_fresh(
+            "density", "--alpha", "1.5", "--theta", "0", "--points", points
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", f"error: --points must be <= 1000000, got {points}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--alpha", "1.5", "--beta", "0", "--count", str(10**15)],
+            ["mc", "--spot", "100", "--strike", "100", "--rate", "0", "--maturity", "1",
+             "--alpha", "1.6", "--sigma", "0.2", "--paths", str(10**15)],
+        ],
+        ids=["sample", "mc"],
+    )
+    def test_unallocatable_count_is_one_error_line(self, argv):
+        # 8e15 bytes is beyond a 48-bit address space, so numpy's allocation
+        # fails at once on any host
+        done = run_main_fresh(*argv)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: out of memory: ")
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
     def test_sample_deterministic(self, capsys):
         args = ["sample", "--alpha", "1.6", "--beta", "-0.5",

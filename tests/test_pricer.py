@@ -22,6 +22,7 @@ from stablepricer.reference import black_scholes, bs_equivalent_vol
 from stablepricer.pricer import (
     _FMLS,
     _LATTICE,
+    PriceResult,
     TermIndex,
     _chain_layout,
     _engine,
@@ -1142,10 +1143,35 @@ class TestEngine:
         with pytest.raises(DomainError, match=r"sigma\*\*alpha"):
             price(params, OptionContract(100.0, 100.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "params, side, engine, finite",
+        [
+            (StableModelParams.fmls(1.7, 0.15), "call", "fmls", True),
+            # off the FMLS line: E[S_T] is infinite, the price a lattice value
+            (StableModelParams.from_beta(1.7, -0.3, 0.15), "call", "lattice", False),
+            (StableModelParams.fmls(2.0, 0.15), "call", "lattice", True),
+            # on the FMLS line with another drift the lattice prices it
+            (StableModelParams(1.7, 1.7 - 2.0, 0.15, -0.01), "call", "lattice", True),
+            (StableModelParams.fmls(1.7, 0.15), "put", "fmls", True),
+        ],
+        ids=["fmls", "off-line-lattice", "alpha-two", "on-line-lattice", "parity-put"],
+    )
+    def test_result_says_what_it_is(self, params, side, engine, finite):
+        contract = OptionContract(100.0, 110.0, 0.01, 0.5, side)
+        result = price(params, contract)
+        assert (result.engine, result.expectation_finite) == (engine, finite)
+        assert result.via_parity == (side == "put")
+
+    def test_result_fields_default_for_positional_construction(self):
+        result = PriceResult(8.0, 14, 1e-5, True)
+        assert (result.via_parity, result.engine, result.expectation_finite) == (
+            False, "lattice", False
+        )
+
     def test_engine_choice_stays_in_pricer(self):
         # no other module wires pricer's columns or summation by hand; an
         # option chain keeps its own layout and prices its rounds on it, and
-        # the CLI and reference take the stop rule's defaults from pricer
+        # the CLI takes the stop rule's defaults from pricer
         package = Path(pricer_module.__file__).parent
         imported = [
             (path.name, alias.name)
@@ -1160,7 +1186,6 @@ class TestEngine:
         assert imported == [
             ("calibrate.py", "_chain_layout"), ("calibrate.py", "_model_calls"),
             ("cli.py", "_MAX_COLUMN"), ("cli.py", "_TOLERANCE"),
-            ("reference.py", "_MAX_COLUMN"), ("reference.py", "_TOLERANCE"),
         ]
 
 

@@ -10,7 +10,8 @@ The CLI builds every model and contract in one place each, and no module
 calls price_call or price_put, the side-named aliases of price.
 
 The package exports every name its __init__ imports from its submodules, and
-no module.
+no module.  The oracles stand on core alone: reference and lab import no
+other module of the package.
 """
 
 import ast
@@ -151,3 +152,29 @@ def test_star_import_binds_the_exports():
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.split() == sorted(stablepricer.__all__)
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The modules of the package that the file at path imports, by name
+    ("" for the package itself)."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            names += ["." + alias.name for alias in node.names]  # from . import x
+        elif isinstance(node, ast.ImportFrom):
+            names.append("." * node.level + node.module)
+    return {
+        name.removeprefix("stablepricer").lstrip(".")
+        for name in names
+        if name.startswith((".", "stablepricer"))
+    }
+
+
+def test_oracles_import_only_core():
+    # the closed form and the lab check the series by other means, so
+    # neither may lean on the pricer or on calibration
+    package = Path(stablepricer.__file__).parent
+    for name in ("reference.py", "lab.py"):
+        assert _package_imports(package / name) == {"core"}, name
