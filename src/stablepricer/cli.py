@@ -138,6 +138,11 @@ def cmd_price(args: argparse.Namespace) -> int:
         )
     elif result.engine == "lattice" and params.alpha < 2.0:
         print(_LATTICE_WARNING, file=sys.stderr)
+        line = params.alpha - 2.0
+        ulps = abs(params.theta - line) / math.ulp(line)
+        if 0.0 < ulps <= 4.0:  # a decimal theta, as -0.3 at alpha 1.7, can round off the line
+            print(f"warning: theta = {params.theta!r} is {ulps:g} ulp off alpha - 2 = {line!r}; "
+                  "--beta -1 sets theta = alpha - 2 exactly", file=sys.stderr)
     if args.check:
         if params.alpha == 2.0 and params.theta == 0.0:
             # the series reads sigma only through mu, so it is Black-Scholes at this vol

@@ -98,6 +98,8 @@ def stable_density(alpha: float, theta: float, x: float | np.ndarray) -> float |
     where the integrand decays without oscillating (README, Density lab).  Each
     point climbs Gauss-Legendre rules of 64, 128, ... nodes until two agree to
     1e-9, and is summed on its own, so an array's values equal the float calls.
+    The 64- and 128-node rules share one pass and its per-point set-up, each
+    rule summed over its own nodes, so each keeps its bits; finer rules go alone.
     The ladder compares raw values; a value settled below 0 (rounding) is 0.
     A rule is summed as sum w e^{Re z} cos(Im z + phi) = Re[e^{i phi} sum w e^z],
     in real arithmetic, within about 2e-16 of the complex sum (_ray_rule), with
@@ -109,26 +111,28 @@ def stable_density(alpha: float, theta: float, x: float | np.ndarray) -> float |
         raise DomainError("density abscissae must be a finite float or 1-d array")
     xs = np.atleast_1d(x)
     out, todo = np.empty(xs.size), np.arange(xs.size)
-    coarse = _ray_rule(alpha, theta, xs, 64)
-    for nodes in (128, 256, 512, 1024):
-        fine = _ray_rule(alpha, theta, xs[todo], nodes)
+    coarse, fine = _ray_rule(alpha, theta, xs, 64, 128)
+    for finer in (256, 512, 1024, None):
         settled = np.abs(fine - coarse) <= 1e-9
         out[todo[settled]] = np.maximum(fine[settled], 0.0)  # a density is never < 0
         todo, coarse = todo[~settled], fine[~settled]
         if todo.size == 0:
             return float(out[0]) if x.ndim == 0 else out
+        if finer:
+            (fine,) = _ray_rule(alpha, theta, xs[todo], finer)
     raise ConvergenceError(
         f"density rules of 512 and 1024 nodes disagree at x={float(xs[todo[0]])!r}"
     )
 
 
-def _ray_rule(alpha: float, theta: float, xs: np.ndarray, nodes: int) -> np.ndarray:
-    """The rule in r = R u**3 on [0, R] at each point, x < 0 by g(x; theta) =
-    g(-x; -theta); each point's terms are summed in their own row.
+def _ray_rule(alpha: float, theta: float, xs: np.ndarray, *nodes: int) -> np.ndarray:
+    """One row per rule of `nodes` in r = R u**3 on [0, R] at each point, x < 0 by
+    g(x; theta) = g(-x; -theta).  The rules' nodes lie side by side in one pass, and
+    each point's terms of a rule are summed in their own row and columns.
 
     The density is (R/pi) Re[e^{i phi} sum_j w_j e^{z_j}], and as |e^{i phi}| = 1,
     Re[e^{i phi} sum w e^z] = sum w e^{Re z} cos(Im z + phi): one real exp and one
-    half-angle cosine (_cos) per node, and no complex number formed."""
+    cosine of the half angle (Im z + phi)/2 (_cos) per node, and no complex number."""
     side = np.where(xs < 0.0, -theta, theta)
     phi = np.pi * (1.0 + side) / (4.0 * alpha)
     tilt = np.pi * (1.0 - side) / 4.0  # alpha phi - side pi/2
@@ -137,24 +141,32 @@ def _ray_rule(alpha: float, theta: float, xs: np.ndarray, nodes: int) -> np.ndar
     tilt_re, tilt_im = np.cos(tilt), np.sin(tilt)
     # each term of Re z passes -40 at its own cut, so their sum by the nearer
     cut = 40.0 / np.maximum(-grow_re, 40.0 * (tilt_re / 40.0) ** (1.0 / alpha))
-    u, w = _gauss_legendre(nodes)
+    u, w = _gauss_legendre(*nodes)
     u_alpha, cut_alpha = u**alpha, cut**alpha  # r**alpha = R**alpha (u**3)**alpha
-    lin_re, lin_im = grow_re * cut, grow_im * cut
-    pow_re, pow_im = tilt_re * cut_alpha, tilt_im * cut_alpha
-    sums = np.empty(xs.size)
-    rows = max(1, (1 << 16) // nodes)  # points per block of at most 2**16 terms
-    for b in (slice(i, i + rows) for i in range(0, xs.size, rows)):
-        re = lin_re[b, None] * u - pow_re[b, None] * u_alpha
-        im = lin_im[b, None] * u - pow_im[b, None] * u_alpha + phi[b, None]
-        sums[b] = (np.exp(re, out=re) * _cos(im) * w).sum(axis=1)
+    lin_re, lin_im = grow_re * cut, grow_im * cut * 0.5  # Im z / 2: halving is exact
+    pow_re, pow_im = tilt_re * cut_alpha, tilt_im * cut_alpha * 0.5
+    sums = np.empty((len(nodes), xs.size))
+    rows = max(1, (1 << 16) // u.size)  # points per block of at most 2**16 terms
+    blocks = np.empty((3, min(rows, xs.size), u.size))
+    cols = [slice(end - n, end) for n, end in zip(nodes, np.cumsum(nodes))]
+    for i in range(0, xs.size, rows):
+        b, (re, im, tmp) = slice(i, i + rows), blocks[:, : xs.size - i]
+        np.multiply(lin_re[b, None], u, out=re)
+        re -= np.multiply(pow_re[b, None], u_alpha, out=tmp)
+        np.multiply(lin_im[b, None], u, out=im)
+        im -= np.multiply(pow_im[b, None], u_alpha, out=tmp)
+        im += phi[b, None] * 0.5
+        np.exp(re, out=re)
+        re *= _cos(im)
+        re *= w
+        sums[:, b] = [re[:, c].sum(axis=1) for c in cols]
     return cut * sums / np.pi
 
 
 def _cos(x: np.ndarray) -> np.ndarray:
-    """Overwrite x with cos x = 2/(1 + t*t) - 1, t = tan(x/2), and return it:
-    within 3.3e-16 of np.cos for |x| <= 1e4 and -1 at tan's poles, in a quarter
+    """Overwrite x = y/2 with cos y = 2/(1 + t*t) - 1, t = tan(x), and return it:
+    within 3.3e-16 of np.cos for |y| <= 1e4 and -1 at tan's poles, in a quarter
     of its time where numpy vectorises float64 tan (README, Density lab)."""
-    x *= 0.5
     np.tan(x, out=x)
     x *= x
     x += 1.0
@@ -164,9 +176,9 @@ def _cos(x: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """u**3 at the rule's nodes on [0, 1], and its weights times dr/du / R."""
-    u, w = np.polynomial.legendre.leggauss(nodes)
+def _gauss_legendre(*nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """u**3 at the rules' nodes on [0, 1], side by side, and the weights times dr/du / R."""
+    u, w = np.concatenate([np.polynomial.legendre.leggauss(n) for n in nodes], axis=1)
     return ((u + 1.0) / 2.0) ** 3, 0.375 * (u + 1.0) ** 2 * w
 
 
@@ -270,13 +282,14 @@ def sample_stable(config: SamplerConfig) -> np.ndarray:
             u *= math.pi
             np.add(u, b, out=au)
             au *= alpha
+            au *= 0.5
+            u *= 0.5  # _cos takes half angles, and so does tan below
             _cos(np.subtract(u, au, out=c))
             c /= scratch[block % workers, i - block * _BLOCK_SIZE :][: u.size]
             c **= exp_w
             _cos(u)
             u **= inv_alpha
             c /= u
-            au *= 0.5
             np.tan(au, out=au)
             np.multiply(au, au, out=u)
             u += 1.0

@@ -16,7 +16,8 @@ benchmark at seeds 1 to 3, 41 density points and grids across the
 diamond, one of which runs out of nodes, and the sampler: the SHA-256 of
 its draws with the first, middle and last as reprs, at counts 1 to
 3*65536 + 1 around its block and round edges and at (alpha, beta) edges,
-and mc_price_fmls at 1e5 paths.  A failure is a DomainError or a
+mc_price_fmls at 1e5 paths, and density grids of 342 and 1001 points as
+SHA-256 digests with three values each.  A failure is a DomainError or a
 ConvergenceError; any other exception ends the run with a traceback and a
 non-zero exit status, which CI checks.  This is not a pytest module; it
 takes about ten seconds.
@@ -164,6 +165,18 @@ def main(seed: int = 20, cases: int = 4000) -> None:
         print("mc", alpha, sigma, contract, seed, _outcome(
             lambda: sp.mc_price_fmls(alpha, sigma, contract, 100_000, seed)
         ))
+    # density grids of one block of the first pass's 64 + 128 nodes and one
+    # more (341 points a block), and of three blocks; near the edge at
+    # (1.05, 0.9025) many points climb past 128 nodes
+    for alpha, theta in [(1.5, -0.4), (1.8, 0.15), (1.05, 0.9025)]:
+        for count in (342, 1001):
+            mags = np.geomspace(1e-3, 1e300, count)
+            for kind, xs in (("linear", np.linspace(-20.0, 20.0, count)),
+                             ("wide", np.where(np.arange(count) % 2, -mags, mags))):
+                values = sp.stable_density(alpha, theta, xs)
+                digest = hashlib.sha256(values.tobytes()).hexdigest()
+                few = [float(values[i]) for i in (0, count // 2, -1)]
+                print("density pass", alpha, theta, count, kind, digest, few)
 
 
 if __name__ == "__main__":

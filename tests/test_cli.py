@@ -69,7 +69,7 @@ HALF_YEAR = GOLDEN_FLAGS[:7] + ["0.5"]
 UNDERFLOW = GOLDEN_FLAGS[8:-2] + ["--mu=-5e-324"]
 SCALE_OVERFLOW = ["--alpha", "1.01", "--theta", "0", "--sigma", "0.2", "--mu=-1e-320"]
 
-# the one stderr line of price and curve when a price is a lattice value at
+# the first stderr line of price and curve when a price is a lattice value at
 # alpha < 2, and so not a risk-neutral expectation
 LATTICE_WARNING = (
     "warning: the price is a lattice value at alpha < 2, not a risk-neutral "
@@ -354,8 +354,22 @@ class TestPrice:
             (["--alpha", "1.7", "--theta", "-0.7"],
              "price=11.8398 columns_used=14 truncation_estimate=8.62312e-06\n",
              DIAMOND_WARNING),
+            # the decimal -0.3 is 1 ulp off 1.7 - 2.0, so a second line says so
+            (["--alpha", "1.7", "--theta", "-0.3"],
+             "price=9.48879 columns_used=14 truncation_estimate=1.46631e-05\n",
+             LATTICE_WARNING + "warning: theta = -0.3 is 1 ulp off alpha - 2 = "
+             "-0.30000000000000004; --beta -1 sets theta = alpha - 2 exactly\n"),
+            (["--alpha", "1.7", "--theta=-0.29999999999999993", "--mu=-0.01"],
+             "price=2.33464 columns_used=24 truncation_estimate=6.06469e-05\n",
+             LATTICE_WARNING + "warning: theta = -0.29999999999999993 is 2 ulp off alpha - 2 = "
+             "-0.30000000000000004; --beta -1 sets theta = alpha - 2 exactly\n"),
+            # 5 ulp off is a theta of its own
+            (["--alpha", "1.7", "--theta=-0.29999999999999977"],
+             "price=9.48879 columns_used=14 truncation_estimate=1.46631e-05\n",
+             LATTICE_WARNING),
         ],
-        ids=["off-line", "other-drift", "fmls", "alpha-two", "outside-diamond"],
+        ids=["off-line", "other-drift", "fmls", "alpha-two", "outside-diamond",
+             "one-ulp-off", "two-ulp-off-other-drift", "five-ulp-off"],
     )
     def test_warning_when_not_an_expectation(self, model, out, err):
         done = run_main_fresh("price", *OFF_LINE_MARKET, *model)
