@@ -24,14 +24,15 @@ Each family is one entry of the model-spec table ``_SPECS`` (start box,
 coordinate maps, warm start, embedded leaner optimum, report); the ladder
 fits its entries in order, so a new family is one more entry.
 
-Each rung runs Nelder-Mead with Gao & Han's (2012) adaptive coefficients
-from a warm start and the points of a scrambled Halton sequence (Owen
-2017).  Both are ports of scipy's, to the bit (_nelder_mead on Python
-floats, _halton on numpy), so calibration needs numpy only.  The starts
-step in lockstep: each round prices the points of every live start in one
-kernel call on the chain's layout, built once, and each start takes the
-path it takes alone, so a forked worker process can run the last rung's
-Halton starts on a second core with the same reports (see _ladder).
+Each rung runs Levenberg-Marquardt on the quote residuals, on Python
+floats, from a warm start and the points of a scrambled Halton sequence
+(Owen 2017), then polishes the aggregated error from the best start's point
+by Nelder-Mead with Gao & Han's (2012) adaptive coefficients; _halton and
+_nelder_mead are ports of scipy's, to the bit.  The starts step in
+lockstep: each round prices the points of every live start in one kernel
+call on the chain's layout, built once, and each start takes the path it
+takes alone, so a forked worker process can run the last rung's Halton
+starts on a second core with the same reports (see _ladder).
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .core import (
     StableModelParams,
     _check_int,
     _usable_cores,
+    beta_to_theta,
     theta_to_beta,
 )
 from .pricer import _chain_layout, _model_calls, price_call_strikes
@@ -66,10 +68,17 @@ _CSV_COLUMNS = ("as_of", "spot", "rate", "maturity", "strike", "side", "market_p
 # Series tolerance of the objective.
 _TOLERANCE = 1e-5
 
-# Nelder-Mead iteration cap and termination tolerances, per start.
+# Nelder-Mead iteration cap and termination tolerances of the polish.
 _MAXITER = 400
 _XATOL = 1e-4
 _FATOL = 1e-6
+
+# Levenberg-Marquardt step cap, tolerances, difference step and step bound.
+_LM_MAXITER = 100
+_LM_XTOL = 1e-8
+_LM_FTOL = 1e-5
+_LM_STEP = 1e-4
+_LM_RADIUS = 1.0
 
 # A fitted alpha this close to 2 leaves beta unidentified: the optimizer
 # stops a few ulps short of the closed map's alpha = 2.
@@ -283,21 +292,18 @@ def aggregated_error(
             f"quote {i + 1} (strike={quote.strike}, maturity={quote.maturity}, "
             f"side={quote.side}) failed to price: {exc}"
         ) from exc
-    return _error_sum(calls, forwards, market)
+    return _error_sum((calls - forwards - market).tolist())
 
 
-def _error_sum(calls: np.ndarray, forwards: np.ndarray, market: np.ndarray) -> float:
-    return math.fsum(np.abs(calls - forwards - market).tolist())
+def _error_sum(residuals: list[float]) -> float:
+    return math.fsum(map(abs, residuals))
 
 
-def _aggregated_errors(
-    models: Sequence[StableModelParams], chain: OptionChain
-) -> list[float]:
-    """aggregated_error of each model at its default tolerance, inf where
-    the model fails to price, from one kernel call on the chain's layout."""
+def _residuals(models: Sequence[StableModelParams], chain: OptionChain) -> list:
+    """calls - forwards - market per model, None where it fails, in one call."""
     _, _, _, forwards, market = chain._arrays
     return [
-        math.inf if isinstance(calls, Exception) else _error_sum(calls, forwards, market)
+        None if isinstance(calls, Exception) else (calls - forwards - market).tolist()
         for calls in _model_calls(models, chain._layout, _TOLERANCE)
     ]
 
@@ -348,8 +354,8 @@ class _ModelSpec:
 
     name              -- model label of the report.
     box_low, box_high -- corners of the box the quasi-random starts fill.
-    to_z, to_params   -- a point x to the unconstrained optimizer vector z,
-                         and z to StableModelParams.
+    to_z, to_x        -- x to Levenberg-Marquardt's unconstrained z, and back.
+    to_params         -- x to StableModelParams, DomainError off the family.
     warm              -- the warm start x from the leaner fit (None on the
                          first rung) and the chain.
     embed             -- the leaner optimum as a member of this family,
@@ -362,18 +368,17 @@ class _ModelSpec:
     box_low: tuple[float, ...]
     box_high: tuple[float, ...]
     to_z: Callable[[Sequence[float]], np.ndarray]
+    to_x: Callable[[Sequence[float]], list[float]]
     to_params: Callable[[Sequence[float]], StableModelParams]
     warm: Callable[[CalibrationReport | None, OptionChain], tuple[float, ...]]
     embed: Callable[[CalibrationReport], StableModelParams] | None
     report: Callable[[StableModelParams], tuple[float, float]]
 
 
-def _stable_params(z: Sequence[float]) -> StableModelParams:
-    alpha = _alpha_from_z(z[0])
-    mu = -math.exp(z[2])
-    return StableModelParams.from_beta(
-        alpha=alpha, beta=math.tanh(z[1]), sigma=_implied_scale(alpha, mu), mu=mu
-    )
+def _stable_params(x: Sequence[float]) -> StableModelParams:
+    alpha, mu = x[0], -math.exp(x[2])
+    theta = beta_to_theta(alpha, x[1])  # checks alpha and beta first
+    return StableModelParams(alpha, theta, _implied_scale(alpha, mu), mu)
 
 
 # The ladder, leanest family first; each rung is warm-started from the one
@@ -384,7 +389,8 @@ _SPECS: dict[str, _ModelSpec] = {
         box_low=(math.log(0.05),),
         box_high=(math.log(1.2),),
         to_z=np.array,
-        to_params=lambda z: _bs_member(math.exp(z[0])),
+        to_x=list,
+        to_params=lambda x: _bs_member(math.exp(x[0])),
         warm=lambda leaner, chain: (math.log(_heuristic_vol(chain)),),
         embed=None,
         # report the lognormal vol
@@ -395,9 +401,8 @@ _SPECS: dict[str, _ModelSpec] = {
         box_low=(math.log(0.05), 1.15),
         box_high=(math.log(0.8), 1.95),
         to_z=lambda x: np.array([x[0], _z_from_alpha(x[1])]),
-        to_params=lambda z: StableModelParams.fmls(
-            alpha=_alpha_from_z(z[1]), sigma=math.exp(z[0])
-        ),
+        to_x=lambda z: [z[0], _alpha_from_z(z[1])],
+        to_params=lambda x: StableModelParams.fmls(alpha=x[1], sigma=math.exp(x[0])),
         warm=lambda leaner, chain: (math.log(leaner.sigma / math.sqrt(2.0)), 1.9),
         embed=lambda leaner: StableModelParams.fmls(
             alpha=2.0, sigma=leaner.sigma / math.sqrt(2.0)
@@ -409,6 +414,7 @@ _SPECS: dict[str, _ModelSpec] = {
         box_low=(1.15, -0.95, math.log(0.005)),
         box_high=(1.95, 0.95, math.log(0.5)),
         to_z=lambda x: np.array([_z_from_alpha(x[0]), _z_from_beta(x[1]), x[2]]),
+        to_x=lambda z: [_alpha_from_z(z[0]), math.tanh(z[1]), z[2]],
         to_params=_stable_params,
         warm=lambda leaner, chain: (leaner.alpha, -0.9, math.log(-leaner.mu)),
         embed=lambda leaner: StableModelParams.fmls(
@@ -463,8 +469,8 @@ def _nelder_mead(
 ) -> Generator[list[list[float]], list[float], tuple[list[float], float, int, bool]]:
     """Nelder-Mead from x0 with Gao & Han's (2012) adaptive coefficients:
     scipy.optimize.minimize(method="Nelder-Mead") with options maxiter
-    _MAXITER, xatol _XATOL, fatol _FATOL and adaptive=True, to the bit,
-    written as a generator so that several runs can share objective calls.
+    _MAXITER, xatol _XATOL, fatol _FATOL and adaptive=True, to the bit, a
+    generator that _polish drives once per rung from the best start's point.
 
     The simplex and its points are lists of Python floats, formed in scipy's
     order of operations: the centroid sums the vertices from vertex 0 on,
@@ -538,6 +544,73 @@ def _nelder_mead(
     return sim[0], float(np.min(fsim)), iterations, iterations < _MAXITER
 
 
+def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
+    """matrix^-1 rhs by Gauss-Jordan elimination, positive definite: no pivots."""
+    rows = [row + [b] for row, b in zip(matrix, rhs)]
+    for i, pivot in enumerate(rows):
+        for j, row in enumerate(rows):
+            if j != i:
+                factor = row[i] / pivot[i]
+                rows[j] = [v - factor * p for v, p in zip(row, pivot)]
+    return [row[-1] / row[i] for i, row in enumerate(rows)]
+
+
+def _levenberg_marquardt(z0: Sequence[float], to_x: Callable = list) -> Generator:
+    """Levenberg-Marquardt from z0 on the sum of squared residuals.  Each yield
+    is a point z and its forward differences z + _LM_STEP max(1, |z_k|) e_k,
+    through to_x.  A step solves (J'J + lam max(diag J'J) I) dz = -J'r, cut
+    to _LM_RADIUS a coordinate; it is taken if it lowers the sum of squares
+    and no residual vector is None, and lam (from 1e-3) falls tenfold, else
+    lam grows tenfold.  It converges on a step within _LM_XTOL of z or a
+    taken step that lowers the sum by at most _LM_FTOL of it, and stops after
+    _LM_MAXITER steps or a None in its first yield.  Returns (to_x(z), the
+    aggregated error at z, the steps tried, converged)."""
+
+    def probe(z: list[float]) -> list[list[float]]:
+        return [z] + [z[:k] + [v + _LM_STEP * max(1.0, abs(v))] + z[k + 1:]
+                      for k, v in enumerate(z)]
+
+    points = probe([float(v) for v in z0])
+    sent = yield [to_x(p) for p in points]
+    lam, iterations, success = 1e-3, 0, False
+    while None not in sent and not success and iterations < _LM_MAXITER:
+        z, r = points[0], sent[0]  # the point taken, and its Jacobian
+        jac = [[(a - b) / (y[k] - z[k]) for a, b in zip(column, r)]
+               for k, (y, column) in enumerate(zip(points[1:], sent[1:]))]
+        squares = math.fsum(v * v for v in r)
+        normal = [[math.fsum(a * b for a, b in zip(u, v)) for v in jac] for u in jac]
+        gradient = [-math.fsum(a * b for a, b in zip(u, r)) for u in jac]
+        while iterations < _LM_MAXITER:
+            damping = lam * (max(row[i] for i, row in enumerate(normal)) or 1.0)
+            step = _solve([[a + damping * (i == j) for j, a in enumerate(row)]
+                           for i, row in enumerate(normal)], gradient)
+            if success := all(abs(d) <= _LM_XTOL * (abs(v) + _LM_XTOL) for d, v in zip(step, z)):
+                break
+            shrink = min(1.0, _LM_RADIUS / max(map(abs, step)))
+            iterations += 1
+            trial = probe([v + d * shrink for v, d in zip(z, step)])
+            answer = yield [to_x(p) for p in trial]
+            if None not in answer and (lower := math.fsum(v * v for v in answer[0])) < squares:
+                points, sent, lam = trial, answer, lam / 10.0
+                success = squares - lower <= _LM_FTOL * squares
+                break
+            lam *= 10.0
+    return to_x(points[0]), _error_sum(sent[0]), iterations, success
+
+
+def _polish(x0: Sequence[float]) -> Generator:
+    """_nelder_mead from x0 on the aggregated error, sent residual vectors as
+    _levenberg_marquardt is: it passes on their _error_sum, inf for None."""
+    run = _nelder_mead(x0)
+    points = next(run)
+    while True:
+        sent = yield points
+        try:
+            points = run.send([math.inf if r is None else _error_sum(r) for r in sent])
+        except StopIteration as done:
+            return done.value
+
+
 # ---------------------------------------------------------------------------
 # calibration driver
 # ---------------------------------------------------------------------------
@@ -547,8 +620,8 @@ def _nelder_mead(
 class CalibrateConfig:
     """Optimizer settings.
 
-    starts      -- number of quasi-random Nelder-Mead starts (a warm start
-                   derived from the next-leaner model is always added).
+    starts      -- number of quasi-random Levenberg-Marquardt starts (a warm
+                   start derived from the next-leaner model is always added).
     seed        -- seed for the scrambled Halton start sequence.
     """
 
@@ -564,9 +637,11 @@ class CalibrateConfig:
 class CalibrationReport:
     """Fit result for one chain and one model family.
 
-    evaluations counts the objective evaluations of the family's fit, its
-    embedded leaner optimum included; inf_evaluations, those of them that
-    were inf (a point that is no model, or a model that fails to price).
+    iterations counts the Levenberg-Marquardt steps and polish iterations;
+    evaluations, the points priced (the embedded leaner optimum too), and
+    inf_evaluations the failed ones.  converged and start are the winning
+    polish's (stopped on its tolerances) and its start, or the embedded
+    leaner fit's converged and None.
     """
 
     model: str
@@ -580,6 +655,7 @@ class CalibrationReport:
     quotes: int
     evaluations: int
     inf_evaluations: int
+    start: int | None = None
 
     @property
     def beta_identified(self) -> bool:
@@ -608,13 +684,6 @@ def report_payload(
     return payload
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    error: float
-    params: StableModelParams
-    converged: bool
-
-
 def _heuristic_vol(chain: OptionChain) -> float:
     """Rough at-the-money volatility read straight off the nearest strike."""
     strikes, _, maturities, forwards, market = chain._arrays
@@ -634,48 +703,46 @@ def objective_params(params: StableModelParams, chain: OptionChain) -> float:
         return math.inf
 
 
-def _box_starts(spec: _ModelSpec, config: CalibrateConfig) -> dict:
-    """The scrambled Halton points of the spec's box, by start index from 1."""
+def _halton_runs(spec: _ModelSpec, config: CalibrateConfig) -> dict:
+    """Levenberg-Marquardt runs from the spec's box's Halton points, from 1."""
     low, high = np.array(spec.box_low), np.array(spec.box_high)
     box = low + _halton(len(low), config.starts, config.seed) * (high - low)
-    return dict(enumerate(box, 1))
+    return {i: _levenberg_marquardt(spec.to_z(x), spec.to_x) for i, x in enumerate(box, 1)}
 
 
-def _lockstep(chain: OptionChain, spec: _ModelSpec, starts: dict) -> tuple[dict, int, int]:
-    """Nelder-Mead (_nelder_mead) from each start x of `starts` in lockstep:
-    each round prices the points every live start asks for in one kernel call
-    on the chain's layout, built once per chain, and each start follows the
-    path it would follow alone.  A start whose first point is inf is dropped.
-    Returns (x, fun, iterations, success) by start, the evaluations, the inf ones."""
+def _lockstep(chain: OptionChain, spec: _ModelSpec, runs: dict) -> tuple[dict, int, int]:
+    """Step runs of _levenberg_marquardt or _polish, by start, in lockstep:
+    each round prices every live run's points in one kernel call on the
+    chain's layout, built once, and sends each run its residual vectors, so
+    each takes its path alone; a run whose first point is no model is dropped.
+    Returns (x, fun, iterations, success) by start, evaluations, failed ones."""
     evaluations = inf_evaluations = 0
 
-    def objective(points: list[list[float]]) -> list[float]:
+    def residuals(points: list[list[float]]) -> list[list[float] | None]:
         nonlocal evaluations, inf_evaluations
-        values = [math.inf] * len(points)
+        out: list[list[float] | None] = [None] * len(points)
         models: dict[int, StableModelParams] = {}
-        for i, z in enumerate(points):
+        for i, x in enumerate(points):
             try:
-                models[i] = spec.to_params(z)
+                models[i] = spec.to_params(x)
             except (DomainError, OverflowError):
                 pass
-        for i, error in zip(models, _aggregated_errors(list(models.values()), chain)):
-            values[i] = error
-        evaluations += len(values)
-        inf_evaluations += values.count(math.inf)
-        return values
+        for i, r in zip(models, _residuals(list(models.values()), chain)):
+            out[i] = r
+        evaluations += len(out)
+        inf_evaluations += out.count(None)
+        return out
 
-    runs = {i: _nelder_mead(spec.to_z(x)) for i, x in starts.items()}
-    # the points each live start asks for, by start; the first are its
-    # initial simplex, its own point first
+    # the points each live run asks for, by start, its own point first
     asks = {i: next(run) for i, run in runs.items()}
     results: dict[int, tuple[list[float], float, int, bool]] = {}
     first = True
     while asks:
-        values = iter(objective([z for points in asks.values() for z in points]))
-        answers = [(i, [next(values) for _ in points]) for i, points in asks.items()]
+        answers = iter(residuals([x for points in asks.values() for x in points]))
+        answered = [(i, [next(answers) for _ in points]) for i, points in asks.items()]
         asks = {}
-        for i, answer in answers:
-            if first and not math.isfinite(answer[0]):
+        for i, answer in answered:
+            if first and answer[0] is None:
                 continue  # start sits in the non-priceable region; skip it
             try:
                 asks[i] = runs[i].send(answer)
@@ -688,8 +755,8 @@ def _lockstep(chain: OptionChain, spec: _ModelSpec, starts: dict) -> tuple[dict,
 class _Worker:
     """A forked process that sends down a pipe, in one message, the _lockstep
     result of every Halton start of `spec`, or its exception.  It ends in
-    os._exit: it never returns into the caller's frames nor flushes its stdio;
-    _ladder kills and reaps it on every way out."""
+    os._exit: it never returns into the caller's frames nor flushes its
+    stdio; _ladder kills and reaps it on every way out."""
 
     def __init__(self, chain: OptionChain, spec: _ModelSpec, config: CalibrateConfig):
         self.spec, self.status = spec, None
@@ -699,7 +766,7 @@ class _Worker:
             try:
                 os.close(read)
                 try:
-                    message = _lockstep(chain, spec, _box_starts(spec, config))
+                    message = _lockstep(chain, spec, _halton_runs(spec, config))
                 except BaseException as exc:
                     message = exc
                 with open(write, "wb") as pipe:
@@ -738,55 +805,49 @@ def _fit_rung(
 ) -> CalibrationReport:
     """Fit one model family, warm-started from the next-leaner family's fit.
 
-    Multi-start Nelder-Mead (_lockstep) in the spec's unconstrained
-    coordinates (log sigma for bs and carrwu, log(-mu) for stable;
-    alpha = 1.5 + 0.5 sin z; atanh beta), from the spec's warm start (start
-    0) and the scrambled Halton points of its box (starts 1 to config.starts).
-    A worker, if given, runs the Halton starts and this call the warm start;
-    results merge by start index and counts add up, so the report is the
-    same.  The leaner optimum, embedded exactly by the spec, is a candidate
-    too, which guarantees the aggregated errors nest across the ladder.  The
-    lowest aggregated error wins; ties keep the earliest candidate, in start
-    order.
+    Levenberg-Marquardt on the quote residuals (_lockstep) in the spec's
+    unconstrained coordinates z (log sigma for bs and carrwu, log(-mu) for
+    stable; alpha = 1.5 + 0.5 sin z; atanh beta), from the spec's warm start
+    (start 0) and the scrambled Halton points of its box (starts 1 to
+    config.starts).  A worker, if given, runs the Halton starts and this
+    call the warm start; results merge by start index and counts add up, so
+    the report is the same.  Nelder-Mead (_polish) then minimizes the
+    aggregated error over the points x from the start point of least error,
+    the earliest on ties.  The leaner optimum, embedded exactly, is a
+    candidate too, so the aggregated errors nest; it wins a tie.
     """
-    starts = {0: spec.warm(leaner, chain), **({} if worker else _box_starts(spec, config))}
-    results, evaluations, inf_evaluations = _lockstep(chain, spec, starts)
-    candidates: list[_Candidate] = []
+    runs = {0: _levenberg_marquardt(spec.to_z(spec.warm(leaner, chain)), spec.to_x),
+            **({} if worker else _halton_runs(spec, config))}
+    results, evaluations, inf_evaluations = _lockstep(chain, spec, runs)
+    candidates = []
     if spec.embed is not None:
         embedded = spec.embed(leaner)
         error = objective_params(embedded, chain)
         evaluations += 1
         inf_evaluations += error == math.inf
-        candidates.append(_Candidate(error, embedded, leaner.converged))
+        candidates.append((error, embedded, leaner.converged, None))
     theirs, evals, infs = worker.receive() if worker else ({}, 0, 0)
     results.update(theirs)
     evaluations, inf_evaluations = evaluations + evals, inf_evaluations + infs
-
-    iterations = 0
-    for i in sorted(results):
-        x, fun, nit, success = results[i]
+    iterations = sum(nit for _, _, nit, _ in results.values())
+    if results:
+        start = min(sorted(results), key=lambda i: results[i][1])
+        polished, evals, infs = _lockstep(chain, spec, {start: _polish(results[start][0])})
+        x, fun, nit, success = polished[start]
+        evaluations, inf_evaluations = evaluations + evals, inf_evaluations + infs
         iterations += nit
-        if math.isfinite(fun):
-            candidates.append(_Candidate(fun, spec.to_params(x), success))
-
+        candidates.append((fun, spec.to_params(x), success, start))
     if not candidates:
         raise ConvergenceError(
             f"calibration of {spec.name!r} failed: no start produced a finite error"
         )
-    best = min(candidates, key=lambda cand: cand.error)
-    sigma, beta = spec.report(best.params)
+    error, params, converged, start = min(candidates, key=lambda cand: cand[0])
+    sigma, beta = spec.report(params)
     return CalibrationReport(
-        model=spec.name,
-        sigma=sigma,
-        alpha=best.params.alpha,
-        beta=beta,
-        mu=best.params.mu,
-        aggregated_error=best.error,
-        iterations=iterations,
-        converged=best.converged,
-        quotes=len(chain.quotes),
-        evaluations=evaluations,
-        inf_evaluations=inf_evaluations,
+        model=spec.name, sigma=sigma, alpha=params.alpha, beta=beta, mu=params.mu,
+        aggregated_error=error, iterations=iterations, converged=converged,
+        quotes=len(chain.quotes), evaluations=evaluations,
+        inf_evaluations=inf_evaluations, start=start,
     )
 
 
@@ -797,8 +858,8 @@ def _ladder(
 
     A ladder of two or more rungs on two or more usable cores forks a
     _Worker for the last rung's Halton starts, which depend on no leaner
-    fit; this process runs every other start and prices the embedded
-    candidates.  A one-rung ladder forks nothing, as the fork costs it more
+    fit; this process runs every other start and every polish, and prices
+    the embedded candidates.  A one-rung ladder forks nothing, as the fork costs it more
     than the worker saves.  The reports are the same, and nothing sets this.
     There is no worker without os.fork or from Python 3.12, where a fork
     with threads (numpy's BLAS pool) warns.

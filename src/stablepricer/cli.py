@@ -45,6 +45,16 @@ _LATTICE_WARNING = (
 )
 
 
+def _off_the_line(params: StableModelParams) -> str | None:
+    """The note for a theta 1 to 4 ulps off alpha - 2, as -0.3 at alpha 1.7."""
+    line = params.alpha - 2.0
+    ulps = abs(params.theta - line) / math.ulp(line)
+    if 0.0 < ulps <= 4.0:
+        return (f"warning: theta = {params.theta!r} is {ulps:g} ulp off alpha - 2 = {line!r}; "
+                "--beta -1 sets theta = alpha - 2 exactly")
+    return None
+
+
 def _emit(text: str, out_path: str | None) -> None:
     """Write text to stdout, or byte-identically to a file when --out given."""
     if out_path is None:
@@ -138,11 +148,8 @@ def cmd_price(args: argparse.Namespace) -> int:
         )
     elif result.engine == "lattice" and params.alpha < 2.0:
         print(_LATTICE_WARNING, file=sys.stderr)
-        line = params.alpha - 2.0
-        ulps = abs(params.theta - line) / math.ulp(line)
-        if 0.0 < ulps <= 4.0:  # a decimal theta, as -0.3 at alpha 1.7, can round off the line
-            print(f"warning: theta = {params.theta!r} is {ulps:g} ulp off alpha - 2 = {line!r}; "
-                  "--beta -1 sets theta = alpha - 2 exactly", file=sys.stderr)
+        if note := _off_the_line(params):
+            print(note, file=sys.stderr)
     if args.check:
         if params.alpha == 2.0 and params.theta == 0.0:
             # the series reads sigma only through mu, so it is Black-Scholes at this vol
@@ -181,22 +188,22 @@ def cmd_curve(args: argparse.Namespace) -> int:
         raise DomainError(f"the sweep has {count} points, more than {_MAX_POINTS}")
     fmt = _fmt(args.precision)
     lines = [f"{args.sweep},price,in_diamond,status"]
-    lattice = False
+    lattice, note = False, None
     for i in range(count):
         x = args.start + i * args.step
         point = argparse.Namespace(**{**vars(args), args.sweep: x})
         try:
-            result = price(
-                _params_from_args(point),
-                _contract_from_args(point, "call"),
-                tolerance=args.tol,
-                max_column=args.max_column,
-            )
+            params = _params_from_args(point)
+            result = price(params, _contract_from_args(point, "call"),
+                           tolerance=args.tol, max_column=args.max_column)
             lines.append(
                 f"{fmt(x)},{fmt(result.price)},"
                 f"{str(result.diamond_flag).lower()},ok"
             )
-            lattice |= result.engine == "lattice" and point.alpha < 2.0
+            if result.engine == "lattice" and point.alpha < 2.0:
+                lattice = True
+                if note is None and args.theta is not None:
+                    note = _off_the_line(params)
         except ConvergenceError:
             lines.append(f"{fmt(x)},,,non-convergent")
         except DomainError:
@@ -204,6 +211,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
     _emit("\n".join(lines) + "\n", args.out)
     if lattice:
         print(_LATTICE_WARNING, file=sys.stderr)
+    if note:
+        print(note, file=sys.stderr)
     return 0
 
 

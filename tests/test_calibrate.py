@@ -49,11 +49,14 @@ from stablepricer.calibrate import (
     CalibrationReport,
     _alpha_from_z,
     _bs_member,
+    _error_sum,
     _fit_rung,
     _halton,
     _heuristic_vol,
+    _levenberg_marquardt,
     _lockstep,
     _nelder_mead,
+    _polish,
     _z_from_alpha,
     objective_params,
 )
@@ -339,7 +342,7 @@ class TestConfigAndReport:
         assert list(payload) == [
             "model", "sigma", "alpha", "beta", "beta_identified", "mu",
             "aggregated_error", "iterations", "converged", "quotes",
-            "evaluations", "inf_evaluations",
+            "evaluations", "inf_evaluations", "start",
         ]
         assert payload["beta_identified"] is False  # the bs rung has alpha = 2
         parsed = json.loads(json.dumps(report_payload(report, precision=17)))
@@ -498,7 +501,7 @@ class TestModelSpecs:
             ),
         }[specs[kind].name]
         spec = specs[kind]
-        params = spec.to_params(spec.to_z(spec.warm(leaner, chain)))
+        params = spec.to_params(spec.to_x(spec.to_z(spec.warm(leaner, chain))))
         for field in ("alpha", "theta", "sigma", "mu"):
             assert getattr(params, field) == pytest.approx(
                 getattr(expected, field), rel=1e-12, abs=1e-15
@@ -516,7 +519,7 @@ def _objective(spec, chain):
 
     def error(z: np.ndarray) -> float:
         try:
-            return calibrate_module.objective_params(spec.to_params(z), chain)
+            return calibrate_module.objective_params(spec.to_params(spec.to_x(z)), chain)
         except (DomainError, OverflowError):
             return math.inf
 
@@ -533,43 +536,77 @@ def _drive(run, error):
         return done.value
 
 
-def _fit_alone(chain, spec, config, leaner):
-    """_fit_rung's report with each start stepped alone, in start order."""
+def _residuals_alone(spec, chain, digits=None):
+    """The residual vector of one point alone, through the one-model pricer,
+    rounded to `digits` when given; None where the point is no model or
+    fails to price."""
+    strikes, rates, maturities, forwards, market = chain._arrays
+
+    def residuals(x):
+        try:
+            calls = calibrate_module.price_call_strikes(
+                spec.to_params(x), chain.spot, rates, maturities, strikes,
+                tolerance=calibrate_module._TOLERANCE,
+            )
+        except (ConvergenceError, DomainError, OverflowError):
+            return None
+        values = (calls - forwards - market).tolist()
+        return values if digits is None else [round(v, digits) for v in values]
+
+    return residuals
+
+
+def _drive_alone(run, residuals):
+    """Step one optimizer run alone, pricing its points one by one: its result
+    (None when its first point is no model), evaluations and failed ones."""
+    points, evaluations, failed = next(run), 0, 0
+    first = True
+    try:
+        while True:
+            answer = [residuals(z) for z in points]
+            evaluations += len(answer)
+            failed += answer.count(None)
+            if first and answer[0] is None:
+                return None, evaluations, failed
+            first = False
+            points = run.send(answer)
+    except StopIteration as done:
+        return done.value, evaluations, failed
+
+
+def _fit_alone(chain, spec, config, leaner, digits=None):
+    """_fit_rung's report with each Levenberg-Marquardt start stepped alone, in
+    start order, then the polish from the best of them."""
+    residuals = _residuals_alone(spec, chain, digits)
     evaluations = inf_evaluations = 0
     candidates = []
     if spec.embed is not None:
         embedded = spec.embed(leaner)
         error = calibrate_module.objective_params(embedded, chain)
         evaluations, inf_evaluations = 1, int(error == math.inf)
-        candidates.append((error, embedded, leaner.converged))
+        candidates.append((error, embedded, leaner.converged, None))
     low, high = np.array(spec.box_low), np.array(spec.box_high)
     box = low + _halton(len(low), config.starts, config.seed) * (high - low)
-    error = _objective(spec, chain)
-    iterations = 0
-    for x in (spec.warm(leaner, chain), *box):
-        run = _nelder_mead(spec.to_z(x))
-        points, first = next(run), True
-        try:
-            while True:
-                values = [error(z) for z in points]
-                evaluations += len(values)
-                inf_evaluations += values.count(math.inf)
-                if first and not math.isfinite(values[0]):
-                    break
-                first = False
-                points = run.send(values)
-        except StopIteration as done:
-            z, fun, nit, success = done.value
-            iterations += nit
-            if math.isfinite(fun):
-                candidates.append((fun, spec.to_params(z), success))
-    fun, params, success = min(candidates, key=lambda cand: cand[0])
+    results = {}
+    for i, x in enumerate((spec.warm(leaner, chain), *box)):
+        run = _levenberg_marquardt(spec.to_z(x), spec.to_x)
+        result, evals, infs = _drive_alone(run, residuals)
+        evaluations, inf_evaluations = evaluations + evals, inf_evaluations + infs
+        if result is not None:
+            results[i] = result
+    iterations = sum(nit for _, _, nit, _ in results.values())
+    # the lowest aggregated error, the earliest start on ties
+    start = min(results, key=lambda i: results[i][1])
+    (x, fun, nit, success), evals, infs = _drive_alone(_polish(results[start][0]), residuals)
+    evaluations, inf_evaluations = evaluations + evals, inf_evaluations + infs
+    candidates.append((fun, spec.to_params(x), success, start))
+    fun, params, success, start = min(candidates, key=lambda cand: cand[0])
     sigma, beta = spec.report(params)
     return CalibrationReport(
         model=spec.name, sigma=sigma, alpha=params.alpha, beta=beta, mu=params.mu,
-        aggregated_error=fun, iterations=iterations, converged=success,
+        aggregated_error=fun, iterations=iterations + nit, converged=success,
         quotes=len(chain.quotes), evaluations=evaluations,
-        inf_evaluations=inf_evaluations,
+        inf_evaluations=inf_evaluations, start=start,
     )
 
 
@@ -669,6 +706,56 @@ class TestOptimizer:
         assert np.float64(fun).tobytes() == np.float64(expected.fun).tobytes()
         assert (nit, success) == (expected.nit, expected.success)
 
+    @pytest.mark.parametrize("case", ["quadratic", "rosenbrock", "exponential"])
+    def test_levenberg_marquardt_reaches_scipys_optimum(self, case):
+        # driven alone on toy least-squares problems, the port reaches the
+        # optimum of scipy's MINPACK Levenberg-Marquardt: a quadratic fit to
+        # points off every quadratic, Rosenbrock's valley as two residuals,
+        # and an exponential decay through its own points
+        t = np.linspace(0.0, 2.0, 9)
+        if case == "quadratic":
+            y = 1.5 + 0.7 * t - 0.4 * t**2 + 0.1 * np.cos(7.0 * t)
+            fun, z0 = (lambda z: z[0] + z[1] * t + z[2] * t**2 - y), [0.0, 0.0, 0.0]
+        elif case == "rosenbrock":
+            fun, z0 = (lambda z: np.array([10.0 * (z[1] - z[0] ** 2), 1.0 - z[0]])), [-1.2, 1.0]
+        else:
+            y = 2.0 * np.exp(-1.3 * t)
+            fun, z0 = (lambda z: z[0] * np.exp(z[1] * t) - y), [1.0, 0.0]
+        expected = optimize.least_squares(fun, z0, method="lm")
+        result, evaluations, failed = _drive_alone(
+            _levenberg_marquardt(z0), lambda z: fun(np.array(z)).tolist()
+        )
+        z, error, iterations, success = result
+        assert success and failed == 0
+        assert evaluations == (len(z0) + 1) * (iterations + 1)
+        np.testing.assert_allclose(z, expected.x, rtol=1e-6)
+        assert error == _error_sum(fun(np.array(z)).tolist())
+
+    def test_levenberg_marquardt_keeps_its_best_point_next_to_no_model(self):
+        # Rosenbrock's valley with no model past z[0] = 0.9, short of its
+        # optimum (1, 1): steps that land there, or whose forward-difference
+        # points do, are rejected, and the run keeps the point of least sum
+        # of squares of those whose every point priced
+        def residuals(z):
+            return None if z[0] > 0.9 else [10.0 * (z[1] - z[0] ** 2), 1.0 - z[0]]
+
+        run = _levenberg_marquardt([-1.2, 1.0])
+        points, priced, rejected = next(run), [], 0
+        try:
+            while True:
+                answer = [residuals(z) for z in points]
+                if None in answer:
+                    rejected += 1
+                else:
+                    priced.append((math.fsum(v * v for v in answer[0]), points[0]))
+                points = run.send(answer)
+        except StopIteration as done:
+            z, error, iterations, success = done.value
+        assert rejected > 0
+        assert z == min(priced)[1]
+        assert z[0] <= 0.9
+        assert error == _error_sum(residuals(z))
+
     def test_rung_lays_out_its_chain_once(self, monkeypatch):
         # every round of a rung prices on the layout its chain keeps
         pricer_module = importlib.import_module("stablepricer.pricer")
@@ -696,32 +783,44 @@ class TestOptimizer:
         # a log vol of 800 overflows math.exp, so neither point of the start's
         # initial simplex is a model: both are inf and the start is dropped
         chain = small_chain(StableModelParams.from_beta(1.7, -0.3, 0.15))
-        assert _lockstep(chain, _SPECS["bs"], {1: (800.0,)}) == ({}, 2, 2)
+        run = _levenberg_marquardt([800.0])
+        assert _lockstep(chain, _SPECS["bs"], {1: run}) == ({}, 2, 2)
 
     @pytest.mark.parametrize("rounded", [False, True], ids=["exact", "ties"])
     def test_lockstep_equals_each_start_alone(self, rounded, monkeypatch):
-        # every start takes the path it takes alone, and the candidates keep
-        # start order: with errors rounded so that starts tie, the earliest
-        # start still wins
+        # every start takes the path it takes alone, the polish begins from
+        # the start of least aggregated error and the candidates keep start
+        # order: with residuals rounded so that starts tie, the earliest start
+        # still wins
+        digits = 4 if rounded else None
         if rounded:
-            batch, alone = calibrate_module._aggregated_errors, objective_params
-            monkeypatch.setattr(
-                calibrate_module, "_aggregated_errors",
-                lambda models, chain: [round(e, 2) for e in batch(models, chain)],
-            )
-            monkeypatch.setattr(
-                calibrate_module, "objective_params",
-                lambda params, chain: round(alone(params, chain), 2),
-            )
-        # on this chain and these starts, the rounded errors tie between
-        # starts that finish in another order than they start
+            _round_residuals(monkeypatch, digits)
+        # on this chain and these starts, the rounded errors of the stable
+        # rung's Levenberg-Marquardt starts 0, 2 and 3 tie, and start 0
+        # finishes last
         chain = small_chain(StableModelParams.from_beta(1.5, -0.8, 0.2))
         config = CalibrateConfig(starts=3, seed=1)
         leaner = None
         for spec in _SPECS.values():
             report = _fit_rung(chain, spec, config, leaner)
-            assert report == _fit_alone(chain, spec, config, leaner), spec.name
+            assert report == _fit_alone(chain, spec, config, leaner, digits), spec.name
             leaner = report
+
+
+def _round_residuals(monkeypatch, digits: int) -> None:
+    """Round every residual the ladder prices, and the embedded candidate's
+    aggregated error, to `digits` decimals, so that starts tie."""
+    batch, alone = calibrate_module._residuals, objective_params
+    monkeypatch.setattr(
+        calibrate_module, "_residuals",
+        lambda models, chain: [
+            None if r is None else [round(v, digits) for v in r] for r in batch(models, chain)
+        ],
+    )
+    monkeypatch.setattr(
+        calibrate_module, "objective_params",
+        lambda params, chain: round(alone(params, chain), digits),
+    )
 
 
 def _use_cores(monkeypatch, cores: int) -> None:
@@ -769,14 +868,17 @@ class TestWorker:
     def test_which_process_runs_which_starts(self, monkeypatch, tmp_path, last, starts, cores):
         # on two cores the worker runs Halton starts 1 to N of the last rung
         # of a ladder of two or more rungs, and this process every other
-        # start; each process appends the starts it runs to one file
+        # start and each rung's polish; each process appends the starts it
+        # runs, or "polish", to one file
         _use_cores(monkeypatch, cores)
         forks = _count_forks(monkeypatch)
         lockstep, log, caller = calibrate_module._lockstep, tmp_path / "runs", os.getpid()
 
         def recording(chain, spec, starts):
+            polish = [run.__name__ for run in starts.values()] == ["_polish"]
             with open(log, "a") as handle:
-                print(json.dumps([os.getpid() == caller, spec.name, sorted(starts)]), file=handle)
+                ran = "polish" if polish else sorted(starts)
+                print(json.dumps([os.getpid() == caller, spec.name, ran]), file=handle)
             return lockstep(chain, spec, starts)
 
         monkeypatch.setattr(calibrate_module, "_lockstep", recording)
@@ -790,6 +892,7 @@ class TestWorker:
             there = [[names[-1], every[1:]]]
         else:
             here, there = [[name, every] for name in names], []
+        here = [run for lm in here for run in (lm, [lm[0], "polish"])]
         assert [run[1:] for run in runs if run[0]] == here
         assert [run[1:] for run in runs if not run[0]] == there
         assert len(forks) == len(there)
@@ -829,24 +932,17 @@ class TestWorker:
         assert len(forks) == (model != "bs")
 
     def test_ties_keep_start_order_across_the_split(self, monkeypatch):
-        # as in test_lockstep_equals_each_start_alone, with errors rounded so
-        # that starts tie; the worker runs the stable rung's starts 1 to 3,
-        # this process its start 0 and every start of bs and carrwu
+        # as in test_lockstep_equals_each_start_alone, with residuals rounded
+        # so that starts tie; the worker runs the stable rung's starts 1 to 3,
+        # this process its start 0, every start of bs and carrwu and every
+        # polish
         _use_cores(monkeypatch, 2)
-        batch, alone = calibrate_module._aggregated_errors, objective_params
-        monkeypatch.setattr(
-            calibrate_module, "_aggregated_errors",
-            lambda models, chain: [round(e, 2) for e in batch(models, chain)],
-        )
-        monkeypatch.setattr(
-            calibrate_module, "objective_params",
-            lambda params, chain: round(alone(params, chain), 2),
-        )
+        _round_residuals(monkeypatch, 4)
         chain = small_chain(StableModelParams.from_beta(1.5, -0.8, 0.2))
         config = CalibrateConfig(starts=3, seed=1)
         reports, leaner = calibrate_all(chain, config), None
         for kind, spec in _SPECS.items():
-            assert reports[kind] == _fit_alone(chain, spec, config, leaner), spec.name
+            assert reports[kind] == _fit_alone(chain, spec, config, leaner, 4), spec.name
             leaner = reports[kind]
 
     def test_one_rung_ladder_forks_nothing(self, monkeypatch):
@@ -862,8 +958,7 @@ class TestWorker:
         if error is ConvergenceError:
             # no start gives a finite error, so the bs rung finds no candidate
             monkeypatch.setattr(
-                calibrate_module, "_aggregated_errors",
-                lambda models, chain: [math.inf] * len(models),
+                calibrate_module, "_residuals", lambda models, chain: [None] * len(models)
             )
         else:
             # the carrwu rung's embedded candidate, which only the caller prices
@@ -876,13 +971,13 @@ class TestWorker:
         assert _no_child_left()
 
     def test_worker_failure_reaches_the_caller(self, monkeypatch):
-        # the fork inherits the patch; only the worker runs starts without
-        # the warm start 0, and it runs the last rung's
+        # the fork inherits the patch, and the worker runs the last rung's
+        # Halton starts
         _use_cores(monkeypatch, 2)
-        lockstep = calibrate_module._lockstep
+        lockstep, caller = calibrate_module._lockstep, os.getpid()
 
         def failing(chain, spec, starts):
-            if 0 not in starts:
+            if os.getpid() != caller:
                 raise ArithmeticError(f"no {spec.name} in the worker")
             return lockstep(chain, spec, starts)
 
@@ -893,10 +988,10 @@ class TestWorker:
 
     def test_worker_exit_is_named(self, monkeypatch):
         _use_cores(monkeypatch, 2)
-        lockstep = calibrate_module._lockstep
+        lockstep, caller = calibrate_module._lockstep, os.getpid()
 
         def exiting(chain, spec, starts):
-            if 0 not in starts:
+            if os.getpid() != caller:
                 os._exit(3)
             return lockstep(chain, spec, starts)
 

@@ -531,8 +531,24 @@ class TestCurve:
              "alpha,price,in_diamond,status\n1.6,2.51416,true,ok\n"
              "1.8,2.51571,true,ok\n2,2.63407,true,ok\n",
              ""),
+            # a fixed decimal theta 1 ulp off alpha - 2 gets price's second
+            # line, once per run
+            (["--alpha", "1.7", "--theta", "-0.3", "--sweep", "spot", "--start", "90",
+              "--stop", "110", "--step", "10"],
+             "spot,price,in_diamond,status\n90,4.6456,true,ok\n"
+             "100,9.48879,true,ok\n110,12.6148,true,ok\n",
+             LATTICE_WARNING + "warning: theta = -0.3 is 1 ulp off alpha - 2 = "
+             "-0.30000000000000004; --beta -1 sets theta = alpha - 2 exactly\n"),
+            # the sweep's second alpha is 1.6 + 0.1 = 1.7000000000000002,
+            # 3 ulps from -0.3 + 2; the note names the first such point
+            (["--theta", "-0.3", "--sweep", "alpha", "--start", "1.6", "--stop", "1.8",
+              "--step", "0.1"],
+             "alpha,price,in_diamond,status\n1.6,13.0988,true,ok\n"
+             "1.7,9.48879,false,ok\n1.8,6.80105,false,ok\n",
+             LATTICE_WARNING + "warning: theta = -0.3 is 3 ulp off alpha - 2 = "
+             "-0.2999999999999998; --beta -1 sets theta = alpha - 2 exactly\n"),
         ],
-        ids=["lattice", "expectations"],
+        ids=["lattice", "expectations", "one-ulp-off", "three-ulps-off-in-an-alpha-sweep"],
     )
     def test_one_warning_per_run(self, flags, out, err):
         done = run_main_fresh("curve", *OFF_LINE_MARKET, *flags)
@@ -825,7 +841,7 @@ class TestCalibrate:
         assert json.loads(out)["quotes"] == 4  # strikes below spot, 2 maturities
 
     def test_non_convergence_warning(self, capsys, chain_files, monkeypatch):
-        # two Nelder-Mead iterations per start leave every start unfinished
+        # two Nelder-Mead iterations leave the polish unfinished
         monkeypatch.setattr(importlib.import_module("stablepricer.calibrate"), "_MAXITER", 2)
         code, out, _ = run(
             capsys, "calibrate", "--chain", chain_files[0], "--model", "bs", "--starts", "2",
