@@ -26,13 +26,13 @@ fits its entries in order, so a new family is one more entry.
 
 Each rung runs Levenberg-Marquardt on the quote residuals, on Python
 floats, from a warm start and the points of a scrambled Halton sequence
-(Owen 2017), then polishes the aggregated error from the best start's point
-by Nelder-Mead with Gao & Han's (2012) adaptive coefficients; _halton and
-_nelder_mead are ports of scipy's, to the bit.  The starts step in
-lockstep: each round prices the points of every live start in one kernel
-call on the chain's layout, built once, and each start takes the path it
-takes alone, so a forked worker process can run the last rung's Halton
-starts on a second core with the same reports (see _ladder).
+(Owen 2017).  When the best start's aggregated error is above what the
+objective resolves, it is polished by Nelder-Mead with Gao & Han's (2012)
+adaptive coefficients (see _fit_rung); _halton and _nelder_mead are ports
+of scipy's, to the bit.  The starts step in lockstep: each round prices
+the points of every live start in one kernel call on the chain's layout,
+built once, and each start takes the path it takes alone.  The whole
+ladder runs in the calling process.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ import io
 import csv
 import math
 import os
-import pickle
-import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Generator, Sequence
@@ -55,7 +53,6 @@ from .core import (
     OptionContract,
     StableModelParams,
     _check_int,
-    _usable_cores,
     beta_to_theta,
     theta_to_beta,
 )
@@ -470,7 +467,7 @@ def _nelder_mead(
     """Nelder-Mead from x0 with Gao & Han's (2012) adaptive coefficients:
     scipy.optimize.minimize(method="Nelder-Mead") with options maxiter
     _MAXITER, xatol _XATOL, fatol _FATOL and adaptive=True, to the bit, a
-    generator that _polish drives once per rung from the best start's point.
+    generator that _polish drives from the best start's point of a rung.
 
     The simplex and its points are lists of Python floats, formed in scipy's
     order of operations: the centroid sums the vertices from vertex 0 on,
@@ -639,9 +636,11 @@ class CalibrationReport:
 
     iterations counts the Levenberg-Marquardt steps and polish iterations;
     evaluations, the points priced (the embedded leaner optimum too), and
-    inf_evaluations the failed ones.  converged and start are the winning
-    polish's (stopped on its tolerances) and its start, or the embedded
-    leaner fit's converged and None.
+    inf_evaluations the failed ones.  converged and start are the polish's
+    (stopped on its tolerances) and the start it began from, or, when the
+    polish is skipped, the best start's (Levenberg-Marquardt stopped on its
+    tolerances) and its index; or the embedded leaner fit's converged and
+    None when that candidate wins.
     """
 
     model: str
@@ -703,13 +702,6 @@ def objective_params(params: StableModelParams, chain: OptionChain) -> float:
         return math.inf
 
 
-def _halton_runs(spec: _ModelSpec, config: CalibrateConfig) -> dict:
-    """Levenberg-Marquardt runs from the spec's box's Halton points, from 1."""
-    low, high = np.array(spec.box_low), np.array(spec.box_high)
-    box = low + _halton(len(low), config.starts, config.seed) * (high - low)
-    return {i: _levenberg_marquardt(spec.to_z(x), spec.to_x) for i, x in enumerate(box, 1)}
-
-
 def _lockstep(chain: OptionChain, spec: _ModelSpec, runs: dict) -> tuple[dict, int, int]:
     """Step runs of _levenberg_marquardt or _polish, by start, in lockstep:
     each round prices every live run's points in one kernel call on the
@@ -752,56 +744,11 @@ def _lockstep(chain: OptionChain, spec: _ModelSpec, runs: dict) -> tuple[dict, i
     return results, evaluations, inf_evaluations
 
 
-class _Worker:
-    """A forked process that sends down a pipe, in one message, the _lockstep
-    result of every Halton start of `spec`, or its exception.  It ends in
-    os._exit: it never returns into the caller's frames nor flushes its
-    stdio; _ladder kills and reaps it on every way out."""
-
-    def __init__(self, chain: OptionChain, spec: _ModelSpec, config: CalibrateConfig):
-        self.spec, self.status = spec, None
-        read, write = os.pipe()
-        self._pid = os.fork()
-        if self._pid == 0:
-            try:
-                os.close(read)
-                try:
-                    message = _lockstep(chain, spec, _halton_runs(spec, config))
-                except BaseException as exc:
-                    message = exc
-                with open(write, "wb") as pipe:
-                    pipe.write(pickle.dumps(message))
-                os._exit(0)
-            finally:
-                os._exit(1)
-        os.close(write)
-        self._pipe = open(read, "rb")
-
-    def receive(self) -> tuple[dict, int, int]:
-        try:
-            message = pickle.load(self._pipe)
-        except (EOFError, pickle.UnpicklingError):
-            raise RuntimeError(f"calibration worker exited with status {self.close()} "
-                               f"before sending its {self.spec.name!r} starts") from None
-        if isinstance(message, BaseException):
-            raise message
-        return message
-
-    def close(self) -> int:
-        """Kill (SIGKILL, 9 on POSIX) and reap the worker, once; its status."""
-        if self.status is None:
-            self._pipe.close()
-            os.kill(self._pid, 9)
-            self.status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
-        return self.status
-
-
 def _fit_rung(
     chain: OptionChain,
     spec: _ModelSpec,
     config: CalibrateConfig,
     leaner: CalibrationReport | None,
-    worker: _Worker | None = None,
 ) -> CalibrationReport:
     """Fit one model family, warm-started from the next-leaner family's fit.
 
@@ -809,16 +756,20 @@ def _fit_rung(
     unconstrained coordinates z (log sigma for bs and carrwu, log(-mu) for
     stable; alpha = 1.5 + 0.5 sin z; atanh beta), from the spec's warm start
     (start 0) and the scrambled Halton points of its box (starts 1 to
-    config.starts).  A worker, if given, runs the Halton starts and this
-    call the warm start; results merge by start index and counts add up, so
-    the report is the same.  Nelder-Mead (_polish) then minimizes the
-    aggregated error over the points x from the start point of least error,
-    the earliest on ties.  The leaner optimum, embedded exactly, is a
-    candidate too, so the aggregated errors nest; it wins a tie.
+    config.starts).  Nelder-Mead (_polish) then minimizes the aggregated
+    error over the points x from the start point of least error, the
+    earliest on ties, unless that error is at most len(chain.quotes) *
+    _TOLERANCE: each price is good to the series tolerance, so below that
+    the objective cannot resolve a change, and the start's result stands.
+    The leaner optimum, embedded exactly, is a candidate too, so the
+    aggregated errors nest; it wins a tie.
     """
-    runs = {0: _levenberg_marquardt(spec.to_z(spec.warm(leaner, chain)), spec.to_x),
-            **({} if worker else _halton_runs(spec, config))}
+    low, high = np.array(spec.box_low), np.array(spec.box_high)
+    box = low + _halton(len(low), config.starts, config.seed) * (high - low)
+    runs = {i: _levenberg_marquardt(spec.to_z(x), spec.to_x)
+            for i, x in enumerate((spec.warm(leaner, chain), *box))}
     results, evaluations, inf_evaluations = _lockstep(chain, spec, runs)
+    iterations = sum(nit for _, _, nit, _ in results.values())
     candidates = []
     if spec.embed is not None:
         embedded = spec.embed(leaner)
@@ -826,16 +777,14 @@ def _fit_rung(
         evaluations += 1
         inf_evaluations += error == math.inf
         candidates.append((error, embedded, leaner.converged, None))
-    theirs, evals, infs = worker.receive() if worker else ({}, 0, 0)
-    results.update(theirs)
-    evaluations, inf_evaluations = evaluations + evals, inf_evaluations + infs
-    iterations = sum(nit for _, _, nit, _ in results.values())
     if results:
         start = min(sorted(results), key=lambda i: results[i][1])
-        polished, evals, infs = _lockstep(chain, spec, {start: _polish(results[start][0])})
-        x, fun, nit, success = polished[start]
-        evaluations, inf_evaluations = evaluations + evals, inf_evaluations + infs
-        iterations += nit
+        x, fun, _, success = results[start]
+        if fun > len(chain.quotes) * _TOLERANCE:
+            polished, evals, infs = _lockstep(chain, spec, {start: _polish(x)})
+            x, fun, nit, success = polished[start]
+            evaluations, inf_evaluations = evaluations + evals, inf_evaluations + infs
+            iterations += nit
         candidates.append((fun, spec.to_params(x), success, start))
     if not candidates:
         raise ConvergenceError(
@@ -854,31 +803,15 @@ def _fit_rung(
 def _ladder(
     chain: OptionChain, config: CalibrateConfig | None, last: str | None
 ) -> dict[str, CalibrationReport]:
-    """Fit the families of _SPECS in order, up to and including `last`.
-
-    A ladder of two or more rungs on two or more usable cores forks a
-    _Worker for the last rung's Halton starts, which depend on no leaner
-    fit; this process runs every other start and every polish, and prices
-    the embedded candidates.  A one-rung ladder forks nothing, as the fork costs it more
-    than the worker saves.  The reports are the same, and nothing sets this.
-    There is no worker without os.fork or from Python 3.12, where a fork
-    with threads (numpy's BLAS pool) warns.
-    """
+    """Fit the families of _SPECS in order, up to and including `last`, in
+    the calling process."""
     if config is None:
         config = CalibrateConfig()
-    kinds = list(_SPECS)[: list(_SPECS).index(last) + 1 if last else None]
-    forks = _usable_cores() > 1 and hasattr(os, "fork") and sys.version_info < (3, 12)
-    worker = _Worker(chain, _SPECS[kinds[-1]], config) if forks and len(kinds) > 1 else None
-    try:
-        reports: dict[str, CalibrationReport] = {}
-        leaner: CalibrationReport | None = None
-        for kind in kinds:
-            mine = worker if kind == kinds[-1] else None
-            leaner = reports[kind] = _fit_rung(chain, _SPECS[kind], config, leaner, mine)
-        return reports
-    finally:
-        if worker:
-            worker.close()
+    reports: dict[str, CalibrationReport] = {}
+    leaner: CalibrationReport | None = None
+    for kind in list(_SPECS)[: list(_SPECS).index(last) + 1 if last else None]:
+        leaner = reports[kind] = _fit_rung(chain, _SPECS[kind], config, leaner)
+    return reports
 
 
 def calibrate_all(

@@ -11,8 +11,6 @@ import json
 import math
 import os
 import random
-import subprocess
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +29,6 @@ from stablepricer import (
     calibrate,
     calibrate_all,
     filter_quotes,
-    fmls_call,
     load_chain,
     mu_fmls,
     price_call,
@@ -576,7 +573,7 @@ def _drive_alone(run, residuals):
 
 def _fit_alone(chain, spec, config, leaner, digits=None):
     """_fit_rung's report with each Levenberg-Marquardt start stepped alone, in
-    start order, then the polish from the best of them."""
+    start order, then the polish from the best of them when it runs."""
     residuals = _residuals_alone(spec, chain, digits)
     evaluations = inf_evaluations = 0
     candidates = []
@@ -595,16 +592,20 @@ def _fit_alone(chain, spec, config, leaner, digits=None):
         if result is not None:
             results[i] = result
     iterations = sum(nit for _, _, nit, _ in results.values())
-    # the lowest aggregated error, the earliest start on ties
+    # the lowest aggregated error, the earliest start on ties, polished only
+    # above the objective's resolution
     start = min(results, key=lambda i: results[i][1])
-    (x, fun, nit, success), evals, infs = _drive_alone(_polish(results[start][0]), residuals)
-    evaluations, inf_evaluations = evaluations + evals, inf_evaluations + infs
+    x, fun, _, success = results[start]
+    if fun > len(chain.quotes) * calibrate_module._TOLERANCE:
+        (x, fun, nit, success), evals, infs = _drive_alone(_polish(x), residuals)
+        evaluations, inf_evaluations = evaluations + evals, inf_evaluations + infs
+        iterations += nit
     candidates.append((fun, spec.to_params(x), success, start))
     fun, params, success, start = min(candidates, key=lambda cand: cand[0])
     sigma, beta = spec.report(params)
     return CalibrationReport(
         model=spec.name, sigma=sigma, alpha=params.alpha, beta=beta, mu=params.mu,
-        aggregated_error=fun, iterations=iterations + nit, converged=success,
+        aggregated_error=fun, iterations=iterations, converged=success,
         quotes=len(chain.quotes), evaluations=evaluations,
         inf_evaluations=inf_evaluations, start=start,
     )
@@ -806,6 +807,80 @@ class TestOptimizer:
             assert report == _fit_alone(chain, spec, config, leaner, digits), spec.name
             leaner = report
 
+    @pytest.mark.parametrize("kind", ["bs", "carrwu", "stable"])
+    def test_polish_runs_only_above_the_objectives_resolution(self, kind, monkeypatch):
+        # on its own family's noiseless chain a rung's best Levenberg-Marquardt
+        # start ends within quotes * _TOLERANCE, where the objective resolves
+        # no change: the rung reports that start and never polishes
+        polished, lockstep = [], calibrate_module._lockstep
+        monkeypatch.setattr(
+            calibrate_module, "_polish", lambda x0: polished.append(x0) or _polish(x0)
+        )
+        runs = []
+        monkeypatch.setattr(
+            calibrate_module, "_lockstep",
+            lambda chain, spec, starts: runs.append(lockstep(chain, spec, starts)) or runs[-1],
+        )
+        chain = small_chain({
+            "bs": _bs_member(0.3),
+            "carrwu": StableModelParams.fmls(1.6, 0.2),
+            "stable": StableModelParams.from_beta(1.7, -0.3, 0.15),
+        }[kind])
+        leaner = None
+        for spec in list(_SPECS.values())[: list(_SPECS).index(kind)]:
+            leaner = _fit_rung(chain, spec, QUICK, leaner)
+        del polished[:], runs[:]
+        spec = _SPECS[kind]
+        report = _fit_rung(chain, spec, QUICK, leaner)
+        assert polished == []
+        ((results, evaluations, inf_evaluations),) = runs
+        start = min(results, key=lambda i: results[i][1])
+        x, error, _, converged = results[start]
+        assert error <= len(chain.quotes) * calibrate_module._TOLERANCE
+        params = spec.to_params(x)
+        sigma, beta = spec.report(params)
+        assert report == CalibrationReport(
+            model=spec.name, sigma=sigma, alpha=params.alpha, beta=beta, mu=params.mu,
+            aggregated_error=error,
+            iterations=sum(nit for _, _, nit, _ in results.values()), converged=converged,
+            quotes=len(chain.quotes), evaluations=evaluations + (leaner is not None),
+            inf_evaluations=inf_evaluations, start=start,
+        )
+
+    def test_misspecified_rung_polishes_as_before(self, monkeypatch):
+        # a Gaussian fit to a stable chain stops far above the objective's
+        # resolution: the rung polishes once, and its report is the one the
+        # rung gave when it polished every start
+        polished = []
+        monkeypatch.setattr(
+            calibrate_module, "_polish", lambda x0: polished.append(x0) or _polish(x0)
+        )
+        chain = small_chain(StableModelParams.from_beta(1.7, -0.3, 0.15))
+        report = _fit_rung(chain, _SPECS["bs"], QUICK, None)
+        assert len(polished) == 1
+        assert repr(report) == (
+            "CalibrationReport(model='BS', sigma=0.3916108540393865, alpha=2.0, beta=0.0, "
+            "mu=-0.07667953050072882, aggregated_error=9.09748490835846, iterations=22, "
+            "converged=True, quotes=14, evaluations=50, inf_evaluations=0, start=0)"
+        )
+
+    def test_no_finite_start_raises(self, monkeypatch):
+        # no start gives a finite error, so the bs rung finds no candidate
+        monkeypatch.setattr(
+            calibrate_module, "_residuals", lambda models, chain: [None] * len(models)
+        )
+        with pytest.raises(ConvergenceError, match="no start produced a finite error"):
+            calibrate_all(small_chain(StableModelParams.fmls(1.6, 0.2)), QUICK)
+
+    @pytest.mark.parametrize("last", ["bs", "carrwu", "stable"])
+    def test_ladder_forks_nothing(self, last, monkeypatch):
+        # on two usable cores as on one, every start runs in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        calibrate(small_chain(StableModelParams.fmls(1.6, 0.2)), last, QUICK)
+        assert forks == []
+
 
 def _round_residuals(monkeypatch, digits: int) -> None:
     """Round every residual the ladder prices, and the embedded candidate's
@@ -821,207 +896,3 @@ def _round_residuals(monkeypatch, digits: int) -> None:
         calibrate_module, "objective_params",
         lambda params, chain: round(alone(params, chain), digits),
     )
-
-
-def _use_cores(monkeypatch, cores: int) -> None:
-    """Make the package see `cores` usable cores."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-
-
-def _count_forks(monkeypatch) -> list[int]:
-    """Wrap os.fork; the list it returns grows by one per fork."""
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    return forks
-
-
-def _no_child_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
-def _fmls_chain() -> OptionChain:
-    """The benchmark's FMLS chain: its carrwu ladder stops before stable."""
-    quotes = []
-    for tau in (0.5, 1.0):
-        for strike in np.linspace(80.0, 120.0, 8).tolist():
-            contract = OptionContract(100.0, strike, 0.01, tau)
-            price = fmls_call(1.6, 0.2, contract, tolerance=1e-10).price
-            side = "put" if strike < 100.0 else "call"
-            if side == "put":
-                price -= contract.forward()
-            quotes.append(OptionQuote(100.0, 0.01, tau, strike, side, price))
-    return OptionChain("fmls", tuple(quotes))
-
-
-@pytest.mark.skipif(
-    not hasattr(os, "fork") or sys.version_info >= (3, 12),
-    reason="the calibration worker is forked, on Python before 3.12",
-)
-class TestWorker:
-    @pytest.mark.parametrize("cores", [1, 2])
-    @pytest.mark.parametrize("starts", [1, 2, 5, 8])
-    @pytest.mark.parametrize("last", ["bs", "carrwu", "stable"])
-    def test_which_process_runs_which_starts(self, monkeypatch, tmp_path, last, starts, cores):
-        # on two cores the worker runs Halton starts 1 to N of the last rung
-        # of a ladder of two or more rungs, and this process every other
-        # start and each rung's polish; each process appends the starts it
-        # runs, or "polish", to one file
-        _use_cores(monkeypatch, cores)
-        forks = _count_forks(monkeypatch)
-        lockstep, log, caller = calibrate_module._lockstep, tmp_path / "runs", os.getpid()
-
-        def recording(chain, spec, starts):
-            polish = [run.__name__ for run in starts.values()] == ["_polish"]
-            with open(log, "a") as handle:
-                ran = "polish" if polish else sorted(starts)
-                print(json.dumps([os.getpid() == caller, spec.name, ran]), file=handle)
-            return lockstep(chain, spec, starts)
-
-        monkeypatch.setattr(calibrate_module, "_lockstep", recording)
-        config = CalibrateConfig(starts=starts, seed=1)
-        calibrate(small_chain(StableModelParams.fmls(1.6, 0.2)), last, config)
-        runs = [json.loads(line) for line in log.read_text().splitlines()]
-        names = [spec.name for spec in _SPECS.values()][: list(_SPECS).index(last) + 1]
-        every = list(range(starts + 1))
-        if cores == 2 and len(names) > 1:
-            here = [[name, every] for name in names[:-1]] + [[names[-1], [0]]]
-            there = [[names[-1], every[1:]]]
-        else:
-            here, there = [[name, every] for name in names], []
-        here = [run for lm in here for run in (lm, [lm[0], "polish"])]
-        assert [run[1:] for run in runs if run[0]] == here
-        assert [run[1:] for run in runs if not run[0]] == there
-        assert len(forks) == len(there)
-        assert _no_child_left()
-
-    @pytest.mark.parametrize(
-        "case", ["acceptance 7", "inf chain", "fmls carrwu", "bs", "starts 1", "starts 8"]
-    )
-    def test_same_reports_on_one_and_two_cores(self, monkeypatch, case):
-        if case == "inf chain":
-            # the benchmark's INF_CHAIN: its stable rung crosses the region
-            # where the objective is inf
-            chain = synthetic_chain(
-                StableModelParams.from_beta(1.7, -0.3, 0.15), 100.0, 0.01,
-                (0.5, 1.0), np.linspace(80.0, 120.0, 8),
-            )
-        elif case == "fmls carrwu":
-            chain = _fmls_chain()
-        else:
-            chain = synthetic_chain(
-                StableModelParams.from_beta(1.5, -0.8, 0.2), 100.0, 0.01,
-                (0.5, 0.75, 1.0, 1.25), np.linspace(80.0, 120.0, 10),
-            )
-        model = {"fmls carrwu": "carrwu", "bs": "bs"}.get(case)
-        config = {"starts 1": CalibrateConfig(starts=1), "starts 8": CalibrateConfig(starts=8)}.get(case)
-        forks = _count_forks(monkeypatch)
-        reports = {}
-        for cores in (1, 2):
-            _use_cores(monkeypatch, cores)
-            if model:
-                reports[cores] = repr(calibrate(chain, model, config))
-            else:
-                reports[cores] = repr(calibrate_all(chain, config))
-            assert _no_child_left()
-        assert reports[1] == reports[2]
-        # a one-rung ladder forks nothing
-        assert len(forks) == (model != "bs")
-
-    def test_ties_keep_start_order_across_the_split(self, monkeypatch):
-        # as in test_lockstep_equals_each_start_alone, with residuals rounded
-        # so that starts tie; the worker runs the stable rung's starts 1 to 3,
-        # this process its start 0, every start of bs and carrwu and every
-        # polish
-        _use_cores(monkeypatch, 2)
-        _round_residuals(monkeypatch, 4)
-        chain = small_chain(StableModelParams.from_beta(1.5, -0.8, 0.2))
-        config = CalibrateConfig(starts=3, seed=1)
-        reports, leaner = calibrate_all(chain, config), None
-        for kind, spec in _SPECS.items():
-            assert reports[kind] == _fit_alone(chain, spec, config, leaner, 4), spec.name
-            leaner = reports[kind]
-
-    def test_one_rung_ladder_forks_nothing(self, monkeypatch):
-        _use_cores(monkeypatch, 2)
-        forks = _count_forks(monkeypatch)
-        calibrate(small_chain(StableModelParams.fmls(1.6, 0.2)), "bs")
-        assert forks == []
-
-    @pytest.mark.parametrize("error", [ConvergenceError, KeyboardInterrupt])
-    def test_no_child_left_when_the_caller_raises(self, monkeypatch, error):
-        _use_cores(monkeypatch, 2)
-        chain = small_chain(StableModelParams.fmls(1.6, 0.2))
-        if error is ConvergenceError:
-            # no start gives a finite error, so the bs rung finds no candidate
-            monkeypatch.setattr(
-                calibrate_module, "_residuals", lambda models, chain: [None] * len(models)
-            )
-        else:
-            # the carrwu rung's embedded candidate, which only the caller prices
-            def interrupt(params, chain):
-                raise KeyboardInterrupt
-
-            monkeypatch.setattr(calibrate_module, "objective_params", interrupt)
-        with pytest.raises(error):
-            calibrate_all(chain, QUICK)
-        assert _no_child_left()
-
-    def test_worker_failure_reaches_the_caller(self, monkeypatch):
-        # the fork inherits the patch, and the worker runs the last rung's
-        # Halton starts
-        _use_cores(monkeypatch, 2)
-        lockstep, caller = calibrate_module._lockstep, os.getpid()
-
-        def failing(chain, spec, starts):
-            if os.getpid() != caller:
-                raise ArithmeticError(f"no {spec.name} in the worker")
-            return lockstep(chain, spec, starts)
-
-        monkeypatch.setattr(calibrate_module, "_lockstep", failing)
-        with pytest.raises(ArithmeticError, match="^no AlphaBetaStable in the worker$"):
-            calibrate_all(small_chain(StableModelParams.fmls(1.6, 0.2)), QUICK)
-        assert _no_child_left()
-
-    def test_worker_exit_is_named(self, monkeypatch):
-        _use_cores(monkeypatch, 2)
-        lockstep, caller = calibrate_module._lockstep, os.getpid()
-
-        def exiting(chain, spec, starts):
-            if os.getpid() != caller:
-                os._exit(3)
-            return lockstep(chain, spec, starts)
-
-        monkeypatch.setattr(calibrate_module, "_lockstep", exiting)
-        message = "exited with status 3 before sending its 'AlphaBetaStable' starts"
-        with pytest.raises(RuntimeError, match=message):
-            calibrate_all(small_chain(StableModelParams.fmls(1.6, 0.2)), QUICK)
-        assert _no_child_left()
-
-    def test_unflushed_output_printed_once(self):
-        # stdout on a pipe is block-buffered: the fork copies the unflushed
-        # text, which only the caller may write out
-        script = (
-            "import os\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "forks, fork = [], os.fork\n"
-            "os.fork = lambda: forks.append(1) or fork()\n"
-            "from stablepricer import CalibrateConfig, StableModelParams, calibrate_all\n"
-            "from stablepricer import synthetic_chain\n"
-            "params = StableModelParams.fmls(1.6, 0.2)\n"
-            "chain = synthetic_chain(params, 100.0, 0.01, [0.5], [90.0, 100.0, 110.0])\n"
-            "print('unflushed', end=' ')\n"
-            "calibrate_all(chain, CalibrateConfig(starts=2))\n"
-            "print(len(forks))\n"
-        )
-        src = os.path.dirname(os.path.dirname(calibrate_module.__file__))
-        paths = filter(None, (src, os.environ.get("PYTHONPATH")))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-        env.pop("PYTHONUNBUFFERED", None)  # which would make stdout write through
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert (done.returncode, done.stdout, done.stderr) == (0, "unflushed 1\n", "")

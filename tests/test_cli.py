@@ -840,11 +840,18 @@ class TestCalibrate:
         assert code == 0
         assert json.loads(out)["quotes"] == 4  # strikes below spot, 2 maturities
 
-    def test_non_convergence_warning(self, capsys, chain_files, monkeypatch):
-        # two Nelder-Mead iterations leave the polish unfinished
+    def test_non_convergence_warning(self, capsys, tmp_path, monkeypatch):
+        # a Gaussian fit to a stable chain stops above the objective's
+        # resolution, so the polish runs, and two Nelder-Mead iterations
+        # leave it unfinished
         monkeypatch.setattr(importlib.import_module("stablepricer.calibrate"), "_MAXITER", 2)
+        path = tmp_path / "stable.csv"
+        write_chain_csv(path, synthetic_chain(
+            StableModelParams.from_beta(1.7, -0.3, 0.15), 100.0, 0.01, [0.5, 1.0],
+            [90.0, 95.0, 100.0, 105.0, 110.0],
+        ))
         code, out, _ = run(
-            capsys, "calibrate", "--chain", chain_files[0], "--model", "bs", "--starts", "2",
+            capsys, "calibrate", "--chain", str(path), "--model", "bs", "--starts", "2",
         )
         assert code == 0
         payload = json.loads(out)
