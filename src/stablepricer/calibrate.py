@@ -25,14 +25,14 @@ coordinate maps, warm start, embedded leaner optimum, report); the ladder
 fits its entries in order, so a new family is one more entry.
 
 Each rung runs Levenberg-Marquardt on the quote residuals, on Python
-floats, from a warm start and the points of a scrambled Halton sequence
-(Owen 2017).  When the best start's aggregated error is above what the
-objective resolves, it is polished by Nelder-Mead with Gao & Han's (2012)
-adaptive coefficients (see _fit_rung); _halton and _nelder_mead are ports
-of scipy's, to the bit.  The starts step in lockstep: each round prices
-the points of every live start in one kernel call on the chain's layout,
-built once, and each start takes the path it takes alone.  The whole
-ladder runs in the calling process.
+floats, under the bound alpha <= 2, from a warm start and the points of a
+scrambled Halton sequence (Owen 2017), until one ends within what the
+objective resolves.  When the best is above it, it is polished by
+Nelder-Mead with Gao & Han's (2012) adaptive coefficients (see _fit_rung);
+_halton and _nelder_mead are ports of scipy's, to the bit.  The starts step
+in lockstep: each round prices the points of every live start in one kernel
+call on the chain's layout, built once, and each start takes the path it
+takes alone.  The whole ladder runs in the calling process.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ _LM_FTOL = 1e-5
 _LM_STEP = 1e-4
 _LM_RADIUS = 1.0
 
-# A fitted alpha this close to 2 leaves beta unidentified: the optimizer
-# stops a few ulps short of the closed map's alpha = 2.
+# A fitted alpha this close to 2 leaves beta unidentified: a start can stop
+# a few ulps short of the bound alpha = 2.
 _ALPHA_TWO_SLACK = 1e-9
 
 
@@ -327,16 +327,6 @@ def _implied_scale(alpha: float, mu: float) -> float:
     return (-mu * c) ** (1.0 / alpha)
 
 
-def _alpha_from_z(z: float) -> float:
-    # closed map: alpha = 2 sits at the finite z = pi/2 (alpha = 1 is
-    # rejected by StableModelParams, so the objective is inf there)
-    return 1.5 + 0.5 * math.sin(z)
-
-
-def _z_from_alpha(alpha: float) -> float:
-    return math.asin(min(max(2.0 * alpha - 3.0, -1.0), 1.0))
-
-
 def _z_from_beta(beta: float) -> float:
     return math.atanh(min(max(beta, -1.0 + 1e-12), 1.0 - 1e-12))
 
@@ -351,7 +341,8 @@ class _ModelSpec:
 
     name              -- model label of the report.
     box_low, box_high -- corners of the box the quasi-random starts fill.
-    to_z, to_x        -- x to Levenberg-Marquardt's unconstrained z, and back.
+    to_z, to_x        -- x to Levenberg-Marquardt's coordinates z, and back.
+    upper             -- each z coordinate's upper bound: 2 for alpha, else inf.
     to_params         -- x to StableModelParams, DomainError off the family.
     warm              -- the warm start x from the leaner fit (None on the
                          first rung) and the chain.
@@ -366,6 +357,7 @@ class _ModelSpec:
     box_high: tuple[float, ...]
     to_z: Callable[[Sequence[float]], np.ndarray]
     to_x: Callable[[Sequence[float]], list[float]]
+    upper: tuple[float, ...]
     to_params: Callable[[Sequence[float]], StableModelParams]
     warm: Callable[[CalibrationReport | None, OptionChain], tuple[float, ...]]
     embed: Callable[[CalibrationReport], StableModelParams] | None
@@ -387,6 +379,7 @@ _SPECS: dict[str, _ModelSpec] = {
         box_high=(math.log(1.2),),
         to_z=np.array,
         to_x=list,
+        upper=(math.inf,),
         to_params=lambda x: _bs_member(math.exp(x[0])),
         warm=lambda leaner, chain: (math.log(_heuristic_vol(chain)),),
         embed=None,
@@ -397,8 +390,9 @@ _SPECS: dict[str, _ModelSpec] = {
         name="CarrWu",
         box_low=(math.log(0.05), 1.15),
         box_high=(math.log(0.8), 1.95),
-        to_z=lambda x: np.array([x[0], _z_from_alpha(x[1])]),
-        to_x=lambda z: [z[0], _alpha_from_z(z[1])],
+        to_z=np.array,
+        to_x=list,
+        upper=(math.inf, 2.0),
         to_params=lambda x: StableModelParams.fmls(alpha=x[1], sigma=math.exp(x[0])),
         warm=lambda leaner, chain: (math.log(leaner.sigma / math.sqrt(2.0)), 1.9),
         embed=lambda leaner: StableModelParams.fmls(
@@ -410,8 +404,9 @@ _SPECS: dict[str, _ModelSpec] = {
         name="AlphaBetaStable",
         box_low=(1.15, -0.95, math.log(0.005)),
         box_high=(1.95, 0.95, math.log(0.5)),
-        to_z=lambda x: np.array([_z_from_alpha(x[0]), _z_from_beta(x[1]), x[2]]),
-        to_x=lambda z: [_alpha_from_z(z[0]), math.tanh(z[1]), z[2]],
+        to_z=lambda x: np.array([x[0], _z_from_beta(x[1]), x[2]]),
+        to_x=lambda z: [z[0], math.tanh(z[1]), z[2]],
+        upper=(2.0, math.inf, math.inf),
         to_params=_stable_params,
         warm=lambda leaner, chain: (leaner.alpha, -0.9, math.log(-leaner.mu)),
         embed=lambda leaner: StableModelParams.fmls(
@@ -552,20 +547,26 @@ def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
     return [row[-1] / row[i] for i, row in enumerate(rows)]
 
 
-def _levenberg_marquardt(z0: Sequence[float], to_x: Callable = list) -> Generator:
-    """Levenberg-Marquardt from z0 on the sum of squared residuals.  Each yield
-    is a point z and its forward differences z + _LM_STEP max(1, |z_k|) e_k,
-    through to_x.  A step solves (J'J + lam max(diag J'J) I) dz = -J'r, cut
-    to _LM_RADIUS a coordinate; it is taken if it lowers the sum of squares
-    and no residual vector is None, and lam (from 1e-3) falls tenfold, else
-    lam grows tenfold.  It converges on a step within _LM_XTOL of z or a
+def _levenberg_marquardt(z0: Sequence[float], to_x: Callable = list, upper=None) -> Generator:
+    """Levenberg-Marquardt from z0 on the sum of squared residuals, each z_k
+    held at or below upper[k] (inf by default).  Each yield is a point z and
+    its forward differences z + h_k e_k, h_k = _LM_STEP max(1, |z_k|), through
+    to_x; where z + h_k passes the bound, the difference steps inward, to
+    z - h_k.  A step solves (J'J + lam max(diag J'J) I) dz = -J'r, in which a
+    coordinate at its bound whose descent -J'r points outward sits out (its
+    dz is 0), cuts dz to _LM_RADIUS a coordinate and clips z + dz to the
+    bound; it is taken if it lowers the sum of squares and no residual vector
+    is None, and lam (from 1e-3) falls tenfold, else lam grows tenfold.  It
+    converges when dz, clipped to the bound, is within _LM_XTOL of z, or on a
     taken step that lowers the sum by at most _LM_FTOL of it, and stops after
     _LM_MAXITER steps or a None in its first yield.  Returns (to_x(z), the
     aggregated error at z, the steps tried, converged)."""
+    upper = upper or [math.inf] * len(z0)
 
     def probe(z: list[float]) -> list[list[float]]:
-        return [z] + [z[:k] + [v + _LM_STEP * max(1.0, abs(v))] + z[k + 1:]
-                      for k, v in enumerate(z)]
+        steps = [_LM_STEP * max(1.0, abs(v)) for v in z]
+        return [z] + [z[:k] + [v + h if v + h <= b else v - h] + z[k + 1:]
+                      for k, (v, h, b) in enumerate(zip(z, steps, upper))]
 
     points = probe([float(v) for v in z0])
     sent = yield [to_x(p) for p in points]
@@ -575,17 +576,21 @@ def _levenberg_marquardt(z0: Sequence[float], to_x: Callable = list) -> Generato
         jac = [[(a - b) / (y[k] - z[k]) for a, b in zip(column, r)]
                for k, (y, column) in enumerate(zip(points[1:], sent[1:]))]
         squares = math.fsum(v * v for v in r)
-        normal = [[math.fsum(a * b for a, b in zip(u, v)) for v in jac] for u in jac]
         gradient = [-math.fsum(a * b for a, b in zip(u, r)) for u in jac]
+        free = [v < b or g <= 0.0 for v, b, g in zip(z, upper, gradient)]
+        normal = [[math.fsum(a * b for a, b in zip(u, v)) if fu and fv else 0.0
+                   for v, fv in zip(jac, free)] for u, fu in zip(jac, free)]
+        gradient = [g if f else 0.0 for g, f in zip(gradient, free)]
         while iterations < _LM_MAXITER:
             damping = lam * (max(row[i] for i, row in enumerate(normal)) or 1.0)
             step = _solve([[a + damping * (i == j) for j, a in enumerate(row)]
                            for i, row in enumerate(normal)], gradient)
-            if success := all(abs(d) <= _LM_XTOL * (abs(v) + _LM_XTOL) for d, v in zip(step, z)):
+            if success := all(abs(min(d, b - v)) <= _LM_XTOL * (abs(v) + _LM_XTOL)
+                              for d, v, b in zip(step, z, upper)):
                 break
             shrink = min(1.0, _LM_RADIUS / max(map(abs, step)))
             iterations += 1
-            trial = probe([v + d * shrink for v, d in zip(z, step)])
+            trial = probe([min(v + d * shrink, b) for v, d, b in zip(z, step, upper)])
             answer = yield [to_x(p) for p in trial]
             if None not in answer and (lower := math.fsum(v * v for v in answer[0])) < squares:
                 points, sent, lam = trial, answer, lam / 10.0
@@ -634,13 +639,13 @@ class CalibrateConfig:
 class CalibrationReport:
     """Fit result for one chain and one model family.
 
-    iterations counts the Levenberg-Marquardt steps and polish iterations;
-    evaluations, the points priced (the embedded leaner optimum too), and
-    inf_evaluations the failed ones.  converged and start are the polish's
-    (stopped on its tolerances) and the start it began from, or, when the
-    polish is skipped, the best start's (Levenberg-Marquardt stopped on its
-    tolerances) and its index; or the embedded leaner fit's converged and
-    None when that candidate wins.
+    iterations counts the Levenberg-Marquardt steps of the finished starts and
+    the polish iterations; evaluations, every point priced (the embedded
+    leaner optimum too), and inf_evaluations the failed ones.  converged and
+    start are the polish's (stopped on its tolerances) and the start it
+    began from; when the polish is skipped, those of the best finished start,
+    the first to end at the objective's resolution when the starts stop
+    there; or the embedded leaner fit's converged and None when it wins.
     """
 
     model: str
@@ -707,7 +712,11 @@ def _lockstep(chain: OptionChain, spec: _ModelSpec, runs: dict) -> tuple[dict, i
     each round prices every live run's points in one kernel call on the
     chain's layout, built once, and sends each run its residual vectors, so
     each takes its path alone; a run whose first point is no model is dropped.
-    Returns (x, fun, iterations, success) by start, evaluations, failed ones."""
+    After the round in which a run finishes at aggregated error <=
+    len(chain.quotes) * _TOLERANCE, the objective's resolution, the runs
+    still stepping are dropped too.  Returns (x, fun, iterations, success) by
+    start of the finished runs, evaluations and failed ones."""
+    resolution = len(chain.quotes) * _TOLERANCE
     evaluations = inf_evaluations = 0
 
     def residuals(points: list[list[float]]) -> list[list[float] | None]:
@@ -729,7 +738,7 @@ def _lockstep(chain: OptionChain, spec: _ModelSpec, runs: dict) -> tuple[dict, i
     asks = {i: next(run) for i, run in runs.items()}
     results: dict[int, tuple[list[float], float, int, bool]] = {}
     first = True
-    while asks:
+    while asks and min((fun for _, fun, _, _ in results.values()), default=math.inf) > resolution:
         answers = iter(residuals([x for points in asks.values() for x in points]))
         answered = [(i, [next(answers) for _ in points]) for i, points in asks.items()]
         asks = {}
@@ -753,20 +762,20 @@ def _fit_rung(
     """Fit one model family, warm-started from the next-leaner family's fit.
 
     Levenberg-Marquardt on the quote residuals (_lockstep) in the spec's
-    unconstrained coordinates z (log sigma for bs and carrwu, log(-mu) for
-    stable; alpha = 1.5 + 0.5 sin z; atanh beta), from the spec's warm start
+    coordinates z (log sigma for bs and carrwu, log(-mu) for stable; alpha
+    itself, bounded by alpha <= 2; atanh beta), from the spec's warm start
     (start 0) and the scrambled Halton points of its box (starts 1 to
-    config.starts).  Nelder-Mead (_polish) then minimizes the aggregated
-    error over the points x from the start point of least error, the
-    earliest on ties, unless that error is at most len(chain.quotes) *
-    _TOLERANCE: each price is good to the series tolerance, so below that
-    the objective cannot resolve a change, and the start's result stands.
-    The leaner optimum, embedded exactly, is a candidate too, so the
-    aggregated errors nest; it wins a tie.
+    config.starts).  Each price is good to the series tolerance, so below
+    len(chain.quotes) * _TOLERANCE the objective cannot resolve a change:
+    the starts stop after the round in which one ends there, and the finished
+    start of least error, the earliest on ties, stands.  Above it,
+    Nelder-Mead (_polish) minimizes the aggregated error over the points x
+    from that start's point.  The leaner optimum, embedded exactly, is a
+    candidate too, so the aggregated errors nest; it wins a tie.
     """
     low, high = np.array(spec.box_low), np.array(spec.box_high)
     box = low + _halton(len(low), config.starts, config.seed) * (high - low)
-    runs = {i: _levenberg_marquardt(spec.to_z(x), spec.to_x)
+    runs = {i: _levenberg_marquardt(spec.to_z(x), spec.to_x, spec.upper)
             for i, x in enumerate((spec.warm(leaner, chain), *box))}
     results, evaluations, inf_evaluations = _lockstep(chain, spec, runs)
     iterations = sum(nit for _, _, nit, _ in results.values())

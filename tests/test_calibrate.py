@@ -11,7 +11,9 @@ import json
 import math
 import os
 import random
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +46,6 @@ from stablepricer.calibrate import (
     _SPECS,
     _XATOL,
     CalibrationReport,
-    _alpha_from_z,
     _bs_member,
     _error_sum,
     _fit_rung,
@@ -54,7 +55,6 @@ from stablepricer.calibrate import (
     _lockstep,
     _nelder_mead,
     _polish,
-    _z_from_alpha,
     objective_params,
 )
 
@@ -301,7 +301,7 @@ class TestAggregatedError:
         rng = random.Random(11)
         outcomes = []
         for _ in range(500):
-            alpha = _alpha_from_z(rng.uniform(-1.4, math.pi / 2))
+            alpha = 1.5 + 0.5 * math.sin(rng.uniform(-1.4, math.pi / 2))
             sigma = math.exp(rng.uniform(math.log(0.03), math.log(1.0)))
             params = rng.choice([
                 lambda: StableModelParams.from_beta(
@@ -468,14 +468,6 @@ class TestRecovery:
 
 
 class TestModelSpecs:
-    def test_alpha_map_round_trip(self):
-        for alpha in np.linspace(1.15, 2.0, 86):
-            assert _alpha_from_z(_z_from_alpha(alpha)) == pytest.approx(
-                alpha, abs=4e-16
-            )
-        # alpha = 2 lies at a finite coordinate and maps back exactly
-        assert _alpha_from_z(_z_from_alpha(2.0)) == 2.0
-
     @pytest.mark.parametrize(
         "specs, kind",
         [(_SPECS, kind) for kind in _SPECS],
@@ -509,6 +501,25 @@ class TestModelSpecs:
 
 # the package attribute stablepricer.calibrate is the function
 calibrate_module = importlib.import_module("stablepricer.calibrate")
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def benchmark_chains():
+    """The chains of the benchmark's calibrate workload at seed 1, by name:
+    INF_CHAIN, the Black-Scholes chain and the FMLS chain."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    ops = workloads.build_calibrate(1).ops
+    chains = {op.spec["kind"]: op.spec["chain"] for op in ops if op.spec["kind"] != "stable"}
+    chains["inf"] = next(
+        op.spec["chain"] for op in ops if op.spec.get("truth") == workloads.INF_CHAIN
+    )
+    return chains
 
 
 def _objective(spec, chain):
@@ -553,28 +564,39 @@ def _residuals_alone(spec, chain, digits=None):
     return residuals
 
 
-def _drive_alone(run, residuals):
-    """Step one optimizer run alone, pricing its points one by one: its result
-    (None when its first point is no model), evaluations and failed ones."""
-    points, evaluations, failed = next(run), 0, 0
-    first = True
+def _drive_alone(run, residuals, rounds=math.inf):
+    """Step one optimizer run alone for at most `rounds` rounds, pricing its
+    points one by one: its result (None when its first point is no model or
+    it is still stepping), evaluations, failed ones and rounds priced."""
+    points, evaluations, failed, priced = next(run), 0, 0, 0
     try:
-        while True:
+        while priced < rounds:
             answer = [residuals(z) for z in points]
             evaluations += len(answer)
             failed += answer.count(None)
-            if first and answer[0] is None:
-                return None, evaluations, failed
-            first = False
+            priced += 1
+            if priced == 1 and answer[0] is None:
+                break
             points = run.send(answer)
     except StopIteration as done:
-        return done.value, evaluations, failed
+        return done.value, evaluations, failed, priced
+    return None, evaluations, failed, priced
+
+
+def _starts(spec, config, leaner, chain):
+    """A rung's start points x: the warm start, then the Halton points."""
+    low, high = np.array(spec.box_low), np.array(spec.box_high)
+    box = low + _halton(len(low), config.starts, config.seed) * (high - low)
+    return [spec.warm(leaner, chain), *box]
 
 
 def _fit_alone(chain, spec, config, leaner, digits=None):
     """_fit_rung's report with each Levenberg-Marquardt start stepped alone, in
-    start order, then the polish from the best of them when it runs."""
+    start order, up to the round in which the first start ends at the
+    objective's resolution, then the polish from the best of them when it
+    runs."""
     residuals = _residuals_alone(spec, chain, digits)
+    resolution = len(chain.quotes) * calibrate_module._TOLERANCE
     evaluations = inf_evaluations = 0
     candidates = []
     if spec.embed is not None:
@@ -582,12 +604,20 @@ def _fit_alone(chain, spec, config, leaner, digits=None):
         error = calibrate_module.objective_params(embedded, chain)
         evaluations, inf_evaluations = 1, int(error == math.inf)
         candidates.append((error, embedded, leaner.converged, None))
-    low, high = np.array(spec.box_low), np.array(spec.box_high)
-    box = low + _halton(len(low), config.starts, config.seed) * (high - low)
+    starts = _starts(spec, config, leaner, chain)
+
+    def run(x):
+        return _levenberg_marquardt(spec.to_z(x), spec.to_x, spec.upper)
+
+    # each start alone to its end, for the round the lockstep stops after
+    alone = [_drive_alone(run(x), residuals) for x in starts]
+    rounds = min(
+        (priced for result, _, _, priced in alone if result and result[1] <= resolution),
+        default=math.inf,
+    )
     results = {}
-    for i, x in enumerate((spec.warm(leaner, chain), *box)):
-        run = _levenberg_marquardt(spec.to_z(x), spec.to_x)
-        result, evals, infs = _drive_alone(run, residuals)
+    for i, x in enumerate(starts):
+        result, evals, infs, _ = _drive_alone(run(x), residuals, rounds)
         evaluations, inf_evaluations = evaluations + evals, inf_evaluations + infs
         if result is not None:
             results[i] = result
@@ -596,8 +626,8 @@ def _fit_alone(chain, spec, config, leaner, digits=None):
     # above the objective's resolution
     start = min(results, key=lambda i: results[i][1])
     x, fun, _, success = results[start]
-    if fun > len(chain.quotes) * calibrate_module._TOLERANCE:
-        (x, fun, nit, success), evals, infs = _drive_alone(_polish(x), residuals)
+    if fun > resolution:
+        (x, fun, nit, success), evals, infs, _ = _drive_alone(_polish(x), residuals)
         evaluations, inf_evaluations = evaluations + evals, inf_evaluations + infs
         iterations += nit
     candidates.append((fun, spec.to_params(x), success, start))
@@ -609,6 +639,34 @@ def _fit_alone(chain, spec, config, leaner, digits=None):
         quotes=len(chain.quotes), evaluations=evaluations,
         inf_evaluations=inf_evaluations, start=start,
     )
+
+
+def _toy_least_squares(case):
+    """A toy least-squares problem, as (residual function of z, start z0): a
+    quadratic fit to points off every quadratic, Rosenbrock's valley as two
+    residuals, or an exponential decay through its own points."""
+    t = np.linspace(0.0, 2.0, 9)
+    if case == "quadratic":
+        y = 1.5 + 0.7 * t - 0.4 * t**2 + 0.1 * np.cos(7.0 * t)
+        return (lambda z: z[0] + z[1] * t + z[2] * t**2 - y), [0.0, 0.0, 0.0]
+    if case == "rosenbrock":
+        return (lambda z: np.array([10.0 * (z[1] - z[0] ** 2), 1.0 - z[0]])), [-1.2, 1.0]
+    y = 2.0 * np.exp(-1.3 * t)
+    return (lambda z: z[0] * np.exp(z[1] * t) - y), [1.0, 0.0]
+
+
+def _carrwu_starts_alone(chain):
+    """The results of the default carrwu rung's starts on a chain, each
+    stepped alone to its end, past the round the rung would stop after."""
+    config, spec = CalibrateConfig(), _SPECS["carrwu"]
+    leaner = _fit_rung(chain, _SPECS["bs"], config, None)
+    finished = []
+    for x in _starts(spec, config, leaner, chain):
+        run = _levenberg_marquardt(spec.to_z(x), spec.to_x, spec.upper)
+        result, _, _, _ = _drive_alone(run, _residuals_alone(spec, chain))
+        if result is not None:
+            finished.append(result)
+    return finished
 
 
 class TestOptimizer:
@@ -710,20 +768,10 @@ class TestOptimizer:
     @pytest.mark.parametrize("case", ["quadratic", "rosenbrock", "exponential"])
     def test_levenberg_marquardt_reaches_scipys_optimum(self, case):
         # driven alone on toy least-squares problems, the port reaches the
-        # optimum of scipy's MINPACK Levenberg-Marquardt: a quadratic fit to
-        # points off every quadratic, Rosenbrock's valley as two residuals,
-        # and an exponential decay through its own points
-        t = np.linspace(0.0, 2.0, 9)
-        if case == "quadratic":
-            y = 1.5 + 0.7 * t - 0.4 * t**2 + 0.1 * np.cos(7.0 * t)
-            fun, z0 = (lambda z: z[0] + z[1] * t + z[2] * t**2 - y), [0.0, 0.0, 0.0]
-        elif case == "rosenbrock":
-            fun, z0 = (lambda z: np.array([10.0 * (z[1] - z[0] ** 2), 1.0 - z[0]])), [-1.2, 1.0]
-        else:
-            y = 2.0 * np.exp(-1.3 * t)
-            fun, z0 = (lambda z: z[0] * np.exp(z[1] * t) - y), [1.0, 0.0]
+        # optimum of scipy's MINPACK Levenberg-Marquardt
+        fun, z0 = _toy_least_squares(case)
         expected = optimize.least_squares(fun, z0, method="lm")
-        result, evaluations, failed = _drive_alone(
+        result, evaluations, failed, _ = _drive_alone(
             _levenberg_marquardt(z0), lambda z: fun(np.array(z)).tolist()
         )
         z, error, iterations, success = result
@@ -731,6 +779,37 @@ class TestOptimizer:
         assert evaluations == (len(z0) + 1) * (iterations + 1)
         np.testing.assert_allclose(z, expected.x, rtol=1e-6)
         assert error == _error_sum(fun(np.array(z)).tolist())
+
+    @pytest.mark.parametrize(
+        "case, k, bound, active",
+        [("quadratic", 1, 0.5, True), ("quadratic", 1, 1.0, False),
+         ("rosenbrock", 0, 0.9, True), ("rosenbrock", 0, 2.0, False),
+         ("exponential", 1, -1.5, True), ("exponential", 1, 0.0, False)],
+        ids=["quadratic-active", "quadratic-inactive", "rosenbrock-active",
+             "rosenbrock-inactive", "exponential-active", "exponential-inactive"],
+    )
+    def test_bounded_levenberg_marquardt_reaches_scipys_optimum(self, case, k, bound, active):
+        # the same problems with an upper bound on coordinate k, active at the
+        # optimum or not.  A start past the bound moves onto it, and the
+        # exponential decay starts on its bound either way, so that its first
+        # differences step inward.  The port reaches the optimum of scipy's
+        # bounded trust-region solver, and no point it yields, forward
+        # differences included, passes the bound
+        fun, z0 = _toy_least_squares(case)
+        upper = [bound if i == k else math.inf for i in range(len(z0))]
+        z0 = [min(v, b) for v, b in zip(z0, upper)]
+        expected = optimize.least_squares(fun, z0, method="trf", bounds=(-np.inf, upper))
+        yielded = []
+        result, evaluations, failed, _ = _drive_alone(
+            _levenberg_marquardt(z0, list, upper),
+            lambda z: yielded.append(z) or fun(np.array(z)).tolist(),
+        )
+        z, error, iterations, success = result
+        assert success and failed == 0
+        assert evaluations == (len(z0) + 1) * (iterations + 1)
+        np.testing.assert_allclose(z, expected.x, rtol=1e-6)
+        assert all(v <= b for point in yielded for v, b in zip(point, upper))
+        assert (z[k] == bound) is active
 
     def test_levenberg_marquardt_keeps_its_best_point_next_to_no_model(self):
         # Rosenbrock's valley with no model past z[0] = 0.9, short of its
@@ -787,6 +866,48 @@ class TestOptimizer:
         run = _levenberg_marquardt([800.0])
         assert _lockstep(chain, _SPECS["bs"], {1: run}) == ({}, 2, 2)
 
+    @pytest.mark.parametrize("name", ["inf", "bs"])
+    def test_carrwu_starts_end_on_the_bound(self, name, benchmark_chains):
+        # the benchmark's INF_CHAIN lies outside the carrwu family and its
+        # Black-Scholes chain inside it only at alpha = 2: each start's least
+        # squares want alpha >= 2, and it ends on the bound exactly, in a few
+        # steps, with alpha's difference stepping inward
+        finished = _carrwu_starts_alone(benchmark_chains[name])
+        assert len(finished) >= CalibrateConfig().starts - 1
+        for x, _, steps, converged in finished:
+            assert x[1] == 2.0 and steps <= 8 and converged
+
+    def test_carrwu_rung_recovers_an_fmls_chain_off_the_bound(self, benchmark_chains):
+        # the benchmark's FMLS chain (alpha 1.6, sigma 0.2): no start ends on
+        # the bound, and the rung recovers the chain's parameters
+        chain = benchmark_chains["fmls"]
+        finished = _carrwu_starts_alone(chain)
+        assert len(finished) >= CalibrateConfig().starts - 1
+        for x, _, _, converged in finished:
+            assert x[1] == pytest.approx(1.6, abs=0.01) and converged
+        report = calibrate(chain, "carrwu")
+        assert report.alpha == pytest.approx(1.6, abs=0.01)
+        assert report.sigma == pytest.approx(0.2, rel=0.01)
+
+    def test_stable_rung_stops_in_its_first_round(self, benchmark_chains, monkeypatch):
+        # on the benchmark's Black-Scholes chain the stable rung's warm start
+        # (the carrwu fit, at alpha = 2) ends at the objective's resolution
+        # in its first round, so the rung prices that one round of every
+        # start, and the embedded candidate
+        chain, config = benchmark_chains["bs"], CalibrateConfig()
+        leaner = None
+        for spec in list(_SPECS.values())[:2]:
+            leaner = _fit_rung(chain, spec, config, leaner)
+        rounds, batch = [], calibrate_module._residuals
+        monkeypatch.setattr(
+            calibrate_module, "_residuals",
+            lambda models, chain: rounds.append(len(models)) or batch(models, chain),
+        )
+        report = _fit_rung(chain, _SPECS["stable"], config, leaner)
+        assert rounds == [4 * (config.starts + 1)]
+        assert report.evaluations == rounds[0] + 1
+        assert report.aggregated_error <= len(chain.quotes) * 1e-5
+
     @pytest.mark.parametrize("rounded", [False, True], ids=["exact", "ties"])
     def test_lockstep_equals_each_start_alone(self, rounded, monkeypatch):
         # every start takes the path it takes alone, the polish begins from
@@ -796,11 +917,10 @@ class TestOptimizer:
         digits = 4 if rounded else None
         if rounded:
             _round_residuals(monkeypatch, digits)
-        # on this chain and these starts, the rounded errors of the stable
-        # rung's Levenberg-Marquardt starts 0, 2 and 3 tie, and start 0
-        # finishes last
+        # on this chain and these starts, the rounded errors of the bs rung's
+        # Levenberg-Marquardt starts 3 and 4 tie, and start 4 finishes first
         chain = small_chain(StableModelParams.from_beta(1.5, -0.8, 0.2))
-        config = CalibrateConfig(starts=3, seed=1)
+        config = CalibrateConfig(starts=4, seed=22)
         leaner = None
         for spec in _SPECS.values():
             report = _fit_rung(chain, spec, config, leaner)
