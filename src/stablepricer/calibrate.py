@@ -26,13 +26,13 @@ fits its entries in order, so a new family is one more entry.
 
 Each rung runs Levenberg-Marquardt on the quote residuals, on Python
 floats, under the bound alpha <= 2, from a warm start and the points of a
-scrambled Halton sequence (Owen 2017), until one ends within what the
-objective resolves.  When the best is above it, it is polished by
-Nelder-Mead with Gao & Han's (2012) adaptive coefficients (see _fit_rung);
-_halton and _nelder_mead are ports of scipy's, to the bit.  The starts step
-in lockstep: each round prices the points of every live start in one kernel
-call on the chain's layout, built once, and each start takes the path it
-takes alone.  The whole ladder runs in the calling process.
+seeded Kronecker sequence, until one ends within what the objective
+resolves.  When the best is above it, it is polished by Nelder-Mead with
+Gao & Han's (2012) adaptive coefficients (see _fit_rung), a port of
+scipy's, to the bit.  The starts step in lockstep: each round prices the
+points of every live start in one kernel call on the chain's layout, built
+once, and each start takes the path it takes alone.  The whole ladder runs
+in the calling process.
 """
 
 from __future__ import annotations
@@ -363,6 +363,12 @@ class _ModelSpec:
     embed: Callable[[CalibrationReport], StableModelParams] | None
     report: Callable[[StableModelParams], tuple[float, float]]
 
+    def box(self, config: CalibrateConfig) -> np.ndarray:
+        """The quasi-random start points x: _kronecker's points 1 to
+        config.starts, seeded by config.seed, mapped onto the box."""
+        low, high = np.array(self.box_low), np.array(self.box_high)
+        return low + _kronecker(len(low), config.starts, config.seed) * (high - low)
+
 
 def _stable_params(x: Sequence[float]) -> StableModelParams:
     alpha, mu = x[0], -math.exp(x[2])
@@ -422,38 +428,17 @@ _SPECS: dict[str, _ModelSpec] = {
 # ---------------------------------------------------------------------------
 
 
-def _halton(d: int, n: int, seed: int) -> np.ndarray:
-    """The first n points of the d-dimensional scrambled Halton sequence in
-    [0, 1)**d, as scipy.stats.qmc.Halton(d, scramble=True, seed=seed).random(n)
-    draws them.
-
-    Dimension i is the van der Corput sequence in the i-th prime base, with
-    Owen's (2017) scrambling: each of the digits that a float64 resolves
-    goes through its own random permutation of 0..base-1.  The permutations
-    are shuffled by np.random.default_rng(seed), base by base.
-    """
-    rng = np.random.default_rng(seed)
-    bases: list[int] = []
-    candidate = 2
-    while len(bases) < d:
-        if all(candidate % b for b in bases):
-            bases.append(candidate)
-        candidate += 1
-    permutations = []
-    for base in bases:
-        table = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
-        for row in table:
-            rng.shuffle(row)
-        permutations.append(table)
-    points = np.zeros((d, n))
-    for point, base, table in zip(points, bases, permutations):
-        quotient = np.arange(n)
-        weight = 1.0 / base
-        for row in table:
-            point += row[quotient % base] * weight
-            weight /= base
-            quotient //= base
-    return points.T
+def _kronecker(d: int, n: int, seed: int) -> np.ndarray:
+    """Points 1 to n of the d-dimensional Kronecker sequence frac(offset + i g)
+    in [0, 1)**d (Kuipers & Niederreiter 1974, ch. 1): g_k = phi**-k for k = 1
+    to d, where phi solves phi**(d + 1) = phi + 1, and the offset is drawn
+    by np.random.default_rng(seed).  i g is reduced mod 1 before the offset
+    is added, so that successive points differ by g mod 1 to a few ulps."""
+    phi = 2.0
+    for _ in range(64):
+        phi = (1.0 + phi) ** (1.0 / (d + 1))
+    g, offset = phi ** -np.arange(1.0, d + 1), np.random.default_rng(seed).random(d)
+    return (offset + np.arange(1, n + 1)[:, None] * g % 1.0) % 1.0
 
 
 def _nelder_mead(
@@ -624,7 +609,7 @@ class CalibrateConfig:
 
     starts      -- number of quasi-random Levenberg-Marquardt starts (a warm
                    start derived from the next-leaner model is always added).
-    seed        -- seed for the scrambled Halton start sequence.
+    seed        -- seed of the Kronecker start sequence's offset.
     """
 
     starts: int = 5
@@ -764,7 +749,7 @@ def _fit_rung(
     Levenberg-Marquardt on the quote residuals (_lockstep) in the spec's
     coordinates z (log sigma for bs and carrwu, log(-mu) for stable; alpha
     itself, bounded by alpha <= 2; atanh beta), from the spec's warm start
-    (start 0) and the scrambled Halton points of its box (starts 1 to
+    (start 0) and the Kronecker points of its box (starts 1 to
     config.starts).  Each price is good to the series tolerance, so below
     len(chain.quotes) * _TOLERANCE the objective cannot resolve a change:
     the starts stop after the round in which one ends there, and the finished
@@ -773,10 +758,8 @@ def _fit_rung(
     from that start's point.  The leaner optimum, embedded exactly, is a
     candidate too, so the aggregated errors nest; it wins a tie.
     """
-    low, high = np.array(spec.box_low), np.array(spec.box_high)
-    box = low + _halton(len(low), config.starts, config.seed) * (high - low)
     runs = {i: _levenberg_marquardt(spec.to_z(x), spec.to_x, spec.upper)
-            for i, x in enumerate((spec.warm(leaner, chain), *box))}
+            for i, x in enumerate((spec.warm(leaner, chain), *spec.box(config)))}
     results, evaluations, inf_evaluations = _lockstep(chain, spec, runs)
     iterations = sum(nit for _, _, nit, _ in results.values())
     candidates = []

@@ -39,7 +39,6 @@ from stablepricer import (
     synthetic_chain,
 )
 from scipy import optimize
-from scipy.stats import qmc
 from stablepricer.calibrate import (
     _FATOL,
     _MAXITER,
@@ -49,8 +48,8 @@ from stablepricer.calibrate import (
     _bs_member,
     _error_sum,
     _fit_rung,
-    _halton,
     _heuristic_vol,
+    _kronecker,
     _levenberg_marquardt,
     _lockstep,
     _nelder_mead,
@@ -584,10 +583,8 @@ def _drive_alone(run, residuals, rounds=math.inf):
 
 
 def _starts(spec, config, leaner, chain):
-    """A rung's start points x: the warm start, then the Halton points."""
-    low, high = np.array(spec.box_low), np.array(spec.box_high)
-    box = low + _halton(len(low), config.starts, config.seed) * (high - low)
-    return [spec.warm(leaner, chain), *box]
+    """A rung's start points x: the warm start, then the Kronecker points."""
+    return [spec.warm(leaner, chain), *spec.box(config)]
 
 
 def _fit_alone(chain, spec, config, leaner, digits=None):
@@ -671,11 +668,25 @@ def _carrwu_starts_alone(chain):
 
 class TestOptimizer:
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_halton_is_scipys(self, d):
+    def test_kronecker_sequence(self, d):
+        # phi, found by bisection, solves phi**(d + 1) = phi + 1; points 1 to
+        # n lie in [0, 1)**d, are fixed by the seed, and successive points
+        # differ by g_k = phi**-k mod 1, k = 1 to d
+        low, high = 1.0, 2.0
+        for _ in range(60):
+            phi = (low + high) / 2.0
+            low, high = (phi, high) if phi ** (d + 1) < phi + 1.0 else (low, phi)
+        assert abs(phi ** (d + 1) - (phi + 1.0)) <= 1e-15
+        g = phi ** -np.arange(1.0, d + 1)
         for seed in range(20):
             for n in range(1, 10):
-                expected = qmc.Halton(d, scramble=True, seed=seed).random(n)
-                assert np.array_equal(_halton(d, n, seed), expected), (seed, n)
+                points = _kronecker(d, n, seed)
+                assert points.shape == (n, d), (seed, n)
+                assert ((points >= 0.0) & (points < 1.0)).all(), (seed, n)
+                assert np.array_equal(points, _kronecker(d, n, seed)), (seed, n)
+                step = (np.diff(points, axis=0) - g) % 1.0
+                assert np.minimum(step, 1.0 - step).max(initial=0.0) <= 1e-15, (seed, n)
+            assert not np.array_equal(_kronecker(d, 9, seed), _kronecker(d, 9, seed + 1))
 
     @pytest.mark.parametrize(
         "case",
@@ -917,15 +928,28 @@ class TestOptimizer:
         digits = 4 if rounded else None
         if rounded:
             _round_residuals(monkeypatch, digits)
-        # on this chain and these starts, the rounded errors of the bs rung's
-        # Levenberg-Marquardt starts 3 and 4 tie, and start 4 finishes first
+        runs, lockstep = [], calibrate_module._lockstep
+        monkeypatch.setattr(
+            calibrate_module, "_lockstep",
+            lambda chain, spec, starts: runs.append(lockstep(chain, spec, starts)) or runs[-1],
+        )
         chain = small_chain(StableModelParams.from_beta(1.5, -0.8, 0.2))
-        config = CalibrateConfig(starts=4, seed=22)
-        leaner = None
+        config = CalibrateConfig(starts=5, seed=31)
+        leaner, reports = None, []
         for spec in _SPECS.values():
             report = _fit_rung(chain, spec, config, leaner)
             assert report == _fit_alone(chain, spec, config, leaner, digits), spec.name
             leaner = report
+            reports.append(report)
+        if rounded:
+            # the case tests a tie: two of the bs rung's Levenberg-Marquardt
+            # starts end on its least rounded error, the later one finishes
+            # first (results keep finishing order), and the earlier one wins
+            results = runs[0][0]
+            least = min(fun for _, fun, _, _ in results.values())
+            tied = [i for i in results if results[i][1] == least]
+            assert len(tied) == 2 and tied[0] > tied[1], tied
+            assert reports[0].start == tied[1]
 
     @pytest.mark.parametrize("kind", ["bs", "carrwu", "stable"])
     def test_polish_runs_only_above_the_objectives_resolution(self, kind, monkeypatch):
@@ -980,8 +1004,8 @@ class TestOptimizer:
         assert len(polished) == 1
         assert repr(report) == (
             "CalibrationReport(model='BS', sigma=0.3916108540393865, alpha=2.0, beta=0.0, "
-            "mu=-0.07667953050072882, aggregated_error=9.09748490835846, iterations=22, "
-            "converged=True, quotes=14, evaluations=50, inf_evaluations=0, start=0)"
+            "mu=-0.07667953050072882, aggregated_error=9.09748490835846, iterations=24, "
+            "converged=True, quotes=14, evaluations=54, inf_evaluations=0, start=0)"
         )
 
     def test_no_finite_start_raises(self, monkeypatch):

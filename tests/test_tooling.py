@@ -12,6 +12,9 @@ calls price_call or price_put, the side-named aliases of price.
 The package exports every name its __init__ imports from its submodules, and
 no module.  The oracles stand on core alone: reference and lab import no
 other module of the package.
+
+The code-line counter (tests/count_lines.py) counts no blank line, comment
+or docstring.
 """
 
 import ast
@@ -26,6 +29,7 @@ from types import ModuleType
 
 import numpy as np
 
+import count_lines
 import stablepricer
 import stablepricer.cli
 from stablepricer import StableModelParams, aggregated_error, synthetic_chain
@@ -178,3 +182,22 @@ def test_oracles_import_only_core():
     package = Path(stablepricer.__file__).parent
     for name in ("reference.py", "lab.py"):
         assert _package_imports(package / name) == {"core"}, name
+
+
+def test_count_lines_counts_code_only():
+    # code lines 4, 8, 10, 11 and 12: the comment, the blank lines and both
+    # docstrings are not code, and a string that spans lines counts on each
+    source = (
+        '"""Module\n\ndocstring."""\n'
+        "import os  # a comment\n"
+        "\n"
+        "# a comment line\n"
+        "\n"
+        "def f():\n"
+        '    """Docstring."""\n'
+        '    x = """a\n'
+        '    b"""\n'
+        "    return x\n"
+    )
+    assert count_lines.code_lines(source) == 5
+    assert count_lines.code_lines('class C:\n    """Doc."""\n    y = "not a docstring"\n') == 2
