@@ -12,17 +12,18 @@ pricing error over a chain:
                  martingale tie mu = mu_fmls(alpha, sigma) implies.
 
 The ladder prices through _model_calls on the chain's cached layout, and
-aggregated_error (the embedded candidate) through price_call_strikes: one
+aggregated_error (the leaner rung's model) through price_call_strikes: one
 kernel, whose series the model picks, the FMLS expectation on the carrwu
 line (beta = -1, martingale drift) and the lattice elsewhere.  A point
 prices the same in every family that contains it, so the leaner optimum
-is a feasible point of each richer family.  The richer fits always
-evaluate it as a candidate, so the aggregated errors nest:
-AE(stable) <= AE(carrwu) <= AE(bs).
+is a feasible point of each richer family.  Each rung hands its fitted
+model to the next, which evaluates it as a candidate as it is, so the
+aggregated errors nest: AE(stable) <= AE(carrwu) <= AE(bs).
 
-Each family is one entry of the model-spec table ``_SPECS`` (start box,
-coordinate maps, warm start, embedded leaner optimum, report); the ladder
-fits its entries in order, so a new family is one more entry.
+Each family is one entry of the model-spec table ``_SPECS``: its start
+box, bounds, map to a model and warm start, all in one coordinate system,
+and its report.  The ladder fits the entries in order, so a new family is
+one more entry.
 
 Each rung runs Levenberg-Marquardt on the quote residuals, on Python
 floats, under the bound alpha <= 2, from a warm start and the points of a
@@ -327,68 +328,57 @@ def _implied_scale(alpha: float, mu: float) -> float:
     return (-mu * c) ** (1.0 / alpha)
 
 
-def _z_from_beta(beta: float) -> float:
-    return math.atanh(min(max(beta, -1.0 + 1e-12), 1.0 - 1e-12))
-
-
 @dataclass(frozen=True)
 class _ModelSpec:
     """One model family of the ladder: all that _fit_rung needs to fit it.
 
-    Its points x are natural parameters, except that a scale sigma or a
-    drift mu enters as log(sigma) or log(-mu), so that the quasi-random
-    starts spread log-uniformly over it.
+    Its points z, one coordinate system for the start box, the warm start,
+    Levenberg-Marquardt and the polish, are natural parameters, except that
+    a scale sigma or a drift mu enters as log(sigma) or log(-mu), so that the
+    quasi-random starts spread log-uniformly over it, and the skew beta as
+    atanh(beta), so that no point is off the family in beta.
 
     name              -- model label of the report.
     box_low, box_high -- corners of the box the quasi-random starts fill.
-    to_z, to_x        -- x to Levenberg-Marquardt's coordinates z, and back.
-    upper             -- each z coordinate's upper bound: 2 for alpha, else inf.
-    to_params         -- x to StableModelParams, DomainError off the family.
-    warm              -- the warm start x from the leaner fit (None on the
-                         first rung) and the chain.
-    embed             -- the leaner optimum as a member of this family,
-                         always evaluated as a candidate; None on the first
-                         rung.
+    upper             -- each coordinate's upper bound: 2 for alpha, else inf.
+    to_params         -- z to StableModelParams, DomainError off the family.
+    warm              -- the warm start z from the leaner rung's fitted model
+                         (None on the first rung) and the chain.
     report            -- (sigma, beta) to report for fitted parameters.
     """
 
     name: str
     box_low: tuple[float, ...]
     box_high: tuple[float, ...]
-    to_z: Callable[[Sequence[float]], np.ndarray]
-    to_x: Callable[[Sequence[float]], list[float]]
     upper: tuple[float, ...]
     to_params: Callable[[Sequence[float]], StableModelParams]
-    warm: Callable[[CalibrationReport | None, OptionChain], tuple[float, ...]]
-    embed: Callable[[CalibrationReport], StableModelParams] | None
+    warm: Callable[[StableModelParams | None, OptionChain], tuple[float, ...]]
     report: Callable[[StableModelParams], tuple[float, float]]
 
     def box(self, config: CalibrateConfig) -> np.ndarray:
-        """The quasi-random start points x: _kronecker's points 1 to
+        """The quasi-random start points z: _kronecker's points 1 to
         config.starts, seeded by config.seed, mapped onto the box."""
         low, high = np.array(self.box_low), np.array(self.box_high)
         return low + _kronecker(len(low), config.starts, config.seed) * (high - low)
 
 
-def _stable_params(x: Sequence[float]) -> StableModelParams:
-    alpha, mu = x[0], -math.exp(x[2])
-    theta = beta_to_theta(alpha, x[1])  # checks alpha and beta first
+def _stable_params(z: Sequence[float]) -> StableModelParams:
+    alpha, mu = z[0], -math.exp(z[2])
+    theta = beta_to_theta(alpha, math.tanh(z[1]))  # checks alpha and beta first
     return StableModelParams(alpha, theta, _implied_scale(alpha, mu), mu)
 
 
-# The ladder, leanest family first; each rung is warm-started from the one
-# before it, and its embedded candidate makes the aggregated errors nest.
+# The ladder, leanest family first; each rung is warm-started from the model
+# the one before it fitted, which is also one of its candidates, so that the
+# aggregated errors nest.
 _SPECS: dict[str, _ModelSpec] = {
     "bs": _ModelSpec(
         name="BS",
         box_low=(math.log(0.05),),
         box_high=(math.log(1.2),),
-        to_z=np.array,
-        to_x=list,
         upper=(math.inf,),
-        to_params=lambda x: _bs_member(math.exp(x[0])),
+        to_params=lambda z: _bs_member(math.exp(z[0])),
         warm=lambda leaner, chain: (math.log(_heuristic_vol(chain)),),
-        embed=None,
         # report the lognormal vol
         report=lambda p: (bs_equivalent_vol(p.sigma), 0.0),
     ),
@@ -396,28 +386,18 @@ _SPECS: dict[str, _ModelSpec] = {
         name="CarrWu",
         box_low=(math.log(0.05), 1.15),
         box_high=(math.log(0.8), 1.95),
-        to_z=np.array,
-        to_x=list,
         upper=(math.inf, 2.0),
-        to_params=lambda x: StableModelParams.fmls(alpha=x[1], sigma=math.exp(x[0])),
-        warm=lambda leaner, chain: (math.log(leaner.sigma / math.sqrt(2.0)), 1.9),
-        embed=lambda leaner: StableModelParams.fmls(
-            alpha=2.0, sigma=leaner.sigma / math.sqrt(2.0)
-        ),
+        to_params=lambda z: StableModelParams.fmls(alpha=z[1], sigma=math.exp(z[0])),
+        warm=lambda leaner, chain: (math.log(leaner.sigma), 1.9),
         report=lambda p: (p.sigma, -1.0),
     ),
     "stable": _ModelSpec(
         name="AlphaBetaStable",
-        box_low=(1.15, -0.95, math.log(0.005)),
-        box_high=(1.95, 0.95, math.log(0.5)),
-        to_z=lambda x: np.array([x[0], _z_from_beta(x[1]), x[2]]),
-        to_x=lambda z: [z[0], math.tanh(z[1]), z[2]],
+        box_low=(1.15, math.atanh(-0.95), math.log(0.005)),
+        box_high=(1.95, math.atanh(0.95), math.log(0.5)),
         upper=(2.0, math.inf, math.inf),
         to_params=_stable_params,
-        warm=lambda leaner, chain: (leaner.alpha, -0.9, math.log(-leaner.mu)),
-        embed=lambda leaner: StableModelParams.fmls(
-            alpha=leaner.alpha, sigma=leaner.sigma
-        ),
+        warm=lambda leaner, chain: (leaner.alpha, math.atanh(-0.9), math.log(-leaner.mu)),
         report=lambda p: (p.sigma, theta_to_beta(p.alpha, p.theta)),
     ),
 }
@@ -532,19 +512,19 @@ def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
     return [row[-1] / row[i] for i, row in enumerate(rows)]
 
 
-def _levenberg_marquardt(z0: Sequence[float], to_x: Callable = list, upper=None) -> Generator:
+def _levenberg_marquardt(z0: Sequence[float], upper=None) -> Generator:
     """Levenberg-Marquardt from z0 on the sum of squared residuals, each z_k
     held at or below upper[k] (inf by default).  Each yield is a point z and
-    its forward differences z + h_k e_k, h_k = _LM_STEP max(1, |z_k|), through
-    to_x; where z + h_k passes the bound, the difference steps inward, to
-    z - h_k.  A step solves (J'J + lam max(diag J'J) I) dz = -J'r, in which a
-    coordinate at its bound whose descent -J'r points outward sits out (its
-    dz is 0), cuts dz to _LM_RADIUS a coordinate and clips z + dz to the
-    bound; it is taken if it lowers the sum of squares and no residual vector
-    is None, and lam (from 1e-3) falls tenfold, else lam grows tenfold.  It
-    converges when dz, clipped to the bound, is within _LM_XTOL of z, or on a
-    taken step that lowers the sum by at most _LM_FTOL of it, and stops after
-    _LM_MAXITER steps or a None in its first yield.  Returns (to_x(z), the
+    its forward differences z + h_k e_k, h_k = _LM_STEP max(1, |z_k|); where
+    z + h_k passes the bound, the difference steps inward, to z - h_k.  A
+    step solves (J'J + lam max(diag J'J) I) dz = -J'r, in which a coordinate
+    at its bound whose descent -J'r points outward sits out (its dz is 0),
+    cuts dz to _LM_RADIUS a coordinate and clips z + dz to the bound; it is
+    taken if it lowers the sum of squares and no residual vector is None, and
+    lam (from 1e-3) falls tenfold, else lam grows tenfold.  It converges when
+    dz, clipped to the bound, is within _LM_XTOL of z, or on a taken step
+    that lowers the sum by at most _LM_FTOL of it, and stops after
+    _LM_MAXITER steps or a None in its first yield.  Returns (z, the
     aggregated error at z, the steps tried, converged)."""
     upper = upper or [math.inf] * len(z0)
 
@@ -554,7 +534,7 @@ def _levenberg_marquardt(z0: Sequence[float], to_x: Callable = list, upper=None)
                       for k, (v, h, b) in enumerate(zip(z, steps, upper))]
 
     points = probe([float(v) for v in z0])
-    sent = yield [to_x(p) for p in points]
+    sent = yield points
     lam, iterations, success = 1e-3, 0, False
     while None not in sent and not success and iterations < _LM_MAXITER:
         z, r = points[0], sent[0]  # the point taken, and its Jacobian
@@ -576,13 +556,13 @@ def _levenberg_marquardt(z0: Sequence[float], to_x: Callable = list, upper=None)
             shrink = min(1.0, _LM_RADIUS / max(map(abs, step)))
             iterations += 1
             trial = probe([min(v + d * shrink, b) for v, d, b in zip(z, step, upper)])
-            answer = yield [to_x(p) for p in trial]
+            answer = yield trial
             if None not in answer and (lower := math.fsum(v * v for v in answer[0])) < squares:
                 points, sent, lam = trial, answer, lam / 10.0
                 success = squares - lower <= _LM_FTOL * squares
                 break
             lam *= 10.0
-    return to_x(points[0]), _error_sum(sent[0]), iterations, success
+    return points[0], _error_sum(sent[0]), iterations, success
 
 
 def _polish(x0: Sequence[float]) -> Generator:
@@ -625,12 +605,12 @@ class CalibrationReport:
     """Fit result for one chain and one model family.
 
     iterations counts the Levenberg-Marquardt steps of the finished starts and
-    the polish iterations; evaluations, every point priced (the embedded
-    leaner optimum too), and inf_evaluations the failed ones.  converged and
+    the polish iterations; evaluations, every point priced (the leaner
+    rung's model too), and inf_evaluations the failed ones.  converged and
     start are the polish's (stopped on its tolerances) and the start it
     began from; when the polish is skipped, those of the best finished start,
     the first to end at the objective's resolution when the starts stop
-    there; or the embedded leaner fit's converged and None when it wins.
+    there; or the leaner rung's converged and None when its model wins.
     """
 
     model: str
@@ -699,7 +679,7 @@ def _lockstep(chain: OptionChain, spec: _ModelSpec, runs: dict) -> tuple[dict, i
     each takes its path alone; a run whose first point is no model is dropped.
     After the round in which a run finishes at aggregated error <=
     len(chain.quotes) * _TOLERANCE, the objective's resolution, the runs
-    still stepping are dropped too.  Returns (x, fun, iterations, success) by
+    still stepping are dropped too.  Returns (z, fun, iterations, success) by
     start of the finished runs, evaluations and failed ones."""
     resolution = len(chain.quotes) * _TOLERANCE
     evaluations = inf_evaluations = 0
@@ -708,9 +688,9 @@ def _lockstep(chain: OptionChain, spec: _ModelSpec, runs: dict) -> tuple[dict, i
         nonlocal evaluations, inf_evaluations
         out: list[list[float] | None] = [None] * len(points)
         models: dict[int, StableModelParams] = {}
-        for i, x in enumerate(points):
+        for i, z in enumerate(points):
             try:
-                models[i] = spec.to_params(x)
+                models[i] = spec.to_params(z)
             except (DomainError, OverflowError):
                 pass
         for i, r in zip(models, _residuals(list(models.values()), chain)):
@@ -724,7 +704,7 @@ def _lockstep(chain: OptionChain, spec: _ModelSpec, runs: dict) -> tuple[dict, i
     results: dict[int, tuple[list[float], float, int, bool]] = {}
     first = True
     while asks and min((fun for _, fun, _, _ in results.values()), default=math.inf) > resolution:
-        answers = iter(residuals([x for points in asks.values() for x in points]))
+        answers = iter(residuals([z for points in asks.values() for z in points]))
         answered = [(i, [next(answers) for _ in points]) for i, points in asks.items()]
         asks = {}
         for i, answer in answered:
@@ -742,9 +722,11 @@ def _fit_rung(
     chain: OptionChain,
     spec: _ModelSpec,
     config: CalibrateConfig,
-    leaner: CalibrationReport | None,
-) -> CalibrationReport:
-    """Fit one model family, warm-started from the next-leaner family's fit.
+    leaner: tuple[CalibrationReport, StableModelParams] | None,
+) -> tuple[CalibrationReport, StableModelParams]:
+    """Fit one model family, warm-started from the next-leaner family's fit:
+    its report and fitted model, `leaner`, None on the first rung.  Returns
+    this rung's report and fitted model.
 
     Levenberg-Marquardt on the quote residuals (_lockstep) in the spec's
     coordinates z (log sigma for bs and carrwu, log(-mu) for stable; alpha
@@ -754,30 +736,31 @@ def _fit_rung(
     len(chain.quotes) * _TOLERANCE the objective cannot resolve a change:
     the starts stop after the round in which one ends there, and the finished
     start of least error, the earliest on ties, stands.  Above it,
-    Nelder-Mead (_polish) minimizes the aggregated error over the points x
-    from that start's point.  The leaner optimum, embedded exactly, is a
-    candidate too, so the aggregated errors nest; it wins a tie.
+    Nelder-Mead (_polish) minimizes the aggregated error over the same
+    coordinates from that start's point.  The leaner fitted model, a member
+    of this family as it is, is a candidate too, so the aggregated errors
+    nest; it wins a tie.
     """
-    runs = {i: _levenberg_marquardt(spec.to_z(x), spec.to_x, spec.upper)
-            for i, x in enumerate((spec.warm(leaner, chain), *spec.box(config)))}
+    leaner_report, leaner_model = leaner or (None, None)
+    runs = {i: _levenberg_marquardt(z, spec.upper)
+            for i, z in enumerate((spec.warm(leaner_model, chain), *spec.box(config)))}
     results, evaluations, inf_evaluations = _lockstep(chain, spec, runs)
     iterations = sum(nit for _, _, nit, _ in results.values())
     candidates = []
-    if spec.embed is not None:
-        embedded = spec.embed(leaner)
-        error = objective_params(embedded, chain)
+    if leaner is not None:
+        error = objective_params(leaner_model, chain)
         evaluations += 1
         inf_evaluations += error == math.inf
-        candidates.append((error, embedded, leaner.converged, None))
+        candidates.append((error, leaner_model, leaner_report.converged, None))
     if results:
         start = min(sorted(results), key=lambda i: results[i][1])
-        x, fun, _, success = results[start]
+        z, fun, _, success = results[start]
         if fun > len(chain.quotes) * _TOLERANCE:
-            polished, evals, infs = _lockstep(chain, spec, {start: _polish(x)})
-            x, fun, nit, success = polished[start]
+            polished, evals, infs = _lockstep(chain, spec, {start: _polish(z)})
+            z, fun, nit, success = polished[start]
             evaluations, inf_evaluations = evaluations + evals, inf_evaluations + infs
             iterations += nit
-        candidates.append((fun, spec.to_params(x), success, start))
+        candidates.append((fun, spec.to_params(z), success, start))
     if not candidates:
         raise ConvergenceError(
             f"calibration of {spec.name!r} failed: no start produced a finite error"
@@ -789,20 +772,22 @@ def _fit_rung(
         aggregated_error=error, iterations=iterations, converged=converged,
         quotes=len(chain.quotes), evaluations=evaluations,
         inf_evaluations=inf_evaluations, start=start,
-    )
+    ), params
 
 
 def _ladder(
     chain: OptionChain, config: CalibrateConfig | None, last: str | None
 ) -> dict[str, CalibrationReport]:
     """Fit the families of _SPECS in order, up to and including `last`, in
-    the calling process."""
+    the calling process, each handed the report and fitted model of the one
+    before it."""
     if config is None:
         config = CalibrateConfig()
     reports: dict[str, CalibrationReport] = {}
-    leaner: CalibrationReport | None = None
+    leaner = None
     for kind in list(_SPECS)[: list(_SPECS).index(last) + 1 if last else None]:
-        leaner = reports[kind] = _fit_rung(chain, _SPECS[kind], config, leaner)
+        leaner = _fit_rung(chain, _SPECS[kind], config, leaner)
+        reports[kind] = leaner[0]
     return reports
 
 

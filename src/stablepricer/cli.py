@@ -36,7 +36,8 @@ from .lab import SamplerConfig, density_grid, mc_price_fmls, sample_stable
 from .pricer import _MAX_COLUMN, _TOLERANCE, fmls_call, price, term_table, term_table_csv
 from .reference import black_scholes
 
-# the most points curve and density price or evaluate in one run
+# the most points curve and density price or evaluate, and the most terms
+# table builds, in one run
 _MAX_POINTS = 10**6
 
 _LATTICE_WARNING = (
@@ -162,6 +163,10 @@ def cmd_price(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    # the triangle -1 <= n <= nmax, 0 <= m <= n + 1, built whole in memory
+    terms = (args.nmax + 2) * (args.nmax + 3) // 2
+    if terms > _MAX_POINTS:
+        raise DomainError(f"the table has {terms} terms, more than {_MAX_POINTS}")
     params = _params_from_args(args)
     contract = _contract_from_args(args, "call")
     table = term_table(params, contract, args.nmax)

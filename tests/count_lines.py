@@ -1,6 +1,11 @@
 """Count the code lines of src/stablepricer, one count per file and a total.
 
     python tests/count_lines.py
+    python tests/count_lines.py BASE
+
+BASE is the root of another checkout, such as a pull request's base commit:
+each line then gives its count, this checkout's and the difference, and a
+file on one side only counts 0 on the other.
 
 A code line holds a token other than a comment, a newline, an indent or a
 dedent, and is not a line of a docstring: the string-constant first
@@ -16,7 +21,7 @@ import sys
 import tokenize
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "stablepricer"
+ROOT = Path(__file__).resolve().parents[1]
 NOT_CODE = {
     tokenize.COMMENT, tokenize.NEWLINE, tokenize.NL,
     tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER,
@@ -38,15 +43,29 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def main() -> int:
-    total = 0
-    for path in sorted(SOURCE.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6d} {path.relative_to(SOURCE.parents[1])}")
-    print(f"{total:6d} total")
+def counts(root: Path) -> dict[str, int]:
+    """Code lines by file of src/stablepricer under a checkout's root."""
+    return {
+        path.relative_to(root).as_posix(): code_lines(path.read_text(encoding="utf-8"))
+        for path in sorted((root / "src" / "stablepricer").glob("*.py"))
+    }
+
+
+def main(argv: list[str]) -> int:
+    head = counts(ROOT)
+    if not argv:
+        for name, count in head.items():
+            print(f"{count:6d} {name}")
+        print(f"{sum(head.values()):6d} total")
+        return 0
+    base = counts(Path(argv[0]).resolve())
+    print("  base   head   diff")
+    rows = [(base.get(name, 0), head.get(name, 0), name) for name in sorted(base.keys() | head.keys())]
+    rows.append((sum(base.values()), sum(head.values()), "total"))
+    for before, after, name in rows:
+        print(f"{before:6d} {after:6d} {after - before:+6d} {name}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -414,7 +414,7 @@ class TestRecovery:
         reports = calibrate_all(small_chain(truth), QUICK)
         bs, cw, st = reports["bs"], reports["carrwu"], reports["stable"]
         assert st.model == "AlphaBetaStable"
-        # richer families never fit worse (embedded leaner optimum is a
+        # richer families never fit worse (the leaner rung's model is a
         # candidate), up to optimizer termination slack
         assert st.aggregated_error <= cw.aggregated_error * (1.0 + 1e-6) + 1e-9
         assert cw.aggregated_error <= bs.aggregated_error * (1.0 + 1e-6) + 1e-9
@@ -474,22 +474,19 @@ class TestModelSpecs:
     @pytest.mark.parametrize("leaner_alpha", [1.7, 2.0])
     def test_warm_start_round_trip(self, specs, kind, leaner_alpha):
         chain = small_chain(StableModelParams.fmls(1.6, 0.2))
+        # the leaner rung's fitted model, whose sigma is its scale
         sigma = 0.2
         mu = mu_fmls(leaner_alpha, sigma)
-        leaner = CalibrationReport(
-            model="leaner", sigma=sigma, alpha=leaner_alpha, beta=-1.0, mu=mu,
-            aggregated_error=1.0, iterations=1, converged=True, quotes=1,
-            evaluations=1, inf_evaluations=0,
-        )
+        leaner = StableModelParams.fmls(leaner_alpha, sigma)
         expected = {
             "BS": _bs_member(_heuristic_vol(chain)),
-            "CarrWu": StableModelParams.fmls(alpha=1.9, sigma=sigma / math.sqrt(2.0)),
+            "CarrWu": StableModelParams.fmls(alpha=1.9, sigma=sigma),
             "AlphaBetaStable": StableModelParams.from_beta(
                 alpha=leaner_alpha, beta=-0.9, sigma=sigma, mu=mu
             ),
         }[specs[kind].name]
         spec = specs[kind]
-        params = spec.to_params(spec.to_x(spec.to_z(spec.warm(leaner, chain))))
+        params = spec.to_params(spec.warm(leaner, chain))
         for field in ("alpha", "theta", "sigma", "mu"):
             assert getattr(params, field) == pytest.approx(
                 getattr(expected, field), rel=1e-12, abs=1e-15
@@ -526,7 +523,7 @@ def _objective(spec, chain):
 
     def error(z: np.ndarray) -> float:
         try:
-            return calibrate_module.objective_params(spec.to_params(spec.to_x(z)), chain)
+            return calibrate_module.objective_params(spec.to_params(z), chain)
         except (DomainError, OverflowError):
             return math.inf
 
@@ -549,10 +546,10 @@ def _residuals_alone(spec, chain, digits=None):
     fails to price."""
     strikes, rates, maturities, forwards, market = chain._arrays
 
-    def residuals(x):
+    def residuals(z):
         try:
             calls = calibrate_module.price_call_strikes(
-                spec.to_params(x), chain.spot, rates, maturities, strikes,
+                spec.to_params(z), chain.spot, rates, maturities, strikes,
                 tolerance=calibrate_module._TOLERANCE,
             )
         except (ConvergenceError, DomainError, OverflowError):
@@ -583,38 +580,39 @@ def _drive_alone(run, residuals, rounds=math.inf):
 
 
 def _starts(spec, config, leaner, chain):
-    """A rung's start points x: the warm start, then the Kronecker points."""
+    """A rung's start points z, from the leaner rung's fitted model: the warm
+    start, then the Kronecker points."""
     return [spec.warm(leaner, chain), *spec.box(config)]
 
 
 def _fit_alone(chain, spec, config, leaner, digits=None):
-    """_fit_rung's report with each Levenberg-Marquardt start stepped alone, in
-    start order, up to the round in which the first start ends at the
-    objective's resolution, then the polish from the best of them when it
-    runs."""
+    """_fit_rung's report and fitted model with each Levenberg-Marquardt start
+    stepped alone, in start order, up to the round in which the first start
+    ends at the objective's resolution, then the polish from the best of them
+    when it runs."""
     residuals = _residuals_alone(spec, chain, digits)
     resolution = len(chain.quotes) * calibrate_module._TOLERANCE
     evaluations = inf_evaluations = 0
     candidates = []
-    if spec.embed is not None:
-        embedded = spec.embed(leaner)
-        error = calibrate_module.objective_params(embedded, chain)
+    leaner_report, leaner_model = leaner or (None, None)
+    if leaner is not None:
+        error = calibrate_module.objective_params(leaner_model, chain)
         evaluations, inf_evaluations = 1, int(error == math.inf)
-        candidates.append((error, embedded, leaner.converged, None))
-    starts = _starts(spec, config, leaner, chain)
+        candidates.append((error, leaner_model, leaner_report.converged, None))
+    starts = _starts(spec, config, leaner_model, chain)
 
-    def run(x):
-        return _levenberg_marquardt(spec.to_z(x), spec.to_x, spec.upper)
+    def run(z):
+        return _levenberg_marquardt(z, spec.upper)
 
     # each start alone to its end, for the round the lockstep stops after
-    alone = [_drive_alone(run(x), residuals) for x in starts]
+    alone = [_drive_alone(run(z), residuals) for z in starts]
     rounds = min(
         (priced for result, _, _, priced in alone if result and result[1] <= resolution),
         default=math.inf,
     )
     results = {}
-    for i, x in enumerate(starts):
-        result, evals, infs, _ = _drive_alone(run(x), residuals, rounds)
+    for i, z in enumerate(starts):
+        result, evals, infs, _ = _drive_alone(run(z), residuals, rounds)
         evaluations, inf_evaluations = evaluations + evals, inf_evaluations + infs
         if result is not None:
             results[i] = result
@@ -622,12 +620,12 @@ def _fit_alone(chain, spec, config, leaner, digits=None):
     # the lowest aggregated error, the earliest start on ties, polished only
     # above the objective's resolution
     start = min(results, key=lambda i: results[i][1])
-    x, fun, _, success = results[start]
+    z, fun, _, success = results[start]
     if fun > resolution:
-        (x, fun, nit, success), evals, infs, _ = _drive_alone(_polish(x), residuals)
+        (z, fun, nit, success), evals, infs, _ = _drive_alone(_polish(z), residuals)
         evaluations, inf_evaluations = evaluations + evals, inf_evaluations + infs
         iterations += nit
-    candidates.append((fun, spec.to_params(x), success, start))
+    candidates.append((fun, spec.to_params(z), success, start))
     fun, params, success, start = min(candidates, key=lambda cand: cand[0])
     sigma, beta = spec.report(params)
     return CalibrationReport(
@@ -635,7 +633,7 @@ def _fit_alone(chain, spec, config, leaner, digits=None):
         aggregated_error=fun, iterations=iterations, converged=success,
         quotes=len(chain.quotes), evaluations=evaluations,
         inf_evaluations=inf_evaluations, start=start,
-    )
+    ), params
 
 
 def _toy_least_squares(case):
@@ -656,10 +654,10 @@ def _carrwu_starts_alone(chain):
     """The results of the default carrwu rung's starts on a chain, each
     stepped alone to its end, past the round the rung would stop after."""
     config, spec = CalibrateConfig(), _SPECS["carrwu"]
-    leaner = _fit_rung(chain, _SPECS["bs"], config, None)
+    _, leaner = _fit_rung(chain, _SPECS["bs"], config, None)
     finished = []
-    for x in _starts(spec, config, leaner, chain):
-        run = _levenberg_marquardt(spec.to_z(x), spec.to_x, spec.upper)
+    for z in _starts(spec, config, leaner, chain):
+        run = _levenberg_marquardt(z, spec.upper)
         result, _, _, _ = _drive_alone(run, _residuals_alone(spec, chain))
         if result is not None:
             finished.append(result)
@@ -702,9 +700,9 @@ class TestOptimizer:
                 "bs": small_chain(StableModelParams.fmls(1.6, 0.2)),
             }[case]
             spec = _SPECS[case]
-            start = {"stable": (1.8, -0.5, math.log(0.03)),
+            start = {"stable": (1.8, math.atanh(-0.5), math.log(0.03)),
                      "carrwu": (math.log(0.15), 1.8), "bs": (math.log(0.3),)}[case]
-            error, x0 = _objective(spec, chain), spec.to_z(start)
+            error, x0 = _objective(spec, chain), np.array(start)
         else:
             # Rosenbrock's valley, cut off where the first coordinate passes
             # 0.9, so that the search meets an inf region; scaled by 1e8 in
@@ -812,7 +810,7 @@ class TestOptimizer:
         expected = optimize.least_squares(fun, z0, method="trf", bounds=(-np.inf, upper))
         yielded = []
         result, evaluations, failed, _ = _drive_alone(
-            _levenberg_marquardt(z0, list, upper),
+            _levenberg_marquardt(z0, upper),
             lambda z: yielded.append(z) or fun(np.array(z)).tolist(),
         )
         z, error, iterations, success = result
@@ -866,7 +864,7 @@ class TestOptimizer:
             leaner = _fit_rung(chain, spec, QUICK, leaner)
             counts.append(len(built) - before)
         # the bs rung lays out the chain, which keeps it; each later rung
-        # lays out only the chain of its embedded candidate's one
+        # lays out only the chain of the leaner rung's model's one
         # aggregated_error call
         assert counts == [1, 1, 1]
 
@@ -904,7 +902,7 @@ class TestOptimizer:
         # on the benchmark's Black-Scholes chain the stable rung's warm start
         # (the carrwu fit, at alpha = 2) ends at the objective's resolution
         # in its first round, so the rung prices that one round of every
-        # start, and the embedded candidate
+        # start, and the leaner rung's model
         chain, config = benchmark_chains["bs"], CalibrateConfig()
         leaner = None
         for spec in list(_SPECS.values())[:2]:
@@ -914,10 +912,36 @@ class TestOptimizer:
             calibrate_module, "_residuals",
             lambda models, chain: rounds.append(len(models)) or batch(models, chain),
         )
-        report = _fit_rung(chain, _SPECS["stable"], config, leaner)
+        report, _ = _fit_rung(chain, _SPECS["stable"], config, leaner)
         assert rounds == [4 * (config.starts + 1)]
         assert report.evaluations == rounds[0] + 1
         assert report.aggregated_error <= len(chain.quotes) * 1e-5
+
+    @pytest.mark.parametrize("name", ["acceptance7", "inf"])
+    def test_each_rung_hands_on_the_model_it_reports(self, name, benchmark_chains):
+        # each rung's fitted model re-prices to its report's aggregated error,
+        # bit for bit; on both chains the carrwu rung is won by the bs rung's
+        # model as it is (start None), and reports its alpha, mu and error
+        if name == "inf":
+            chain = benchmark_chains["inf"]
+        else:
+            chain = synthetic_chain(
+                StableModelParams.from_beta(1.5, -0.8, 0.2), 100.0, 0.01,
+                (0.5, 0.75, 1.0, 1.25), np.linspace(80.0, 120.0, 10),
+            )
+        leaner, starts = None, []
+        for spec in _SPECS.values():
+            report, model = _fit_rung(chain, spec, CalibrateConfig(), leaner)
+            assert aggregated_error(model, chain) == report.aggregated_error, spec.name
+            if report.start is None:
+                leaner_report, leaner_model = leaner
+                assert model is leaner_model
+                assert (report.alpha, report.mu, report.aggregated_error) == (
+                    leaner_report.alpha, leaner_report.mu, leaner_report.aggregated_error
+                )
+            leaner = report, model
+            starts.append(report.start)
+        assert starts[1] is None and None not in (starts[0], starts[2]), starts
 
     @pytest.mark.parametrize("rounded", [False, True], ids=["exact", "ties"])
     def test_lockstep_equals_each_start_alone(self, rounded, monkeypatch):
@@ -937,10 +961,10 @@ class TestOptimizer:
         config = CalibrateConfig(starts=5, seed=31)
         leaner, reports = None, []
         for spec in _SPECS.values():
-            report = _fit_rung(chain, spec, config, leaner)
-            assert report == _fit_alone(chain, spec, config, leaner, digits), spec.name
-            leaner = report
-            reports.append(report)
+            fit = _fit_rung(chain, spec, config, leaner)
+            assert fit == _fit_alone(chain, spec, config, leaner, digits), spec.name
+            leaner = fit
+            reports.append(fit[0])
         if rounded:
             # the case tests a tie: two of the bs rung's Levenberg-Marquardt
             # starts end on its least rounded error, the later one finishes
@@ -975,7 +999,7 @@ class TestOptimizer:
             leaner = _fit_rung(chain, spec, QUICK, leaner)
         del polished[:], runs[:]
         spec = _SPECS[kind]
-        report = _fit_rung(chain, spec, QUICK, leaner)
+        report, _ = _fit_rung(chain, spec, QUICK, leaner)
         assert polished == []
         ((results, evaluations, inf_evaluations),) = runs
         start = min(results, key=lambda i: results[i][1])
@@ -1000,7 +1024,7 @@ class TestOptimizer:
             calibrate_module, "_polish", lambda x0: polished.append(x0) or _polish(x0)
         )
         chain = small_chain(StableModelParams.from_beta(1.7, -0.3, 0.15))
-        report = _fit_rung(chain, _SPECS["bs"], QUICK, None)
+        report, _ = _fit_rung(chain, _SPECS["bs"], QUICK, None)
         assert len(polished) == 1
         assert repr(report) == (
             "CalibrationReport(model='BS', sigma=0.3916108540393865, alpha=2.0, beta=0.0, "
@@ -1027,7 +1051,7 @@ class TestOptimizer:
 
 
 def _round_residuals(monkeypatch, digits: int) -> None:
-    """Round every residual the ladder prices, and the embedded candidate's
+    """Round every residual the ladder prices, and the leaner rung's model's
     aggregated error, to `digits` decimals, so that starts tie."""
     batch, alone = calibrate_module._residuals, objective_params
     monkeypatch.setattr(

@@ -392,6 +392,26 @@ class TestTable:
         assert lines[0] == ",-1"
         assert lines[1] == "0,215.207"
 
+    @pytest.mark.parametrize(
+        "nmax, terms", [("1412", "1000405"), ("1000000000", "500000002500000003")],
+        ids=["bound-plus-one", "1e9"],
+    )
+    def test_too_many_terms_refused(self, nmax, terms):
+        # refused before anything is built: the triangle costs about 290
+        # bytes a term (70 MB more peak RSS at nmax 700 than at 0)
+        done = run_main_fresh("table", *GOLDEN_FLAGS, "--nmax", nmax)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", f"error: the table has {terms} terms, more than 1000000\n"
+        )
+
+    def test_term_bound_is_the_point_bound(self, capsys, monkeypatch):
+        # nmax 2 has 10 terms, the forward term and 9 in the triangle
+        monkeypatch.setattr("stablepricer.cli._MAX_POINTS", 10)
+        code, out, _ = run(capsys, "table", *GOLDEN_FLAGS, "--nmax", "2")
+        assert (code, out.splitlines()[0]) == (0, ",-1,0,1,2")
+        code, out, err = run(capsys, "table", *GOLDEN_FLAGS, "--nmax", "3")
+        assert (code, out, err) == (2, "", "error: the table has 15 terms, more than 10\n")
+
     def test_out_is_byte_identical(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
         code, _, _ = run(capsys, "table", *GOLDEN_FLAGS, "--nmax", "5",

@@ -201,3 +201,26 @@ def test_count_lines_counts_code_only():
     )
     assert count_lines.code_lines(source) == 5
     assert count_lines.code_lines('class C:\n    """Doc."""\n    y = "not a docstring"\n') == 2
+
+
+def test_count_lines_against_a_base(tmp_path, monkeypatch, capsys):
+    # each file's count at the base and here and their difference, a file on
+    # one side only counting 0 on the other, then the totals
+    sides = {
+        "base": {"a.py": "x = 1\n", "b.py": "y = 2\n"},
+        "head": {"a.py": "x = 1\nz = 3\n", "c.py": "w = 4\n"},
+    }
+    for side, files in sides.items():
+        package = tmp_path / side / "src" / "stablepricer"
+        package.mkdir(parents=True)
+        for name, source in files.items():
+            (package / name).write_text(source)
+    monkeypatch.setattr(count_lines, "ROOT", tmp_path / "head")
+    assert count_lines.main([str(tmp_path / "base")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "  base   head   diff",
+        "     1      2     +1 src/stablepricer/a.py",
+        "     1      0     -1 src/stablepricer/b.py",
+        "     0      1     +1 src/stablepricer/c.py",
+        "     2      3     +1 total",
+    ]
