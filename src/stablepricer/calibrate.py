@@ -28,12 +28,15 @@ one more entry.
 Each rung runs Levenberg-Marquardt on the quote residuals, on Python
 floats, under the bound alpha <= 2, from a warm start and the points of a
 seeded Kronecker sequence, until one ends within what the objective
-resolves.  When the best is above it, it is polished by Nelder-Mead with
-Gao & Han's (2012) adaptive coefficients (see _fit_rung), a port of
-scipy's, to the bit.  The starts step in lockstep: each round prices the
-points of every live start in one kernel call on the chain's layout, built
-once, and each start takes the path it takes alone.  The whole ladder runs
-in the calling process.
+resolves.  When the best is above it, it is polished on the aggregated
+error itself by an L1 trust region (Hald & Madsen 1985; see _fit_rung):
+each step solves the linear L1 model of the forward-difference Jacobian
+exactly, by a weighted-L1 edge descent (Barrodale & Roberts 1973), on
+numpy and Python floats with no BLAS or LAPACK call.  The starts and the
+polish step in lockstep: each round prices the points of every live run,
+a point and its differences, in one kernel call on the chain's layout,
+built once, and each start takes the path it takes alone.  The whole
+ladder runs in the calling process.
 """
 
 from __future__ import annotations
@@ -66,12 +69,8 @@ _CSV_COLUMNS = ("as_of", "spot", "rate", "maturity", "strike", "side", "market_p
 # Series tolerance of the objective.
 _TOLERANCE = 1e-5
 
-# Nelder-Mead iteration cap and termination tolerances of the polish.
-_MAXITER = 400
-_XATOL = 1e-4
-_FATOL = 1e-6
-
-# Levenberg-Marquardt step cap, tolerances, difference step and step bound.
+# Step cap, tolerances, difference step and initial step bound of
+# Levenberg-Marquardt and of the polish.
 _LM_MAXITER = 100
 _LM_XTOL = 1e-8
 _LM_FTOL = 1e-5
@@ -421,125 +420,128 @@ def _kronecker(d: int, n: int, seed: int) -> np.ndarray:
     return (offset + np.arange(1, n + 1)[:, None] * g % 1.0) % 1.0
 
 
-def _nelder_mead(
-    x0: Sequence[float],
-) -> Generator[list[list[float]], list[float], tuple[list[float], float, int, bool]]:
-    """Nelder-Mead from x0 with Gao & Han's (2012) adaptive coefficients:
-    scipy.optimize.minimize(method="Nelder-Mead") with options maxiter
-    _MAXITER, xatol _XATOL, fatol _FATOL and adaptive=True, to the bit, a
-    generator that _polish drives from the best start's point of a rung.
-
-    The simplex and its points are lists of Python floats, formed in scipy's
-    order of operations: the centroid sums the vertices from vertex 0 on,
-    then divides by N; a trial point is formed coordinate by coordinate.
-    The simplex is sorted with np.argsort, as scipy sorts it.
-
-    It yields the points it needs, one per row: the N+1 vertices of the
-    initial simplex, then one trial point per step, or the N points of a
-    shrink.  It is sent their objective values, in order, and returns
-    (x, fun, iterations, success); success is False when the run stops at
-    _MAXITER iterations.
-    """
-    x0 = [float(v) for v in x0]
-    dim = len(x0)
-    rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
-    nonzdelt, zdelt = 0.05, 0.00025
-    sim = [x0]
-    for k in range(dim):
-        y = list(x0)
-        y[k] = (1 + nonzdelt) * y[k] if y[k] != 0 else zdelt
-        sim.append(y)
-    fsim = yield sim
-    # scipy sorts the initial simplex twice
-    for _ in range(2):
-        ind = np.argsort(fsim).tolist()
-        sim, fsim = [sim[i] for i in ind], [fsim[i] for i in ind]
-    iterations = 1
-    while iterations < _MAXITER:
-        best, worst = sim[0], sim[-1]
-        if all(
-            abs(v - b) <= _XATOL for vertex in sim[1:] for v, b in zip(vertex, best)
-        ) and all(abs(fsim[0] - f) <= _FATOL for f in fsim[1:]):
-            break
-        xbar = list(sim[0])
-        for vertex in sim[1:-1]:
-            xbar = [s + v for s, v in zip(xbar, vertex)]
-        xbar = [s / dim for s in xbar]
-        xr = [(1 + rho) * c - rho * w for c, w in zip(xbar, worst)]
-        (fxr,) = yield [xr]
-        if fxr < fsim[0]:
-            xe = [(1 + rho * chi) * c - rho * chi * w for c, w in zip(xbar, worst)]
-            (fxe,) = yield [xe]
-            if fxe < fxr:
-                sim[-1], fsim[-1] = xe, fxe
-            else:
-                sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:
-                # outside contraction
-                xc = [(1 + psi * rho) * c - psi * rho * w for c, w in zip(xbar, worst)]
-                (fxc,) = yield [xc]
-                shrink = not fxc <= fxr
-                if not shrink:
-                    sim[-1], fsim[-1] = xc, fxc
-            else:
-                # inside contraction
-                xcc = [(1 - psi) * c + psi * w for c, w in zip(xbar, worst)]
-                (fxcc,) = yield [xcc]
-                shrink = not fxcc < fsim[-1]
-                if not shrink:
-                    sim[-1], fsim[-1] = xcc, fxcc
-            if shrink:
-                sim[1:] = [[b + sigma * (v - b) for v, b in zip(vertex, best)]
-                           for vertex in sim[1:]]
-                fsim[1:] = yield sim[1:]
-        iterations += 1
-        ind = np.argsort(fsim).tolist()
-        sim, fsim = [sim[i] for i in ind], [fsim[i] for i in ind]
-    return sim[0], float(np.min(fsim)), iterations, iterations < _MAXITER
-
-
-def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
-    """matrix^-1 rhs by Gauss-Jordan elimination, positive definite: no pivots."""
-    rows = [row + [b] for row, b in zip(matrix, rhs)]
-    for i, pivot in enumerate(rows):
+def _solve(
+    matrix: list[list[float]], columns: list[list[float]], pivot: bool = False
+) -> list[list[float]]:
+    """matrix^-1 c for each column c by Gauss-Jordan elimination: in order,
+    for a positive definite matrix, or with pivot on the row of largest
+    magnitude left in each column, for any nonsingular one."""
+    rows = [row + [c[i] for c in columns] for i, row in enumerate(matrix)]
+    for i in range(len(rows)):
+        if pivot:
+            k = max(range(i, len(rows)), key=lambda j: abs(rows[j][i]))
+            rows[i], rows[k] = rows[k], rows[i]
         for j, row in enumerate(rows):
             if j != i:
-                factor = row[i] / pivot[i]
-                rows[j] = [v - factor * p for v, p in zip(row, pivot)]
-    return [row[-1] / row[i] for i, row in enumerate(rows)]
+                factor = row[i] / rows[i][i]
+                rows[j] = [v - factor * p for v, p in zip(row, rows[i])]
+    return [[row[c - len(columns)] / row[i] for i, row in enumerate(rows)]
+            for c in range(len(columns))]
+
+
+def _probe(z: list[float], upper: Sequence[float]) -> list[list[float]]:
+    """z and its forward differences z + h_k e_k, h_k = _LM_STEP max(1, |z_k|);
+    where z + h_k passes upper[k], the difference steps inward, to z - h_k."""
+    steps = [_LM_STEP * max(1.0, abs(v)) for v in z]
+    return [z] + [z[:k] + [v + h if v + h <= b else v - h] + z[k + 1:]
+                  for k, (v, h, b) in enumerate(zip(z, steps, upper))]
+
+
+def _jacobian(points: list[list[float]], sent: list[list[float]]) -> list[list[float]]:
+    """The forward-difference Jacobian at _probe's first point, by column,
+    from the residual vectors of its points."""
+    z, r = points[0], sent[0]
+    return [[(a - b) / (y[k] - z[k]) for a, b in zip(column, r)]
+            for k, (y, column) in enumerate(zip(points[1:], sent[1:]))]
+
+
+def _l1_step(
+    r: list[float], jac: list[list[float]], lo: list[float], hi: list[float]
+) -> tuple[list[float], float]:
+    """The step dz of least sum |r + J dz| over the box lo <= dz <= hi
+    (lo < 0 <= hi), J given by its columns, and that least sum.
+
+    An exact weighted-L1 edge descent (Barrodale & Roberts 1973) on numpy
+    arrays and Python floats, with no BLAS or LAPACK call.  Its rows are the
+    quotes', of weight 1, and the faces dz_k = lo_k and dz_k = hi_k, of
+    weight 1 + sum_i |J_ik|: more than a step gains per unit of dz_k, so an
+    exact penalty, and no larger, so that the test for a descending edge
+    resolves a coordinate whose column is small beside another's.  It
+    starts at the corner dz = lo.  At a vertex, where the basis rows'
+    residuals are 0, each edge frees one of them; it leaves along the
+    steepest descending edge to its weighted median, where the row whose
+    residual turns the slope non-negative takes the freed row's place, and
+    stops when no edge descends.  Each row off the basis is taken on the
+    side of 0 its residual is on, and a row at 0 on the side it was last
+    passed to, so that where more rows meet than coordinates a pivot can
+    change the basis without moving, and no edge descending proves dz
+    optimal.  A coordinate whose column is 0 keeps dz_k = 0."""
+    free = [k for k, column in enumerate(jac) if any(column)]
+    if not free:
+        return [0.0] * len(jac), _error_sum(r)
+    n, m = len(r), len(free)
+    eye = np.eye(m)
+    rows = np.concatenate([np.array([jac[k] for k in free]), eye, eye], axis=1)
+    target = np.concatenate([-np.array(r), [lo[k] for k in free], [hi[k] for k in free]])
+    weight = np.ones(n + 2 * m)
+    weight[n:] = np.tile(1.0 + np.abs(rows[:, :n]).sum(axis=1), 2)
+    active = list(range(n, n + m))  # the faces dz = lo
+    side = np.ones(n + 2 * m)  # the side of 0 each row's residual is on
+    while True:
+        basis = rows[:, active].T.tolist()
+        *edges, x = _solve(basis, [*eye.tolist(), target[active].tolist()], pivot=True)
+        terms = rows * np.array(x)[:, None]
+        residual = terms.sum(axis=0) - target
+        zero = np.abs(residual) <= 1e-13 * (np.abs(target) + np.abs(terms).sum(axis=0))
+        side = np.where(zero, side, np.sign(residual))
+        # slopes[j, i]: the rate at which row i's residual moves along edge j
+        slopes = (np.array(edges)[:, :, None] * rows).sum(axis=1)
+        slopes[:, active] = 0.0
+        pull = np.abs(slopes) * weight
+        lean = (slopes * side * weight).sum(axis=1)
+        base = weight[active]
+        descent = np.concatenate([base + lean, base - lean])
+        j = int(np.argmin(descent))
+        if descent[j] >= -1e-12 * (base[j % m] + pull[j % m].sum()):
+            break
+        along = slopes[j % m] if j < m else -slopes[j % m]
+        ahead = np.flatnonzero(side * along < 0.0)
+        meet = np.where(zero[ahead], 0.0, -residual[ahead] / along[ahead])
+        order = ahead[np.argsort(meet, kind="stable")]
+        climb = descent[j] + 2.0 * np.cumsum(pull[j % m, order])
+        k = int(np.argmax(climb >= 0.0))
+        side[order[:k]] *= -1.0  # the rows passed
+        side[active[j % m]] = 1.0 if j < m else -1.0
+        active[j % m] = int(order[k])
+    x = np.array(x)
+    for i in active:
+        if i >= n:  # on a face
+            x[(i - n) % m] = target[i]
+    x = np.minimum(np.maximum(x, target[n:n + m]), target[n + m:])
+    dz = [0.0] * len(jac)
+    for c, k in enumerate(free):
+        dz[k] = float(x[c])
+    return dz, _error_sum(((rows[:, :n] * x[:, None]).sum(axis=0) + r).tolist())
 
 
 def _levenberg_marquardt(z0: Sequence[float], upper=None) -> Generator:
     """Levenberg-Marquardt from z0 on the sum of squared residuals, each z_k
-    held at or below upper[k] (inf by default).  Each yield is a point z and
-    its forward differences z + h_k e_k, h_k = _LM_STEP max(1, |z_k|); where
-    z + h_k passes the bound, the difference steps inward, to z - h_k.  A
-    step solves (J'J + lam max(diag J'J) I) dz = -J'r, in which a coordinate
-    at its bound whose descent -J'r points outward sits out (its dz is 0),
-    cuts dz to _LM_RADIUS a coordinate and clips z + dz to the bound; it is
-    taken if it lowers the sum of squares and no residual vector is None, and
-    lam (from 1e-3) falls tenfold, else lam grows tenfold.  It converges when
-    dz, clipped to the bound, is within _LM_XTOL of z, or on a taken step
-    that lowers the sum by at most _LM_FTOL of it, and stops after
-    _LM_MAXITER steps or a None in its first yield.  Returns (z, the
-    aggregated error at z, the steps tried, converged)."""
+    held at or below upper[k] (inf by default).  Each yield is _probe's
+    points at one point.  A step solves (J'J + lam max(diag J'J) I) dz =
+    -J'r, in which a coordinate at its bound whose descent -J'r points
+    outward sits out (its dz is 0), cuts dz to _LM_RADIUS a coordinate and
+    clips z + dz to the bound; it is taken if it lowers the sum of squares
+    and no residual vector is None, and lam (from 1e-3) falls tenfold, else
+    lam grows tenfold.  It converges when dz, clipped to the bound, is within
+    _LM_XTOL of z, or on a taken step that lowers the sum by at most _LM_FTOL
+    of it, and stops after _LM_MAXITER steps or a None in its first yield.
+    Returns (z, the aggregated error at z, the steps tried, converged)."""
     upper = upper or [math.inf] * len(z0)
-
-    def probe(z: list[float]) -> list[list[float]]:
-        steps = [_LM_STEP * max(1.0, abs(v)) for v in z]
-        return [z] + [z[:k] + [v + h if v + h <= b else v - h] + z[k + 1:]
-                      for k, (v, h, b) in enumerate(zip(z, steps, upper))]
-
-    points = probe([float(v) for v in z0])
+    points = _probe([float(v) for v in z0], upper)
     sent = yield points
     lam, iterations, success = 1e-3, 0, False
     while None not in sent and not success and iterations < _LM_MAXITER:
-        z, r = points[0], sent[0]  # the point taken, and its Jacobian
-        jac = [[(a - b) / (y[k] - z[k]) for a, b in zip(column, r)]
-               for k, (y, column) in enumerate(zip(points[1:], sent[1:]))]
+        z, r, jac = points[0], sent[0], _jacobian(points, sent)
         squares = math.fsum(v * v for v in r)
         gradient = [-math.fsum(a * b for a, b in zip(u, r)) for u in jac]
         free = [v < b or g <= 0.0 for v, b, g in zip(z, upper, gradient)]
@@ -548,14 +550,14 @@ def _levenberg_marquardt(z0: Sequence[float], upper=None) -> Generator:
         gradient = [g if f else 0.0 for g, f in zip(gradient, free)]
         while iterations < _LM_MAXITER:
             damping = lam * (max(row[i] for i, row in enumerate(normal)) or 1.0)
-            step = _solve([[a + damping * (i == j) for j, a in enumerate(row)]
-                           for i, row in enumerate(normal)], gradient)
+            (step,) = _solve([[a + damping * (i == j) for j, a in enumerate(row)]
+                              for i, row in enumerate(normal)], [gradient])
             if success := all(abs(min(d, b - v)) <= _LM_XTOL * (abs(v) + _LM_XTOL)
                               for d, v, b in zip(step, z, upper)):
                 break
             shrink = min(1.0, _LM_RADIUS / max(map(abs, step)))
             iterations += 1
-            trial = probe([min(v + d * shrink, b) for v, d, b in zip(z, step, upper)])
+            trial = _probe([min(v + d * shrink, b) for v, d, b in zip(z, step, upper)], upper)
             answer = yield trial
             if None not in answer and (lower := math.fsum(v * v for v in answer[0])) < squares:
                 points, sent, lam = trial, answer, lam / 10.0
@@ -565,17 +567,46 @@ def _levenberg_marquardt(z0: Sequence[float], upper=None) -> Generator:
     return points[0], _error_sum(sent[0]), iterations, success
 
 
-def _polish(x0: Sequence[float]) -> Generator:
-    """_nelder_mead from x0 on the aggregated error, sent residual vectors as
-    _levenberg_marquardt is: it passes on their _error_sum, inf for None."""
-    run = _nelder_mead(x0)
-    points = next(run)
-    while True:
-        sent = yield points
-        try:
-            points = run.send([math.inf if r is None else _error_sum(r) for r in sent])
-        except StopIteration as done:
-            return done.value
+def _polish(z0: Sequence[float], upper: Sequence[float]) -> Generator:
+    """A trust-region method for nonlinear L1 problems (Hald & Madsen 1985)
+    from z0 on the aggregated error, each z_k held at or below upper[k].
+    Each yield is _probe's points at one point, sent as _levenberg_marquardt
+    is.  A step is _l1_step on the forward-difference Jacobian over
+    |dz_k| <= radius, z + dz <= upper; its trial point is priced with its
+    differences, so that a taken step needs no second call, and taken if it
+    lowers the aggregated error and no residual vector is None.  The radius,
+    from _LM_RADIUS, becomes max|dz| / 4 when the error falls by less than a
+    quarter of the reduction the step's linear model predicts, or the trial
+    does not price, and doubles when it falls by more than three quarters of
+    it on a step that reaches the radius.  It converges when the predicted
+    reduction is at most _LM_XTOL of the error or the radius is below
+    _LM_XTOL, and stops after _LM_MAXITER steps or a None in its first
+    yield.  Returns (z, the aggregated error at z, the steps tried,
+    converged)."""
+    points = _probe([float(v) for v in z0], upper)
+    sent = yield points
+    radius, iterations = _LM_RADIUS, 0
+    while None not in sent and iterations < _LM_MAXITER:
+        z, r, jac = points[0], sent[0], _jacobian(points, sent)
+        error = _error_sum(r)
+        while iterations < _LM_MAXITER:
+            step, model = _l1_step(r, jac, [-radius] * len(z),
+                                   [min(radius, b - v) for v, b in zip(z, upper)])
+            if error - model <= _LM_XTOL * error or radius < _LM_XTOL:
+                return z, error, iterations, True
+            iterations += 1
+            trial = _probe([min(v + d, b) for v, d, b in zip(z, step, upper)], upper)
+            answer = yield trial
+            ratio = -1.0 if None in answer else (error - _error_sum(answer[0])) / (error - model)
+            reach = max(map(abs, step))
+            if ratio < 0.25:
+                radius = reach / 4.0
+            elif ratio > 0.75 and reach >= radius:
+                radius *= 2.0
+            if ratio > 0.0:
+                points, sent = trial, answer
+                break
+    return points[0], _error_sum(sent[0]), iterations, False
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +636,13 @@ class CalibrationReport:
     """Fit result for one chain and one model family.
 
     iterations counts the Levenberg-Marquardt steps of the finished starts and
-    the polish iterations; evaluations, every point priced (the leaner
-    rung's model too), and inf_evaluations the failed ones.  converged and
-    start are the polish's (stopped on its tolerances) and the start it
+    the polish's trust-region steps; evaluations, every point priced (the
+    leaner rung's model too), and inf_evaluations the failed ones.
+    converged and start are the polish's (its predicted reduction or its
+    radius fell below its tolerance within its step cap) and the start it
     began from; when the polish is skipped, those of the best finished start,
     the first to end at the objective's resolution when the starts stop
-    there; or the leaner rung's converged and None when its model wins.
+    there; or the leaner rung's converged and None when its model stands.
     """
 
     model: str
@@ -733,15 +765,18 @@ def _fit_rung(
     itself, bounded by alpha <= 2; atanh beta), from the spec's warm start
     (start 0) and the Kronecker points of its box (starts 1 to
     config.starts).  Each price is good to the series tolerance, so below
-    len(chain.quotes) * _TOLERANCE the objective cannot resolve a change:
-    the starts stop after the round in which one ends there, and the finished
-    start of least error, the earliest on ties, stands.  Above it,
-    Nelder-Mead (_polish) minimizes the aggregated error over the same
-    coordinates from that start's point.  The leaner fitted model, a member
-    of this family as it is, is a candidate too, so the aggregated errors
-    nest; it wins a tie.
+    len(chain.quotes) * _TOLERANCE, the resolution, the objective cannot
+    resolve a change: the starts stop after the round in which one ends
+    there, and the finished start of least error, the earliest on ties,
+    stands.  Above it, the L1 trust region (_polish) minimizes the
+    aggregated error over the same coordinates from that start's point.  The
+    leaner fitted model, a member of this family as it is, is a candidate
+    too, so the aggregated errors nest; it stands unless the start's error
+    is lower by more than the resolution, so that which of two fits the
+    objective cannot tell apart is reported does not turn on rounding.
     """
     leaner_report, leaner_model = leaner or (None, None)
+    resolution = len(chain.quotes) * _TOLERANCE
     runs = {i: _levenberg_marquardt(z, spec.upper)
             for i, z in enumerate((spec.warm(leaner_model, chain), *spec.box(config)))}
     results, evaluations, inf_evaluations = _lockstep(chain, spec, runs)
@@ -755,8 +790,8 @@ def _fit_rung(
     if results:
         start = min(sorted(results), key=lambda i: results[i][1])
         z, fun, _, success = results[start]
-        if fun > len(chain.quotes) * _TOLERANCE:
-            polished, evals, infs = _lockstep(chain, spec, {start: _polish(z)})
+        if fun > resolution:
+            polished, evals, infs = _lockstep(chain, spec, {start: _polish(z, spec.upper)})
             z, fun, nit, success = polished[start]
             evaluations, inf_evaluations = evaluations + evals, inf_evaluations + infs
             iterations += nit
@@ -765,7 +800,9 @@ def _fit_rung(
         raise ConvergenceError(
             f"calibration of {spec.name!r} failed: no start produced a finite error"
         )
-    error, params, converged, start = min(candidates, key=lambda cand: cand[0])
+    # the leaner model (start None) stands unless beaten by more than the resolution
+    error, params, converged, start = min(
+        candidates, key=lambda cand: cand[0] + resolution * (cand[3] is not None))
     sigma, beta = spec.report(params)
     return CalibrationReport(
         model=spec.name, sigma=sigma, alpha=params.alpha, beta=beta, mu=params.mu,

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from stablepricer import (
     CalibrateConfig,
@@ -40,24 +39,25 @@ from stablepricer import (
 )
 from scipy import optimize
 from stablepricer.calibrate import (
-    _FATOL,
-    _MAXITER,
+    _LM_RADIUS,
     _SPECS,
-    _XATOL,
     CalibrationReport,
     _bs_member,
     _error_sum,
     _fit_rung,
     _heuristic_vol,
+    _jacobian,
     _kronecker,
+    _l1_step,
     _levenberg_marquardt,
     _lockstep,
-    _nelder_mead,
     _polish,
+    _probe,
     objective_params,
 )
 
 from _support import aggregated_error_by_group, lewis_fmls_call
+from sweep_refits import noisy_chain
 
 STRIKES = [85.0, 90.0, 95.0, 100.0, 105.0, 110.0, 115.0]
 MATURITIES = [0.5, 1.0]
@@ -518,28 +518,6 @@ def benchmark_chains():
     return chains
 
 
-def _objective(spec, chain):
-    """The objective of one point alone, through the one-model pricer."""
-
-    def error(z: np.ndarray) -> float:
-        try:
-            return calibrate_module.objective_params(spec.to_params(z), chain)
-        except (DomainError, OverflowError):
-            return math.inf
-
-    return error
-
-
-def _drive(run, error):
-    """Step one _nelder_mead run alone, pricing its points one by one."""
-    points = next(run)
-    try:
-        while True:
-            points = run.send([error(z) for z in points])
-    except StopIteration as done:
-        return done.value
-
-
 def _residuals_alone(spec, chain, digits=None):
     """The residual vector of one point alone, through the one-model pricer,
     rounded to `digits` when given; None where the point is no model or
@@ -622,10 +600,14 @@ def _fit_alone(chain, spec, config, leaner, digits=None):
     start = min(results, key=lambda i: results[i][1])
     z, fun, _, success = results[start]
     if fun > resolution:
-        (z, fun, nit, success), evals, infs, _ = _drive_alone(_polish(z), residuals)
+        (z, fun, nit, success), evals, infs, _ = _drive_alone(_polish(z, spec.upper), residuals)
         evaluations, inf_evaluations = evaluations + evals, inf_evaluations + infs
         iterations += nit
     candidates.append((fun, spec.to_params(z), success, start))
+    # the leaner model stands unless the start's error is lower by more than
+    # the objective's resolution
+    if len(candidates) == 2 and fun >= candidates[0][0] - resolution:
+        candidates.pop()
     fun, params, success, start = min(candidates, key=lambda cand: cand[0])
     sigma, beta = spec.report(params)
     return CalibrationReport(
@@ -648,6 +630,49 @@ def _toy_least_squares(case):
         return (lambda z: np.array([10.0 * (z[1] - z[0] ** 2), 1.0 - z[0]])), [-1.2, 1.0]
     y = 2.0 * np.exp(-1.3 * t)
     return (lambda z: z[0] * np.exp(z[1] * t) - y), [1.0, 0.0]
+
+
+def _linprog_l1(r, jac, lo, hi):
+    """The least sum |r + J dz| over lo <= dz <= hi (None or inf for no
+    bound), J given by its columns, and a dz that attains it, by scipy's
+    HiGHS linear program in (dz, e): min sum e, -e <= r + J dz <= e.  The
+    sum is taken at HiGHS's dz moved into the box, which its feasibility
+    tolerance can leave, since its own objective carries that tolerance."""
+    n, d = len(r), len(jac)
+    J = np.array(jac, dtype=float).reshape(d, n).T
+    eye = np.eye(n)
+    bounds = [(a, None if b == math.inf else b) for a, b in zip(lo, hi)]
+    result = optimize.linprog(
+        np.concatenate([np.zeros(d), np.ones(n)]),
+        A_ub=np.block([[J, -eye], [-J, -eye]]),
+        b_ub=np.concatenate([-np.asarray(r), np.asarray(r)]),
+        bounds=bounds + [(0.0, None)] * n, method="highs",
+    )
+    assert result.status == 0, result.message
+    x = np.clip(result.x[:d], [-math.inf if a is None else a for a in lo], hi)
+    return _error_sum((np.asarray(r) + (J * x).sum(axis=1)).tolist()), x
+
+
+def _l1_problem(seed):
+    """A seeded subproblem (r, J by columns, lo, hi): n from 1 to 500 rows,
+    d from 1 to 3 columns at scales 1e-8 to 1e8, or of small integers, whose
+    vertices can have more rows at 0 than coordinates, at times a zero
+    column or duplicate rows, and a box of radius 1e-3 to 10 whose upper
+    faces sit at 0, inside the radius or at it."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([1, 2, 3, 5, 16, 40, 100, 500]))
+    d = int(rng.integers(1, 4))
+    J = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-8.0, 8.0, size=d)
+    r = rng.normal(size=n)
+    if rng.random() < 0.25:
+        J, r = np.round(J / np.abs(J).max(axis=0) * 3.0), np.round(r * 2.0)
+    if d > 1 and rng.random() < 0.3:
+        J[:, rng.integers(d)] = 0.0
+    if n > 3 and rng.random() < 0.3:
+        J[1:3], r[1:3] = J[0], r[0]
+    radius = float(rng.choice([1e-3, 0.1, 1.0, 10.0]))
+    hi = [float(rng.choice([0.0, rng.uniform(0.0, radius), radius])) for _ in range(d)]
+    return r.tolist(), J.T.tolist(), [-radius] * d, hi
 
 
 def _carrwu_starts_alone(chain):
@@ -685,94 +710,6 @@ class TestOptimizer:
                 step = (np.diff(points, axis=0) - g) % 1.0
                 assert np.minimum(step, 1.0 - step).max(initial=0.0) <= 1e-15, (seed, n)
             assert not np.array_equal(_kronecker(d, 9, seed), _kronecker(d, 9, seed + 1))
-
-    @pytest.mark.parametrize(
-        "case",
-        ["stable", "carrwu", "bs", "inf-region-2d", "inf-region-3d-maxiter", "plateaus"],
-    )
-    def test_nelder_mead_is_scipys(self, case):
-        # driven alone, the port takes scipy's path to the bit: same point,
-        # value, iteration count and success flag
-        if case in ("stable", "carrwu", "bs"):
-            chain = {
-                "stable": small_chain(StableModelParams.from_beta(1.7, -0.3, 0.15)),
-                "carrwu": small_chain(StableModelParams.fmls(1.6, 0.2)),
-                "bs": small_chain(StableModelParams.fmls(1.6, 0.2)),
-            }[case]
-            spec = _SPECS[case]
-            start = {"stable": (1.8, math.atanh(-0.5), math.log(0.03)),
-                     "carrwu": (math.log(0.15), 1.8), "bs": (math.log(0.3),)}[case]
-            error, x0 = _objective(spec, chain), np.array(start)
-        else:
-            # Rosenbrock's valley, cut off where the first coordinate passes
-            # 0.9, so that the search meets an inf region; scaled by 1e8 in
-            # 3-d, so that fatol is not met within maxiter; rounded to
-            # plateaus, so that trial points tie
-            dim, scale, digits = {
-                "inf-region-2d": (2, 1.0, None),
-                "inf-region-3d-maxiter": (3, 1e8, None),
-                "plateaus": (2, 1.0, 0),
-            }[case]
-
-            def error(z):
-                # the port yields its points as lists of floats
-                z = np.asarray(z, dtype=float)
-                if z[0] > 0.9:
-                    return math.inf
-                value = scale * float(
-                    sum(100.0 * (z[1:] - z[:-1] ** 2) ** 2 + (1.0 - z[:-1]) ** 2)
-                )
-                return value if digits is None else round(value, digits)
-
-            x0 = np.array([-1.2, 1.0, 0.5][:dim])
-        expected = optimize.minimize(
-            error, x0, method="Nelder-Mead",
-            options=dict(maxiter=400, xatol=1e-4, fatol=1e-6, adaptive=True),
-        )
-        x, fun, nit, success = _drive(_nelder_mead(x0), error)
-        assert success is (case != "inf-region-3d-maxiter")
-        assert np.array_equal(x, expected.x)
-        assert fun == expected.fun
-        assert nit == expected.nit
-        assert success == expected.success
-
-    @settings(deadline=None, max_examples=80)
-    @given(
-        dim=st.integers(1, 3),
-        start=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
-        shift=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
-        rosenbrock=st.booleans(),
-        digits=st.sampled_from([None, 0, 1, 3]),
-        cut=st.one_of(st.none(), st.floats(-0.5, 1.5)),
-    )
-    def test_nelder_mead_is_scipys_on_random_problems(
-        self, dim, start, shift, rosenbrock, digits, cut
-    ):
-        # shifted quadratics, or Rosenbrock's valley from 2-d on, rounded so
-        # that values tie and cut off by an inf region past z[0] = cut
-        def error(z):
-            z = np.asarray(z, dtype=float)
-            if cut is not None and z[0] > cut:
-                return math.inf
-            if rosenbrock and dim > 1:
-                terms = 100.0 * (z[1:] - z[:-1] ** 2) ** 2 + (1.0 - z[:-1]) ** 2
-            else:
-                terms = (z - shift[:dim]) ** 2
-            value = float(sum(terms))
-            return value if digits is None else round(value, digits)
-
-        x0 = np.array(start[:dim])
-        # scipy's convergence test subtracts inf from inf on an inf simplex
-        with np.errstate(invalid="ignore"):
-            expected = optimize.minimize(
-                error, x0, method="Nelder-Mead",
-                options=dict(maxiter=_MAXITER, xatol=_XATOL, fatol=_FATOL, adaptive=True),
-            )
-        x, fun, nit, success = _drive(_nelder_mead(x0), error)
-        # to the bit, signed zeros and NaN included
-        assert np.array(x).tobytes() == expected.x.tobytes()
-        assert np.float64(fun).tobytes() == np.float64(expected.fun).tobytes()
-        assert (nit, success) == (expected.nit, expected.success)
 
     @pytest.mark.parametrize("case", ["quadratic", "rosenbrock", "exponential"])
     def test_levenberg_marquardt_reaches_scipys_optimum(self, case):
@@ -844,6 +781,120 @@ class TestOptimizer:
         assert z == min(priced)[1]
         assert z[0] <= 0.9
         assert error == _error_sum(residuals(z))
+
+    def test_l1_step_is_linprogs(self):
+        # on seeded subproblems with zero columns, duplicate rows, vertices
+        # where more rows meet than coordinates, columns scaled apart by up
+        # to 1e16 and active upper faces, the edge descent reaches the least
+        # sum of scipy's HiGHS linear program (or, where HiGHS's own
+        # tolerance tells, a lower one), stays in its box, keeps a zero
+        # column's coordinate at 0 and returns the sum at its step
+        on_a_face = 0
+        for seed in range(300):
+            r, jac, lo, hi = _l1_problem(seed)
+            step, least = _l1_step(r, jac, lo, hi)
+            expected, _ = _linprog_l1(r, jac, lo, hi)
+            assert least <= expected + 1e-12 * max(1.0, expected), seed
+            assert all(a <= v <= b for v, a, b in zip(step, lo, hi)), seed
+            assert all(v == 0.0 for v, column in zip(step, jac) if not any(column)), seed
+            model = np.asarray(r) + sum(np.asarray(c) * v for c, v in zip(jac, step))
+            assert least == pytest.approx(_error_sum(model.tolist()), rel=1e-12, abs=1e-12)
+            on_a_face += any(v == b and any(c) for v, b, c in zip(step, hi, jac))
+        assert on_a_face >= 30
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("bounded", [False, True], ids=["free", "bounded"])
+    def test_polish_reaches_linprogs_optimum_on_linear_residuals(self, seed, bounded):
+        # on residuals linear in z, A z - y, the linear model is exact and
+        # the polish from 0 ends at the linear program's least sum over
+        # z <= upper; bounded, coordinate 0 is held 0.1 below its free optimum
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(4, 40)), int(rng.integers(1, 4))
+        A, y = rng.normal(size=(n, d)), rng.normal(size=n)
+        upper = [math.inf] * d
+        if bounded:
+            _, free = _linprog_l1(-y, A.T.tolist(), [None] * d, upper)
+            upper[0] = float(free[0]) - 0.1
+        expected, _ = _linprog_l1(-y, A.T.tolist(), [None] * d, upper)
+        yielded = []
+        result, _, failed, _ = _drive_alone(
+            _polish([min(0.0, b) for b in upper], upper),
+            lambda z: yielded.append(z) or ((A * z).sum(axis=1) - y).tolist(),
+        )
+        z, error, _, converged = result
+        assert converged and failed == 0
+        assert error == pytest.approx(expected, abs=1e-9)
+        assert all(v <= b for point in yielded for v, b in zip(point, upper))
+        if bounded:
+            assert z[0] == upper[0]
+
+    @pytest.mark.parametrize(
+        "case, k, bound",
+        [("quadratic", None, None), ("rosenbrock", None, None), ("exponential", None, None),
+         ("quadratic", 1, 0.4), ("rosenbrock", 0, 0.9), ("exponential", 1, -1.5)],
+        ids=["quadratic", "rosenbrock", "exponential",
+             "quadratic-bounded", "rosenbrock-bounded", "exponential-bounded"],
+    )
+    def test_polish_reaches_nelder_meads_least_absolute_error(self, case, k, bound):
+        # the toy problems in L1, free or with an upper bound on coordinate
+        # k that is active at the optimum: the polish ends no higher than
+        # scipy's Nelder-Mead at tight tolerances, and no point it yields,
+        # differences included, passes the bound
+        fun, z0 = _toy_least_squares(case)
+        upper = [bound if i == k else math.inf for i in range(len(z0))]
+        z0 = [min(v, b) for v, b in zip(z0, upper)]
+
+        def error(z):
+            return _error_sum(fun(np.asarray(z)).tolist())
+
+        expected = optimize.minimize(
+            error, z0, method="Nelder-Mead", bounds=[(None, b) for b in upper],
+            options=dict(maxiter=20000, maxfev=20000, xatol=1e-12, fatol=1e-14, adaptive=True),
+        )
+        yielded = []
+        result, _, failed, _ = _drive_alone(
+            _polish(z0, upper), lambda z: yielded.append(z) or fun(np.array(z)).tolist()
+        )
+        z, least, _, converged = result
+        assert converged and failed == 0
+        assert least <= expected.fun + 1e-9
+        assert least == error(z)
+        assert all(v <= b for point in yielded for v, b in zip(point, upper))
+        if k is not None:
+            assert z[k] == bound
+
+    def test_polish_ends_at_the_least_absolute_error_of_a_noisy_chain(self):
+        # (1.5, 0, 0.2) on the benchmark's grid with quote noise of sd 0.05,
+        # where the Nelder-Mead polish stopped at 0.61892: at the stable
+        # rung's reported point neither a fresh linear model nor scipy's
+        # Nelder-Mead, restarted there at tight tolerances, finds an error
+        # lower by more than the objective's resolution
+        chain = noisy_chain((1.5, 0.0, 0.2), 0.05, 4)
+        resolution = len(chain.quotes) * calibrate_module._TOLERANCE
+        report = calibrate_all(chain)["stable"]
+        assert report.start is not None and report.aggregated_error < 0.6189 - resolution
+        spec = _SPECS["stable"]
+        z = [report.alpha, math.atanh(report.beta), math.log(-report.mu)]
+        points = _probe(z, spec.upper)
+        sent = calibrate_module._residuals([spec.to_params(p) for p in points], chain)
+        assert _error_sum(sent[0]) == report.aggregated_error
+        _, least = _l1_step(
+            sent[0], _jacobian(points, sent), [-_LM_RADIUS] * 3,
+            [min(_LM_RADIUS, b - v) for v, b in zip(z, spec.upper)],
+        )
+        assert report.aggregated_error - least <= resolution
+
+        def error(x):
+            try:
+                return objective_params(spec.to_params(x), chain)
+            except (DomainError, OverflowError):
+                return math.inf
+
+        restarted = optimize.minimize(
+            error, z, method="Nelder-Mead", bounds=[(None, b) for b in spec.upper],
+            options=dict(maxiter=3000, xatol=1e-10, fatol=1e-12, adaptive=True),
+        )
+        assert restarted.fun >= report.aggregated_error - resolution
 
     def test_rung_lays_out_its_chain_once(self, monkeypatch):
         # every round of a rung prices on the layout its chain keeps
@@ -982,7 +1033,8 @@ class TestOptimizer:
         # no change: the rung reports that start and never polishes
         polished, lockstep = [], calibrate_module._lockstep
         monkeypatch.setattr(
-            calibrate_module, "_polish", lambda x0: polished.append(x0) or _polish(x0)
+            calibrate_module, "_polish",
+            lambda z, upper: polished.append(z) or _polish(z, upper),
         )
         runs = []
         monkeypatch.setattr(
@@ -1017,19 +1069,22 @@ class TestOptimizer:
 
     def test_misspecified_rung_polishes_as_before(self, monkeypatch):
         # a Gaussian fit to a stable chain stops far above the objective's
-        # resolution: the rung polishes once, and its report is the one the
-        # rung gave when it polished every start
+        # resolution: the rung polishes once, from its best start, and its
+        # error is no higher than the Nelder-Mead polish's, 9.09748490835846,
+        # plus the objective's resolution, 14 * 1e-5
         polished = []
         monkeypatch.setattr(
-            calibrate_module, "_polish", lambda x0: polished.append(x0) or _polish(x0)
+            calibrate_module, "_polish",
+            lambda z, upper: polished.append(z) or _polish(z, upper),
         )
         chain = small_chain(StableModelParams.from_beta(1.7, -0.3, 0.15))
         report, _ = _fit_rung(chain, _SPECS["bs"], QUICK, None)
         assert len(polished) == 1
+        assert report.aggregated_error <= 9.09748490835846 + 14e-5
         assert repr(report) == (
-            "CalibrationReport(model='BS', sigma=0.3916108540393865, alpha=2.0, beta=0.0, "
-            "mu=-0.07667953050072882, aggregated_error=9.09748490835846, iterations=24, "
-            "converged=True, quotes=14, evaluations=54, inf_evaluations=0, start=0)"
+            "CalibrationReport(model='BS', sigma=0.39161085288997893, alpha=2.0, beta=0.0, "
+            "mu=-0.07667953005060836, aggregated_error=9.097484861864963, iterations=16, "
+            "converged=True, quotes=14, evaluations=40, inf_evaluations=0, start=0)"
         )
 
     def test_no_finite_start_raises(self, monkeypatch):

@@ -862,9 +862,9 @@ class TestCalibrate:
 
     def test_non_convergence_warning(self, capsys, tmp_path, monkeypatch):
         # a Gaussian fit to a stable chain stops above the objective's
-        # resolution, so the polish runs, and two Nelder-Mead iterations
-        # leave it unfinished
-        monkeypatch.setattr(importlib.import_module("stablepricer.calibrate"), "_MAXITER", 2)
+        # resolution, so the polish runs, and a cap of two steps (of
+        # Levenberg-Marquardt and of the polish) leaves it unfinished
+        monkeypatch.setattr(importlib.import_module("stablepricer.calibrate"), "_LM_MAXITER", 2)
         path = tmp_path / "stable.csv"
         write_chain_csv(path, synthetic_chain(
             StableModelParams.from_beta(1.7, -0.3, 0.15), 100.0, 0.01, [0.5, 1.0],

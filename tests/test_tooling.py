@@ -9,6 +9,13 @@ its per-layer metrics empty.  These tests only read perfbench.
 The CLI builds every model and contract in one place each, and no module
 calls price_call or price_put, the side-named aliases of price.
 
+No module calls BLAS or LAPACK: numpy.linalg, the @ operator, dot, matmul,
+vdot, inner or tensordot.  The first such call in a process maps OpenBLAS's
+buffers, about 1.5 MB in all (an svd 1024 KB, a solve 344 KB, a matrix
+product 128 KB), which a calibration round's peak RSS of about 39 MB would
+carry for matrices of at most 3 columns; the optimizer solves those on
+Python floats.
+
 The package exports every name its __init__ imports from its submodules, and
 no module.  The oracles stand on core alone: reference and lab import no
 other module of the package.
@@ -116,6 +123,31 @@ def test_no_module_uses_the_side_aliases():
         for node in ast.walk(ast.parse(path.read_text()))
         for name in _referenced(node)
         if name in ("price_call", "price_put")
+    ]
+    assert used == []
+
+
+BLAS_NAMES = {"linalg", "@", "dot", "matmul", "vdot", "inner", "tensordot"}
+
+
+def _blas_uses(node: ast.AST) -> list[str]:
+    """The names of BLAS_NAMES that node imports, reads or calls, "@" for a
+    matrix product or its augmented assignment."""
+    names = _referenced(node)
+    if isinstance(node, ast.Import):
+        names += [part for alias in node.names for part in alias.name.split(".")]
+    if isinstance(getattr(node, "op", None), ast.MatMult):
+        names.append("@")
+    return [name for name in names if name in BLAS_NAMES]
+
+
+def test_no_module_calls_blas_or_lapack():
+    package = Path(stablepricer.cli.__file__).parent
+    used = [
+        (path.name, name)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in _blas_uses(node)
     ]
     assert used == []
 
